@@ -9,29 +9,39 @@
      Figure 8  — the packer's geometry-management example
      Sweeps    — widget instantiation, send throughput
      Ablations — resource cache, structure cache, binding dispatch,
-                 option database *)
+                 compiled vs reference Tcl, option database *)
 
-open Bechamel
-open Toolkit
 open Xsim
 
 (* ------------------------------------------------------------------ *)
-(* Measurement helper: nanoseconds per run via bechamel's OLS. *)
+(* Measurement helper: a calibrated loop timer.  The iteration count
+   doubles until one batch of runs takes [quota / samples] seconds; then
+   [samples] batches are timed.  The result is the best batch's time per
+   run, with its spread (median batch over best, minus one).  Nothing
+   touches the GC between samples, so a large heap left behind by an
+   earlier section costs only what it costs the code being measured. *)
 
-let measure_ns ?(quota = 0.5) name f =
-  let test = Test.make ~name (Staged.stage f) in
-  let cfg =
-    Benchmark.cfg ~limit:3000 ~quota:(Time.second quota) ~kde:None ()
+type timing = { ns : float; spread : float }
+
+let samples = 7
+
+let measure_ns ?(quota = 0.5) f =
+  let batch n =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
   in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] test in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
+  let target_ns = quota *. 1e9 /. float_of_int samples in
+  let rec calibrate n =
+    if n >= 1 lsl 24 || batch n *. float_of_int n >= target_ns then n
+    else calibrate (2 * n)
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun _ v acc ->
-      match Analyze.OLS.estimates v with Some (e :: _) -> e | _ -> acc)
-    results Float.nan
+  let n = calibrate 1 in
+  let runs = Array.init samples (fun _ -> batch n) in
+  Array.sort Float.compare runs;
+  { ns = runs.(0); spread = (runs.(samples / 2) /. runs.(0)) -. 1.0 }
 
 let time_wall f =
   let t0 = Unix.gettimeofday () in
@@ -192,15 +202,14 @@ let table1 () =
 
 let bench_set_a_1 ?quota () =
   let tcl = Tcl.Builtins.new_interp () in
-  measure_ns ?quota "set a 1" (fun () -> ignore (Tcl.Interp.eval tcl "set a 1"))
+  measure_ns ?quota (fun () -> ignore (Tcl.Interp.eval tcl "set a 1"))
 
 let bench_send_empty ?quota () =
   let server = Server.create () in
   let alpha = Tk_widgets.Tk_widgets_lib.new_app ~server ~name:"alpha" () in
   let _beta = Tk_widgets.Tk_widgets_lib.new_app ~server ~name:"beta" () in
   let ns =
-    measure_ns ?quota "send empty command" (fun () ->
-        ignore (run_tcl alpha "send beta {}"))
+    measure_ns ?quota (fun () -> ignore (run_tcl alpha "send beta {}"))
   in
   (* Simulated protocol cost: requests for one send. *)
   Server.reset_stats alpha.Tk.Core.conn;
@@ -226,18 +235,20 @@ let bench_interp ?quota () =
   let master = Tcl.Builtins.new_interp () in
   let n = ref 0 in
   let ib_create_delete_ns =
-    measure_ns ?quota "interp create+delete" (fun () ->
-        incr n;
-        let name = Printf.sprintf "s%d" !n in
-        ignore (Tcl.Interp.eval master ("interp create " ^ name));
-        ignore (Tcl.Interp.eval master ("interp delete " ^ name)))
+    (measure_ns ?quota (fun () ->
+         incr n;
+         let name = Printf.sprintf "s%d" !n in
+         ignore (Tcl.Interp.eval master ("interp create " ^ name));
+         ignore (Tcl.Interp.eval master ("interp delete " ^ name))))
+      .ns
   in
   ignore (Tcl.Interp.eval master "interp create worker");
   ignore (Tcl.Interp.eval master "proc relay {x} {return $x}");
   ignore (Tcl.Interp.eval master "interp alias worker ping {} relay pong");
   let ib_alias_ns =
-    measure_ns ?quota "alias round trip" (fun () ->
-        ignore (Tcl.Interp.eval master "interp eval worker ping"))
+    (measure_ns ?quota (fun () ->
+         ignore (Tcl.Interp.eval master "interp eval worker ping")))
+      .ns
   in
   (* Ablation: identical workload, guard disarmed vs armed.  The armed
      interp gets a practically-infinite command budget and a counter
@@ -248,12 +259,13 @@ let bench_interp ?quota () =
   let abl_quota = Some (Float.max 0.3 (Option.value quota ~default:0.5)) in
   let warmup = Tcl.Builtins.new_interp () in
   ignore
-    (measure_ns ?quota:abl_quota "warmup" (fun () ->
+    (measure_ns ?quota:abl_quota (fun () ->
          ignore (Tcl.Interp.eval warmup "set a 1")));
   let plain = Tcl.Builtins.new_interp () in
   let ib_guard_off_ns =
-    measure_ns ?quota:abl_quota "set a 1 (guard off)" (fun () ->
-        ignore (Tcl.Interp.eval plain "set a 1"))
+    (measure_ns ?quota:abl_quota (fun () ->
+         ignore (Tcl.Interp.eval plain "set a 1")))
+      .ns
   in
   let armed = Tcl.Builtins.new_interp () in
   let ticks = ref 0 in
@@ -265,8 +277,9 @@ let bench_interp ?quota () =
   Tcl.Interp.set_command_limit armed max_int;
   Tcl.Interp.set_time_limit armed (max_int / 2);
   let ib_guard_on_ns =
-    measure_ns ?quota:abl_quota "set a 1 (guard armed)" (fun () ->
-        ignore (Tcl.Interp.eval armed "set a 1"))
+    (measure_ns ?quota:abl_quota (fun () ->
+         ignore (Tcl.Interp.eval armed "set a 1")))
+      .ns
   in
   { ib_create_delete_ns; ib_alias_ns; ib_guard_off_ns; ib_guard_on_ns }
 
@@ -302,10 +315,7 @@ let create_destroy_buttons app n =
 
 let bench_50_buttons ?(quota = 1.0) () =
   let _server, app = new_display_app "buttons" in
-  let ns =
-    measure_ns ~quota "create/display/delete 50 buttons" (fun () ->
-        create_destroy_buttons app 50)
-  in
+  let ns = measure_ns ~quota (fun () -> create_destroy_buttons app 50) in
   Server.reset_stats app.Tk.Core.conn;
   create_destroy_buttons app 50;
   let stats = Server.stats app.Tk.Core.conn in
@@ -313,19 +323,22 @@ let bench_50_buttons ?(quota = 1.0) () =
 
 let table2 () =
   section "Table II: execution times for selected operations";
-  Printf.printf "%-38s %14s %14s %s\n" "Operation" "paper (DS3100)" "ours"
-    "simulated server traffic";
-  let set_ns = bench_set_a_1 () in
-  Printf.printf "%-38s %14s %11.2f us %s\n" "Simple Tcl command (set a 1)"
-    "68 us" (set_ns /. 1e3) "none";
-  let send_ns, send_reqs, send_rts = bench_send_empty () in
-  Printf.printf "%-38s %14s %11.2f us %s\n" "Send empty command" "15 ms"
-    (send_ns /. 1e3)
+  Printf.printf "%-38s %14s %14s %7s %s\n" "Operation" "paper (DS3100)" "ours"
+    "spread" "simulated server traffic";
+  let set_a = bench_set_a_1 () in
+  Printf.printf "%-38s %14s %11.2f us %6.1f%% %s\n"
+    "Simple Tcl command (set a 1)" "68 us" (set_a.ns /. 1e3)
+    (set_a.spread *. 100.0) "none";
+  let send, send_reqs, send_rts = bench_send_empty () in
+  Printf.printf "%-38s %14s %11.2f us %6.1f%% %s\n" "Send empty command"
+    "15 ms" (send.ns /. 1e3) (send.spread *. 100.0)
     (Printf.sprintf "%d requests (%d round trips)" send_reqs send_rts);
-  let btn_ns, btn_reqs = bench_50_buttons () in
-  Printf.printf "%-38s %14s %11.2f ms %s\n"
-    "Create, display, delete 50 buttons" "440 ms" (btn_ns /. 1e6)
+  let btn, btn_reqs = bench_50_buttons () in
+  Printf.printf "%-38s %14s %11.2f ms %6.1f%% %s\n"
+    "Create, display, delete 50 buttons" "440 ms" (btn.ns /. 1e6)
+    (btn.spread *. 100.0)
     (Printf.sprintf "%d requests" btn_reqs);
+  let set_ns = set_a.ns and send_ns = send.ns and btn_ns = btn.ns in
   print_newline ();
   Printf.printf
     "  Shape check: set-a-1 is the cheapest by far; send costs ~%.0fx a \
@@ -360,22 +373,21 @@ let tcl_micro () =
       ("format", "format %s=%d x 42");
     ]
   in
-  Printf.printf "%-32s %12s\n" "command" "per run";
+  Printf.printf "%-32s %12s %7s\n" "command" "per run" "spread";
   List.iter
     (fun (label, script) ->
-      let ns =
-        measure_ns ~quota:0.25 label (fun () ->
-            ignore (Tcl.Interp.eval tcl script))
+      let m =
+        measure_ns ~quota:0.25 (fun () -> ignore (Tcl.Interp.eval tcl script))
       in
-      Printf.printf "%-32s %9.2f us\n" label (ns /. 1e3))
+      Printf.printf "%-32s %9.2f us %6.1f%%\n" label (m.ns /. 1e3)
+        (m.spread *. 100.0))
     cases;
   let per_cmd =
-    measure_ns ~quota:0.25 "response-window" (fun () ->
-        ignore (Tcl.Interp.eval tcl "set a 1"))
+    measure_ns ~quota:0.25 (fun () -> ignore (Tcl.Interp.eval tcl "set a 1"))
   in
   Printf.printf
     "\n  Commands executable in a 100 ms human response window: ~%.0f\n"
-    (100e6 /. per_cmd)
+    (100e6 /. per_cmd.ns)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: geometry management *)
@@ -614,23 +626,24 @@ let binding_ablation () =
     [ 1; 10; 50; 100 ]
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: the parse-once compile caches (script + expr). Three hot
-   shapes where the same script text is evaluated over and over — a
-   recursive proc, a tight while loop, and event-binding dispatch — run
-   with the caches on and off. The parse_passes counter shows how many
-   full scans of script text each mode performed. *)
+(* Ablation: compiled vs reference Tcl.  The two execution tiers run
+   three hot shapes where the same script text is evaluated over and
+   over — a recursive proc, a tight while loop, and event-binding
+   dispatch: the parse-once caches with bytecode lowered from them (the
+   default) against the reference character-at-a-time evaluator (what
+   `wish -no-compile-cache` gives).  The parse_passes counter shows how
+   many full scans of script text each tier performed.  Each runner
+   returns seconds, parse passes, tcl.vm.* over the timed runs, and the
+   script-cache hit rate where the workload has one. *)
 
 let compile_stat_int tcl key =
   match List.assoc_opt key (Tcl.Interp.compile_stats tcl) with
   | Some v -> int_of_string v
   | None -> 0
 
-(* [compile] toggles the parse-once layer, [vm] the bytecode VM lowered
-   on top of it (the VM only runs when the compile layer is on). *)
-let bench_fib ~n ~compile ~vm () =
+let bench_fib ~n ~compile () =
   let tcl = Tcl.Builtins.new_interp () in
   Tcl.Interp.set_compile_enabled tcl compile;
-  Tcl.Interp.set_vm_enabled tcl vm;
   ignore
     (Tcl.Interp.eval tcl
        "proc fib {n} {\n\
@@ -642,13 +655,13 @@ let bench_fib ~n ~compile ~vm () =
   | Tcl.Interp.Tcl_ok, _ -> ()
   | _, msg -> failwith ("fib bench failed: " ^ msg));
   Tcl.Interp.reset_compile_stats tcl;
+  Tcl.Interp.reset_vm_stats tcl;
   let dt = time_min (fun () -> ignore (Tcl.Interp.eval tcl call)) in
-  (dt, compile_stat_int tcl "parse_passes", Tcl.Interp.vm_stats tcl)
+  (dt, compile_stat_int tcl "parse_passes", Tcl.Interp.vm_stats tcl, None)
 
-let bench_while_10k ~compile ~vm () =
+let bench_while_10k ~compile () =
   let tcl = Tcl.Builtins.new_interp () in
   Tcl.Interp.set_compile_enabled tcl compile;
-  Tcl.Interp.set_vm_enabled tcl vm;
   let script =
     "set total 0\n\
      set i 0\n\
@@ -660,25 +673,22 @@ let bench_while_10k ~compile ~vm () =
   in
   ignore (Tcl.Interp.eval tcl script);
   Tcl.Interp.reset_compile_stats tcl;
+  Tcl.Interp.reset_vm_stats tcl;
   let dt =
     time_min (fun () ->
         match Tcl.Interp.eval tcl script with
         | Tcl.Interp.Tcl_ok, "49995000" -> ()
         | _, v -> failwith ("while bench wrong result: " ^ v))
   in
-  (dt, compile_stat_int tcl "parse_passes", Tcl.Interp.vm_stats tcl)
+  (dt, compile_stat_int tcl "parse_passes", Tcl.Interp.vm_stats tcl, None)
 
 (* A grid of buttons, each with a key binding; the pointer parks over one
    and a storm of keystrokes dispatches the same binding script. *)
-let bench_binding_storm ~events ~compile ~vm () =
+let bench_binding_storm ~events ~compile () =
   let server, app =
-    new_display_app
-      (Printf.sprintf "storm-%s-%s"
-         (if compile then "c1" else "c0")
-         (if vm then "v1" else "v0"))
+    new_display_app (if compile then "storm-compiled" else "storm-reference")
   in
   Tcl.Interp.set_compile_enabled app.Tk.Core.interp compile;
-  Tcl.Interp.set_vm_enabled app.Tk.Core.interp vm;
   let buf = Buffer.create 512 in
   for i = 0 to 11 do
     Buffer.add_string buf (Printf.sprintf "button .b%d -text b%d\n" i i);
@@ -710,136 +720,62 @@ let bench_binding_storm ~events ~compile ~vm () =
   in
   let hits = m "script_hits" and misses = m "script_misses" in
   let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-  (dt, m "parse_passes", hit_rate)
+  (dt, m "parse_passes", Tcl.Interp.vm_stats app.Tk.Core.interp, Some hit_rate)
 
 type script_case = {
   sc_name : string;
-  sc_on_s : float;
-  sc_off_s : float;
-  sc_on_passes : int;
-  sc_off_passes : int;
+  sc_compiled_s : float;
+  sc_reference_s : float;
+  sc_compiled_passes : int;
+  sc_reference_passes : int;
   sc_hit_rate : float option; (* binding storm only *)
+  sc_vm : (string * string) list; (* tcl.vm.* from the compiled run *)
 }
 
 let collect_script_cases ~smoke =
-  let fib_n = if smoke then 14 else 17 in
-  let events = if smoke then 300 else 3000 in
-  (* The compile-cache ablation proper: VM off on both sides so the
-     numbers isolate parse-once from bytecode execution. *)
-  let fib_on, fib_on_p, _ = bench_fib ~n:fib_n ~compile:true ~vm:false () in
-  let fib_off, fib_off_p, _ =
-    bench_fib ~n:fib_n ~compile:false ~vm:false ()
-  in
-  let wh_on, wh_on_p, _ = bench_while_10k ~compile:true ~vm:false () in
-  let wh_off, wh_off_p, _ = bench_while_10k ~compile:false ~vm:false () in
-  let st_on, st_on_p, st_rate =
-    bench_binding_storm ~events ~compile:true ~vm:false ()
-  in
-  let st_off, st_off_p, _ =
-    bench_binding_storm ~events ~compile:false ~vm:false ()
-  in
-  [
-    {
-      sc_name = Printf.sprintf "fib %d (recursive proc)" fib_n;
-      sc_on_s = fib_on;
-      sc_off_s = fib_off;
-      sc_on_passes = fib_on_p;
-      sc_off_passes = fib_off_p;
-      sc_hit_rate = None;
-    };
-    {
-      sc_name = "while 10k accumulate";
-      sc_on_s = wh_on;
-      sc_off_s = wh_off;
-      sc_on_passes = wh_on_p;
-      sc_off_passes = wh_off_p;
-      sc_hit_rate = None;
-    };
-    {
-      sc_name = Printf.sprintf "binding storm (%d keys)" events;
-      sc_on_s = st_on;
-      sc_off_s = st_off;
-      sc_on_passes = st_on_p;
-      sc_off_passes = st_off_p;
-      sc_hit_rate = Some st_rate;
-    };
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: the bytecode VM (PR8). Both sides run with the compile
-   layer on; the off side is exactly what `wish -no-vm` gives. The fib
-   and while workloads are the register-allocation / jump-threading
-   showcases; the binding storm exercises inline-cached global sets on
-   the event-dispatch path. *)
-
-type vm_case = {
-  vm_name : string;
-  vm_on_s : float;
-  vm_off_s : float;
-  vm_counters : (string * string) list; (* tcl.vm.* from the on run *)
-}
-
-let collect_vm_cases ~smoke =
   let fib_n = if smoke then 14 else 20 in
   let events = if smoke then 300 else 3000 in
-  let fib_on, _, fib_stats = bench_fib ~n:fib_n ~compile:true ~vm:true () in
-  let fib_off, _, _ = bench_fib ~n:fib_n ~compile:true ~vm:false () in
-  let wh_on, _, wh_stats = bench_while_10k ~compile:true ~vm:true () in
-  let wh_off, _, _ = bench_while_10k ~compile:true ~vm:false () in
-  let st_on, _, _ = bench_binding_storm ~events ~compile:true ~vm:true () in
-  let st_off, _, _ = bench_binding_storm ~events ~compile:true ~vm:false () in
+  let case name run =
+    let c_s, c_p, vm, rate = run ~compile:true () in
+    let r_s, r_p, _, _ = run ~compile:false () in
+    {
+      sc_name = name;
+      sc_compiled_s = c_s;
+      sc_reference_s = r_s;
+      sc_compiled_passes = c_p;
+      sc_reference_passes = r_p;
+      sc_hit_rate = rate;
+      sc_vm = vm;
+    }
+  in
   [
-    {
-      vm_name = Printf.sprintf "fib %d (recursive proc)" fib_n;
-      vm_on_s = fib_on;
-      vm_off_s = fib_off;
-      vm_counters = fib_stats;
-    };
-    {
-      vm_name = "while 10k accumulate";
-      vm_on_s = wh_on;
-      vm_off_s = wh_off;
-      vm_counters = wh_stats;
-    };
-    {
-      vm_name = Printf.sprintf "binding storm (%d keys)" events;
-      vm_on_s = st_on;
-      vm_off_s = st_off;
-      vm_counters = [];
-    };
+    case (Printf.sprintf "fib %d (recursive proc)" fib_n) (bench_fib ~n:fib_n);
+    case "while 10k accumulate" bench_while_10k;
+    case
+      (Printf.sprintf "binding storm (%d keys)" events)
+      (bench_binding_storm ~events);
   ]
 
-let vm_ablation () =
-  section "Ablation: bytecode VM on vs off (compile layer on for both)";
-  Printf.printf "%-28s %12s %12s %9s  %s\n" "workload" "vm on" "vm off"
-    "speedup" "tcl.vm.* (on run)";
-  List.iter
-    (fun c ->
-      Printf.printf "%-28s %9.2f ms %9.2f ms %8.1fx  %s\n" c.vm_name
-        (c.vm_on_s *. 1000.0) (c.vm_off_s *. 1000.0)
-        (c.vm_off_s /. Float.max 1e-9 c.vm_on_s)
-        (String.concat " "
-           (List.filter_map
-              (fun (k, v) ->
-                match k with
-                | "compiled" | "deopts" | "slot_hits" ->
-                  Some (Printf.sprintf "%s=%s" k v)
-                | _ -> None)
-              c.vm_counters)))
-    (collect_vm_cases ~smoke:false)
+let vm_counters c =
+  List.filter
+    (fun (k, _) -> List.mem k [ "compiled"; "deopts"; "slot_hits" ])
+    c.sc_vm
 
 let scripts_ablation () =
-  section "Ablation: parse-once script/expr caches on vs off";
-  Printf.printf "%-28s %12s %12s %9s %11s %11s\n" "workload" "cache on"
-    "cache off" "speedup" "passes on" "passes off";
+  section "Ablation: compiled (parse-once + bytecode VM) vs reference Tcl";
+  Printf.printf "%-28s %12s %12s %9s %9s %9s  %s\n" "workload" "compiled"
+    "reference" "speedup" "passes c" "passes r" "tcl.vm.* (compiled run)";
   List.iter
     (fun c ->
-      Printf.printf "%-28s %9.2f ms %9.2f ms %8.1fx %11d %11d%s\n" c.sc_name
-        (c.sc_on_s *. 1000.0) (c.sc_off_s *. 1000.0)
-        (c.sc_off_s /. Float.max 1e-9 c.sc_on_s)
-        c.sc_on_passes c.sc_off_passes
+      Printf.printf "%-28s %9.2f ms %9.2f ms %8.1fx %9d %9d  %s%s\n" c.sc_name
+        (c.sc_compiled_s *. 1000.0)
+        (c.sc_reference_s *. 1000.0)
+        (c.sc_reference_s /. Float.max 1e-9 c.sc_compiled_s)
+        c.sc_compiled_passes c.sc_reference_passes
+        (String.concat " "
+           (List.map (fun (k, v) -> k ^ "=" ^ v) (vm_counters c)))
         (match c.sc_hit_rate with
-        | Some r -> Printf.sprintf "  (hit rate %.1f%%)" (r *. 100.0)
+        | Some r -> Printf.sprintf " (cache hit rate %.1f%%)" (r *. 100.0)
         | None -> ""))
     (collect_script_cases ~smoke:false)
 
@@ -869,11 +805,8 @@ let optiondb_ablation () =
     [ 10; 100; 1000 ]
 
 (* ------------------------------------------------------------------ *)
-(* Whole-program analyzer throughput (PR 10): lines/sec, procedures and
-   call-graph edges over examples/ and a synthetic proc-heavy corpus,
-   plus the VM kind-seed ablation — the analyzer's formal-kind facts
-   prime argument reps at bind time so a canonical proc's first
-   execution skips string shimmering. *)
+(* Whole-program analyzer throughput: lines/sec, procedures and
+   call-graph edges over examples/ and a synthetic proc-heavy corpus. *)
 
 type lint_row = {
   li_name : string;
@@ -958,36 +891,6 @@ let collect_lint_cases ~smoke =
   in
   List.map (fun (name, files) -> lint_case name files) cases
 
-(* The kind-seed ablation: fib's first execution with and without the
-   analyzer's n:int fact installed.  Seeding happens before the lazy
-   lowering, so the seeded/primed counters accumulate during the run. *)
-let lint_seed_case seeded =
-  let _server, app =
-    new_display_app (if seeded then "seed_on" else "seed_off")
-  in
-  let src =
-    "proc fib {n} {\n\
-     \  if {$n < 2} {return $n}\n\
-     \  return [expr [fib [expr $n - 1]] + [fib [expr $n - 2]]]\n\
-     }"
-  in
-  ignore (run_tcl app src);
-  if seeded then begin
-    let out =
-      Tcl.Lint.analyze_program ~whole:true app.Tk.Core.interp
-        [ (None, src ^ "\nfib 20") ]
-    in
-    List.iter
-      (fun (name, facts) ->
-        Tcl.Interp.seed_proc_kinds app.Tk.Core.interp name facts)
-      out.Tcl.Lint.o_facts
-  end;
-  Tcl.Interp.reset_vm_stats app.Tk.Core.interp;
-  let wall = time_wall (fun () -> ignore (run_tcl app "fib 22")) in
-  (wall, Tcl.Interp.vm_stats app.Tk.Core.interp)
-
-let vm_stat k stats = try List.assoc k stats with Not_found -> "0"
-
 let lint_section ~smoke =
   section "Whole-program analysis (tclcheck engine): throughput";
   Printf.printf "%-24s %6s %7s %7s %8s %7s %10s %12s\n" "corpus" "files"
@@ -998,16 +901,7 @@ let lint_section ~smoke =
         r.li_files r.li_lines r.li_procs r.li_edges r.li_diags
         (r.li_wall_s *. 1000.0)
         (float_of_int r.li_lines /. Float.max 1e-9 r.li_wall_s))
-    (collect_lint_cases ~smoke);
-  let w_off, _ = lint_seed_case false in
-  let w_on, s_on = lint_seed_case true in
-  Printf.printf
-    "\n\
-     VM kind-seed ablation (first run of fib 22): unseeded %.2f ms, seeded \
-     %.2f ms (procs seeded %s, reps primed %s)\n"
-    (w_off *. 1000.0) (w_on *. 1000.0)
-    (vm_stat "seeded" s_on)
-    (vm_stat "seed_primed" s_on)
+    (collect_lint_cases ~smoke)
 
 (* ------------------------------------------------------------------ *)
 (* Canvas at scale: per-item cost of create / move-one / move-tag /
@@ -1283,9 +1177,9 @@ let emit_json ~path ~smoke =
      evaluates the record literal below right-to-left — an inline call
      down there would run dead last.) *)
   let canvas_cases = collect_canvas_cases ~smoke in
-  let set_ns = bench_set_a_1 ?quota () in
-  let send_ns, send_reqs, send_rts = bench_send_empty ?quota () in
-  let btn_ns, btn_reqs =
+  let set_a = bench_set_a_1 ?quota () in
+  let send, send_reqs, send_rts = bench_send_empty ?quota () in
+  let btn, btn_reqs =
     bench_50_buttons ~quota:(if smoke then 0.1 else 1.0) ()
   in
   let first_reqs, second_reqs, trace_records, snapshot =
@@ -1296,44 +1190,30 @@ let emit_json ~path ~smoke =
   let abl_off = rescache_ablation_case false in
   let ib = bench_interp ?quota () in
   let lint_cases = collect_lint_cases ~smoke in
-  let seed_off_wall, _ = lint_seed_case false in
-  let seed_on_wall, seed_on_stats = lint_seed_case true in
   let scripts =
     List.map
       (fun c ->
         J_obj
           ([
              ("workload", J_string c.sc_name);
-             ("cache_on_ms", J_float (c.sc_on_s *. 1000.0));
-             ("cache_off_ms", J_float (c.sc_off_s *. 1000.0));
-             ("speedup", J_float (c.sc_off_s /. Float.max 1e-9 c.sc_on_s));
-             ("parse_passes_cache_on", J_int c.sc_on_passes);
-             ("parse_passes_cache_off", J_int c.sc_off_passes);
+             ("compiled_ms", J_float (c.sc_compiled_s *. 1000.0));
+             ("reference_ms", J_float (c.sc_reference_s *. 1000.0));
+             ( "speedup",
+               J_float (c.sc_reference_s /. Float.max 1e-9 c.sc_compiled_s) );
+             ("parse_passes_compiled", J_int c.sc_compiled_passes);
+             ("parse_passes_reference", J_int c.sc_reference_passes);
            ]
+          @ List.map
+              (fun (k, v) -> ("vm_" ^ k, json_of_counter v))
+              (vm_counters c)
           @
           match c.sc_hit_rate with
           | Some r -> [ ("compile_cache_hit_rate", J_float r) ]
           | None -> []))
       (collect_script_cases ~smoke)
   in
-  let vm_cases =
-    List.map
-      (fun c ->
-        J_obj
-          ([
-             ("workload", J_string c.vm_name);
-             ("vm_on_ms", J_float (c.vm_on_s *. 1000.0));
-             ("vm_off_ms", J_float (c.vm_off_s *. 1000.0));
-             ("speedup", J_float (c.vm_off_s /. Float.max 1e-9 c.vm_on_s));
-           ]
-          @ List.filter_map
-              (fun (k, v) ->
-                match k with
-                | "compiled" | "deopts" | "slot_hits" ->
-                  Some ("vm_" ^ k, json_of_counter v)
-                | _ -> None)
-              c.vm_counters))
-      (collect_vm_cases ~smoke)
+  let timing t =
+    [ ("ns_per_op", J_float t.ns); ("spread", J_float t.spread) ]
   in
   let sweep =
     List.map
@@ -1355,29 +1235,26 @@ let emit_json ~path ~smoke =
     J_obj
       [
         ("benchmark", J_string "tk-repro");
-        ("pr", J_int 10);
+        ("pr", J_int 12);
         ("mode", J_string (if smoke then "smoke" else "full"));
         ( "table2",
           J_obj
             [
-              ( "set_a_1",
-                J_obj
-                  [ ("ns_per_op", J_float set_ns); ("paper_us", J_int 68) ] );
+              ("set_a_1", J_obj (timing set_a @ [ ("paper_us", J_int 68) ]));
               ( "send_empty",
                 J_obj
-                  [
-                    ("ns_per_op", J_float send_ns);
-                    ("requests", J_int send_reqs);
-                    ("round_trips", J_int send_rts);
-                    ("paper_ms", J_int 15);
-                  ] );
+                  (timing send
+                  @ [
+                      ("requests", J_int send_reqs);
+                      ("round_trips", J_int send_rts);
+                      ("paper_ms", J_int 15);
+                    ]) );
               ( "create_destroy_50_buttons",
                 J_obj
-                  [
-                    ("ns_per_op", J_float btn_ns);
-                    ("requests", J_int btn_reqs);
-                    ("paper_ms", J_int 440);
-                  ] );
+                  (timing btn
+                  @ [
+                      ("requests", J_int btn_reqs); ("paper_ms", J_int 440);
+                    ]) );
             ] );
         ( "traffic_budget",
           J_obj
@@ -1429,7 +1306,6 @@ let emit_json ~path ~smoke =
                    ])
                canvas_cases) );
         ("scripts", J_list scripts);
-        ("vm", J_list vm_cases);
         ( "lint",
           J_obj
             [
@@ -1452,16 +1328,6 @@ let emit_json ~path ~smoke =
                                /. Float.max 1e-9 r.li_wall_s) );
                          ])
                      lint_cases) );
-              ( "seed_ablation",
-                J_obj
-                  [
-                    ("workload", J_string "fib 22 first run");
-                    ("unseeded_ms", J_float (seed_off_wall *. 1000.0));
-                    ("seeded_ms", J_float (seed_on_wall *. 1000.0));
-                    ("procs_seeded", json_of_counter (vm_stat "seeded" seed_on_stats));
-                    ( "reps_primed",
-                      json_of_counter (vm_stat "seed_primed" seed_on_stats) );
-                  ] );
             ] );
         ("send_storm", storm_json ~smoke);
         ( "counters",
@@ -1493,7 +1359,6 @@ let full_suite () =
   structcache_ablation ();
   binding_ablation ();
   scripts_ablation ();
-  vm_ablation ();
   optiondb_ablation ();
   lint_section ~smoke:false;
   print_newline ()

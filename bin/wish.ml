@@ -99,7 +99,6 @@ let interactive app =
 let () =
   let args = Array.to_list Sys.argv in
   let no_cache = ref false in
-  let no_vm = ref false in
   let lint = ref false in
   let mailbox = ref 0 in
   let safe_send = ref false in
@@ -116,13 +115,9 @@ let () =
       parse script name stay faults crash_at rest
     | "-no-compile-cache" :: rest ->
       (* Ablation switch: run everything through the reference
-         character-at-a-time evaluator instead of the parse-once cache. *)
+         character-at-a-time evaluator instead of the parse-once cache
+         and its bytecode VM. *)
       no_cache := true;
-      parse script name stay faults crash_at rest
-    | "-no-vm" :: rest ->
-      (* Ablation switch: keep the parse-once cache but interpret the
-         compiled form directly instead of lowering it to bytecode. *)
-      no_vm := true;
       parse script name stay faults crash_at rest
     | "-no-canvas-index" :: rest ->
       (* Ablation switch: canvases answer find/hit-test/exposure queries
@@ -166,7 +161,7 @@ let () =
       Printf.eprintf
         "usage: wish ?-f script? ?-name appName? ?-stay? ?-lint? \
          ?-faults n? ?-crash-at n? ?-mailbox n? ?-safe-send? \
-         ?-limit-ms n? ?-no-compile-cache? ?-no-vm? ?-no-canvas-index?\n";
+         ?-limit-ms n? ?-no-compile-cache? ?-no-canvas-index?\n";
       Printf.eprintf "unknown argument: %s\n" arg;
       exit 2
   in
@@ -198,7 +193,6 @@ let () =
       app.Tk.Core.send.Tk.Core.guard_mode <- Tk.Core.Guard_limits
   end;
   if !no_cache then Tcl.Interp.set_compile_enabled app.Tk.Core.interp false;
-  if !no_vm then Tcl.Interp.set_vm_enabled app.Tk.Core.interp false;
   Sim_commands.install app;
   (* Make the command line available as $argv / $argc, as wish does. *)
   Tcl.Interp.set_var app.Tk.Core.interp "argv" "";

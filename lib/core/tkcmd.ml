@@ -406,26 +406,18 @@ let cmd_wm app : Tcl.Interp.command =
 (* lint: the static checker as a Tcl command.  Analysis never executes
    the script — it returns a list of {line col severity message}
    elements and touches nothing but the tcl.lint.* counters.  -safe
-   additionally reports reachable uses of safe-profile hidden commands;
-   -seed installs the analyzer's proven formal kinds as VM lowering
-   seeds (Interp.seed_proc_kinds) for procs the running program
-   defines under the same names. *)
+   additionally reports reachable uses of safe-profile hidden
+   commands. *)
 
 let cmd_lint _app : Tcl.Interp.command =
  fun interp words ->
-  let rec go safe seed = function
-    | "-safe" :: rest -> go true seed rest
-    | "-seed" :: rest -> go safe true rest
-    | [ script ] ->
-      let out = Tcl.Lint.analyze_program ~safe interp [ (None, script) ] in
-      if seed then
-        List.iter
-          (fun (name, facts) -> Tcl.Interp.seed_proc_kinds interp name facts)
-          out.Tcl.Lint.o_facts;
-      ok (Tcl.Lint.to_tcl_list (List.map snd out.Tcl.Lint.o_diags))
-    | _ -> Tcl.Interp.wrong_args_for interp "lint"
+  let lint safe script =
+    ok (Tcl.Lint.to_tcl_list (Tcl.Lint.analyze ~safe interp script))
   in
-  go false false (match words with [] -> [] | _ :: rest -> rest)
+  match words with
+  | [ _; "-safe"; script ] -> lint true script
+  | [ _; script ] when script <> "-safe" -> lint false script
+  | _ -> Tcl.Interp.wrong_args_for interp "lint"
 
 let install app =
   let register name cmd = Tcl.Interp.register app.Core.interp name (cmd app) in
@@ -528,8 +520,8 @@ let install app =
           ];
       sg "xstat" 0 ~max:2 ~usage:"xstat ?reset|get counter?"
         ~subs:[ sub "get" 1 ~max:1; sub "reset" 0 ~max:0 ];
-      sg "lint" 1 ~max:3 ~options:[ "-safe"; "-seed" ]
-        ~usage:"lint ?-safe? ?-seed? script";
+      sg "lint" 1 ~max:2 ~options:[ "-safe" ]
+        ~usage:"lint ?-safe? script";
       sg "pack" 1
         ~usage:"pack append master window options ?window options ...?"
         ~subs:

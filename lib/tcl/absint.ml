@@ -25,7 +25,7 @@
    softly. *)
 
 type v =
-  | Vbot  (** no value seen yet (fixpoint seed) *)
+  | Vbot  (** no value seen yet (the identity of [join]) *)
   | Vconst of string  (** exact value known *)
   | Vint  (** always an integer (Tcl booleans included) *)
   | Vfloat  (** always a float *)
@@ -224,16 +224,6 @@ let eval_quiet lookup ast =
   match eval (quiet_hooks lookup) ~soft:false ast with
   | v -> v
   | exception Guaranteed _ -> Vtop
-
-let vm_kind v =
-  match v with
-  | Vconst _ | Vint | Vfloat | Vlist -> (
-    match widen v with
-    | Vint -> Some Vm.Kint
-    | Vfloat -> Some Vm.Kfloat
-    | Vlist -> Some Vm.Klist
-    | _ -> None)
-  | _ -> None
 
 let to_string = function
   | Vbot -> "bot"

@@ -41,10 +41,6 @@ val eval_ast : hooks -> Expr.ast -> v
     @raise Guaranteed on a proven runtime failure. *)
 
 val eval_quiet : (string -> v) -> Expr.ast -> v
-(** {!eval_ast} with silent hooks and failures widened to [Vtop] — the
-    form the interprocedural kind fixpoint uses. *)
-
-val vm_kind : v -> Vm.kind option
-(** The {!Vm.kind} seed fact this value proves, if any. *)
+(** {!eval_ast} with silent hooks and failures widened to [Vtop]. *)
 
 val to_string : v -> string

@@ -134,28 +134,11 @@ let cmd_exec _t = function
 
 (* ------------------------------------------------------------------ *)
 (* File channels (Tcl's open/close/gets/read/eof/flush, plus puts to a
-   channel). Channel ids look like "file3"; stdout/stderr are built in. *)
-
-type chan = Chan_in of in_channel | Chan_out of out_channel
-
-type chan_state = {
-  owner : Interp.t;
-  channels : (string, chan) Hashtbl.t;
-  mutable next_id : int;
-}
-
-let chan_states : chan_state list ref = ref []
-
-let chan_state_for t =
-  match List.find_opt (fun s -> s.owner == t) !chan_states with
-  | Some s -> s
-  | None ->
-    let s = { owner = t; channels = Hashtbl.create 8; next_id = 3 } in
-    chan_states := s :: !chan_states;
-    s
+   channel). Channel ids look like "file3" and live on the interpreter
+   that opened them; stdout/stderr/stdin are built in. *)
 
 let find_channel t id =
-  match Hashtbl.find_opt (chan_state_for t).channels id with
+  match Hashtbl.find_opt (channels t) id with
   | Some c -> Some c
   | None -> (
     match id with
@@ -182,12 +165,7 @@ let in_channel_exn t id =
 let cmd_open t = function
   | [ _; path ] | [ _; path; "r" ] -> (
     match open_in path with
-    | ic ->
-      let s = chan_state_for t in
-      let id = Printf.sprintf "file%d" s.next_id in
-      s.next_id <- s.next_id + 1;
-      Hashtbl.replace s.channels id (Chan_in ic);
-      id
+    | ic -> add_channel t (Chan_in ic)
     | exception Sys_error msg -> failf "couldn't open \"%s\": %s" path msg)
   | [ _; path; mode ] -> (
     let flags =
@@ -200,12 +178,7 @@ let cmd_open t = function
     | None -> failf "bad access mode \"%s\": must be r, w, or a" mode
     | Some flags -> (
       match open_out_gen flags 0o644 path with
-      | oc ->
-        let s = chan_state_for t in
-        let id = Printf.sprintf "file%d" s.next_id in
-        s.next_id <- s.next_id + 1;
-        Hashtbl.replace s.channels id (Chan_out oc);
-        id
+      | oc -> add_channel t (Chan_out oc)
       | exception Sys_error msg -> failf "couldn't open \"%s\": %s" path msg))
   | _ -> wrong_args "open fileName ?access?"
 
@@ -214,7 +187,7 @@ let cmd_close t = function
     (match channel_exn t id with
     | Chan_in ic -> close_in ic
     | Chan_out oc -> close_out oc);
-    Hashtbl.remove (chan_state_for t).channels id;
+    Hashtbl.remove (channels t) id;
     ""
   | _ -> wrong_args "close fileId"
 

@@ -206,8 +206,6 @@ type vm_stats = {
   mutable v_deopts : int;  (* inlined opcodes that fell back to dispatch *)
   mutable v_slot_hits : int;  (* variable reads/writes served by a slot
                                  or a valid inline cache *)
-  mutable v_seeded : int;  (* procs lowered with analyzer kind seeds *)
-  mutable v_seed_primed : int;  (* argument reps primed at bind time *)
 }
 
 type t = {
@@ -262,9 +260,6 @@ type t = {
          let it through instead of stopping it *)
   mutable guard : guard_stats; (* shared by reference across the tree *)
   (* --- bytecode VM --- *)
-  mutable vm_enabled : bool;
-      (* run lowered opcodes when possible (default on); off = the
-         compiled word-template path — the benchmark ablation's -no-vm *)
   mutable vm_canon : bool;
       (* the ten structural builtins are still the canonical ones
          snapshotted by [mark_canonical]: inlined opcodes may bypass
@@ -280,12 +275,13 @@ type t = {
          skip the string round-trip; None whenever no typed producer
          ran (consumers then parse the string result as before) *)
   vm : vm_stats;
-  kind_seeds : (string, (string * Vm.kind) list) Hashtbl.t;
-      (* per-proc formal kinds proven by the analyzer (Lint.o_facts),
-         applied as Vm.lower_proc seeds on the next lowering *)
+  channels : (string, chan) Hashtbl.t;  (* open file channels, by id *)
+  mutable next_chan : int;  (* numeric suffix of the next "fileN" id *)
 }
 
 and command = t -> string list -> result
+
+and chan = Chan_in of in_channel | Chan_out of out_channel
 
 and cmd_def =
   | Builtin of command
@@ -396,20 +392,13 @@ let create () =
     cancel_request = None;
     unwinding = false;
     guard = fresh_guard_stats ();
-    vm_enabled = true;
     vm_canon = false;
     vm_canon_defs = [];
     vm_lastcmd = None;
     vm_xval = None;
-    vm =
-      {
-        v_compiled = 0;
-        v_deopts = 0;
-        v_slot_hits = 0;
-        v_seeded = 0;
-        v_seed_primed = 0;
-      };
-    kind_seeds = Hashtbl.create 8;
+    vm = { v_compiled = 0; v_deopts = 0; v_slot_hits = 0 };
+    channels = Hashtbl.create 4;
+    next_chan = 3;
   }
 
 let current_frame t =
@@ -811,6 +800,14 @@ let output t s = t.out s
 
 let command_count t = t.cmd_count
 
+let channels t = t.channels
+
+let add_channel t c =
+  let id = Printf.sprintf "file%d" t.next_chan in
+  t.next_chan <- t.next_chan + 1;
+  Hashtbl.replace t.channels id c;
+  id
+
 (* ------------------------------------------------------------------ *)
 (* Compiled-script and expression caches.
 
@@ -878,35 +875,18 @@ let set_compile_enabled t flag = t.compile_enabled <- flag
 
 let compile_enabled t = t.compile_enabled
 
-let set_vm_enabled t flag = t.vm_enabled <- flag
-
-let vm_enabled t = t.vm_enabled
-
 let reset_vm_stats t =
   t.vm.v_compiled <- 0;
   t.vm.v_deopts <- 0;
-  t.vm.v_slot_hits <- 0;
-  t.vm.v_seeded <- 0;
-  t.vm.v_seed_primed <- 0
+  t.vm.v_slot_hits <- 0
 
 let vm_stats t =
   [
-    ("enabled", if t.vm_enabled then "1" else "0");
     ("canonical", if t.vm_canon then "1" else "0");
     ("compiled", string_of_int t.vm.v_compiled);
     ("deopts", string_of_int t.vm.v_deopts);
     ("slot_hits", string_of_int t.vm.v_slot_hits);
-    ("seeded", string_of_int t.vm.v_seeded);
-    ("seed_primed", string_of_int t.vm.v_seed_primed);
   ]
-
-let seed_proc_kinds t name facts =
-  if facts = [] then Hashtbl.remove t.kind_seeds name
-  else Hashtbl.replace t.kind_seeds name facts;
-  (* A proc already lowered relowers with the seed on its next call. *)
-  match Hashtbl.find_opt t.commands name with
-  | Some (Proc p) -> p.pvm <- None
-  | _ -> ()
 
 let clear_compile_caches t =
   Hashtbl.reset t.script_cache;
@@ -1485,12 +1465,14 @@ and invoke_hidden t name words =
   | Some (Proc p) -> call_proc t name p words
 
 and call_proc t name p words =
-  if t.compile_enabled && t.vm_enabled && t.vm_canon then
+  if t.compile_enabled then
     (* String-words entry (reference dispatch, eval_words): wrap the
        actuals; the callee owns the fresh Tvals. *)
     call_proc_vm t Vstring name p (List.map Tval.of_string (List.tl words))
   else call_proc_ref t name p words
 
+(* The reference evaluator's procedure call: a hashtable frame and the
+   body re-scanned as text (the -no-compile-cache oracle). *)
 and call_proc_ref t name p words =
   let frame = new_frame () in
   let actuals = List.tl words in
@@ -1522,137 +1504,22 @@ and call_proc_ref t name p words =
     let res =
       Fun.protect
         ~finally:(fun () -> t.stack <- List.tl t.stack)
-        (fun () -> run_proc_body t p)
+        (fun () ->
+          t.stats.parse_passes <- t.stats.parse_passes + 1;
+          let status, v, _ = eval_in t p.body 0 ~bracket:false in
+          (status, v))
     in
     finish_proc name res
-
-and run_proc_body t p =
-  if t.compile_enabled then begin
-    let code =
-      match p.pcode with
-      | Some code -> code
-      | None ->
-        (* Defined while the cache was off, called with it on. *)
-        let code = compile_counted t p.body in
-        p.pcode <- Some code;
-        code
-    in
-    exec_program t code
-  end
-  else begin
-    t.stats.parse_passes <- t.stats.parse_passes + 1;
-    let status, v, _ = eval_in t p.body 0 ~bracket:false in
-    (status, v)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Execution of compiled programs.
-
-   Mirrors eval_in / eval_loop / parse_and_run over the pre-parsed form;
-   every status, error message, errorInfo line and side-effect order
-   must match the reference evaluator above. *)
-
-and exec_program t prog =
-  if t.depth = 0 then begin
-    t.error_in_progress <- false;
-    t.unwinding <- false
-  end;
-  if t.depth > t.recursionlimit then begin
-    t.guard.g_recursion_exceeded <- t.guard.g_recursion_exceeded + 1;
-    (Tcl_error, "too many nested evaluations (infinite loop?)")
-  end
-  else begin
-    match if t.guard_active then guard_check t ~spend:false else None with
-    | Some msg -> (Tcl_error, msg)
-    | None ->
-    t.depth <- t.depth + 1;
-    let finally () = t.depth <- t.depth - 1 in
-    match exec_commands t prog (Tcl_ok, "") with
-    | res ->
-      finally ();
-      res
-    | exception e ->
-      finally ();
-      raise e
-  end
-
-and exec_commands t prog last =
-  match prog with
-  | [] -> last
-  | cmd :: rest -> (
-    match exec_command t cmd with
-    | (Tcl_ok, _) as res -> exec_commands t rest res
-    | res -> res)
-
-and exec_command t (cmd : Compile.command) =
-  match subst_words t cmd.words [] with
-  | exception Propagate (status, v) -> (status, v)
-  | exception Tcl_failure msg ->
-    (* A substitution or structural error: errorInfo starts with the bare
-       message; the enclosing command adds its own trace line. *)
-    if not t.error_in_progress then begin
-      t.error_in_progress <- true;
-      set_error_info t msg
-    end;
-    (Tcl_error, msg)
-  | [] -> (Tcl_ok, "") (* blank command resets the running result *)
-  | words ->
-    let (status, v) as res = invoke t words in
-    if status = Tcl_error then trace_error t ~command:cmd.text v;
-    res
-
-and subst_words t words acc =
-  match words with
-  | [] -> List.rev acc
-  | w :: rest ->
-    let s = subst_word t w in
-    subst_words t rest (s :: acc)
-
-and subst_word t (w : Compile.word) =
-  match w with
-  | Compile.W_lit s -> s
-  | Compile.W_parts [ Compile.Var name ] -> get_var_exn t name
-  | Compile.W_parts [ Compile.Cmd prog ] -> exec_nested t prog
-  | Compile.W_parts parts ->
-    let buf = Buffer.create 16 in
-    subst_parts t parts buf;
-    Buffer.contents buf
-  | Compile.W_fail (parts, msg) ->
-    (* Replay the substitutions scanned before the syntax error (they may
-       have side effects or abort first), then report it. *)
-    let buf = Buffer.create 16 in
-    subst_parts t parts buf;
-    raise (Tcl_failure msg)
-
-and subst_parts t parts buf =
-  List.iter
-    (fun (p : Compile.part) ->
-      match p with
-      | Compile.Lit s -> Buffer.add_string buf s
-      | Compile.Var name -> Buffer.add_string buf (get_var_exn t name)
-      | Compile.Var_idx (base, idx) ->
-        let ibuf = Buffer.create 8 in
-        subst_parts t idx ibuf;
-        let name = base ^ "(" ^ Buffer.contents ibuf ^ ")" in
-        Buffer.add_string buf (get_var_exn t name)
-      | Compile.Cmd prog -> Buffer.add_string buf (exec_nested t prog))
-    parts
-
-(* A [script] command substitution: ok yields its value, anything else
-   aborts the enclosing command with that status. *)
-and exec_nested t prog =
-  match exec_program t prog with
-  | Tcl_ok, v -> v
-  | status, v -> raise (Propagate (status, v))
 
 (* ------------------------------------------------------------------ *)
 (* Bytecode VM executor.
 
-   Runs {!Vm.code} lowered from the compiled form. The contract is the
-   same as exec_program's: every status, value, errorInfo line, guard
-   delivery and command count must match the reference evaluator. Each
-   inlined structural opcode re-checks [vm_canon] and deopts to the
-   stored original command when set/if/while/... have been redefined. *)
+   Runs {!Vm.code} lowered from the compiled form, mirroring eval_in /
+   eval_loop / parse_and_run: every status, value, errorInfo line,
+   guard delivery, command count and side-effect order must match the
+   reference evaluator above. Each inlined structural opcode re-checks
+   [vm_canon] and deopts to ordinary dispatch of its command when
+   set/if/while/... have been redefined. *)
 
 and exec_vm t (want : wantv) (code : frame Vm.code) =
   if t.depth = 0 then begin
@@ -1922,21 +1789,45 @@ and eval_vcond t (e : frame Vm.vexpr) : bool =
   | Vm.Xunop ("!", x) -> not (eval_vcond t x)
   | e -> Expr.truthy (eval_vexpr t e)
 
+(* A [script] command substitution: ok yields its value, anything else
+   aborts the enclosing command with that status. *)
+and vsubst_cmd t code =
+  match exec_vm t Vstring code with
+  | Tcl_ok, v -> v
+  | status, v -> raise (Propagate (status, v))
+
 and vsubst_word t (w : frame Vm.vword) =
   match w with
   | Vm.Wlit tv -> Tval.to_string tv
   | Vm.Wvar r -> vref_get t r
-  | Vm.Wvcmd code -> (
-    match exec_vm t Vstring code with
-    | Tcl_ok, v -> v
-    | status, v -> raise (Propagate (status, v)))
+  | Vm.Wvcmd code -> vsubst_cmd t code
   | Vm.Wexpr { e; code; orig } ->
     if t.vm_canon then Expr.to_string (wexpr_val t e orig)
-    else (
-      match exec_vm t Vstring code with
-      | Tcl_ok, v -> v
-      | status, v -> raise (Propagate (status, v)))
-  | Vm.Wgen w -> subst_word t w
+    else vsubst_cmd t code
+  | Vm.Wcat parts ->
+    let buf = Buffer.create 16 in
+    vcat_parts t parts buf;
+    Buffer.contents buf
+  | Vm.Wfail (parts, msg) ->
+    (* Replay the substitutions scanned before the syntax error (they may
+       have side effects or abort first), then report it. *)
+    vcat_parts t parts (Buffer.create 16);
+    raise (Tcl_failure msg)
+
+and vcat_parts t parts buf =
+  match parts with
+  | [] -> ()
+  | p :: rest ->
+    (match (p : frame Vm.wpart) with
+    | Vm.Plit s -> Buffer.add_string buf s
+    | Vm.Pvar r -> Buffer.add_string buf (vref_get t r)
+    | Vm.Pidx (base, idx) ->
+      let ibuf = Buffer.create 8 in
+      vcat_parts t idx ibuf;
+      Buffer.add_string buf
+        (get_var_exn t (base ^ "(" ^ Buffer.contents ibuf ^ ")"))
+    | Vm.Pcmd code -> Buffer.add_string buf (vsubst_cmd t code));
+    vcat_parts t rest buf
 
 (* Typed word substitution for command dispatch: every result is an
    OWNED Tval (fresh, or a copy whose reps are immutable), so binding
@@ -1954,10 +1845,7 @@ and vsubst_wordv t (w : frame Vm.vword) : Tval.t =
       match get_var t name with
       | Some v -> Tval.of_string v
       | None -> failf "can't read \"%s\": no such variable" name))
-  | Vm.Wvcmd code -> (
-    match exec_vm t Vstring code with
-    | Tcl_ok, v -> Tval.of_string v
-    | status, v -> raise (Propagate (status, v)))
+  | Vm.Wvcmd code -> Tval.of_string (vsubst_cmd t code)
   | Vm.Wexpr { e; code; orig } ->
     if t.vm_canon then (
       match e with
@@ -1977,11 +1865,8 @@ and vsubst_wordv t (w : frame Vm.vword) : Tval.t =
           | _ -> tval_of_value (wexpr_val t e orig))
         | exception Vm_unbound -> tval_of_value (wexpr_val t e orig))
       | _ -> tval_of_value (wexpr_val t e orig))
-    else (
-      match exec_vm t Vstring code with
-      | Tcl_ok, v -> Tval.of_string v
-      | status, v -> raise (Propagate (status, v)))
-  | Vm.Wgen w -> Tval.of_string (subst_word t w)
+    else Tval.of_string (vsubst_cmd t code)
+  | Vm.Wcat _ | Vm.Wfail _ -> Tval.of_string (vsubst_word t w)
 
 and tval_of_value (v : Expr.value) =
   match v with
@@ -2028,7 +1913,7 @@ and vsubst_wordsv t ws acc =
   | w :: rest -> vsubst_wordsv t rest (vsubst_wordv t w :: acc)
 
 (* A substitution failure before dispatch: errorInfo starts with the
-   bare message, exactly as exec_command's handler does. *)
+   bare message, exactly as parse_and_run's handler does. *)
 and subst_fail t msg =
   if not t.error_in_progress then begin
     t.error_in_progress <- true;
@@ -2036,13 +1921,37 @@ and subst_fail t msg =
   end;
   (Tcl_error, msg)
 
-and deopt t orig =
+(* Dispatch a command's substituted words; an error is traced with the
+   command's source text. *)
+and dispatch_words t want words (orig : Compile.command) =
+  match invoke_vm t want words with
+  | (Tcl_error, v) as res ->
+    trace_error t ~command:orig.Compile.text v;
+    res
+  | res -> res
+
+(* An inlined opcode whose builtin is no longer canonical dispatches
+   the generic command it was lowered from, as an [Ivk] would.  The
+   words are [orig]'s literal words plus [arg], the value the opcode
+   already substituted for its one non-literal word (a set/return
+   value, an incr amount, a foreach list), so nothing is substituted
+   twice and no bracketed script is compiled again.  Opcodes with such
+   a word substitute it before they test [vm_canon]: the reference
+   evaluator looks a command up only after substituting its words, so
+   a substitution that shadows the builtin must reach the shadow.  The
+   lowerer guarantees [arg] is present whenever [orig] has a
+   non-literal word. *)
+and deopt t want (orig : Compile.command) (arg : Tval.t option) =
   t.vm.v_deopts <- t.vm.v_deopts + 1;
-  exec_command t orig
+  let word = function
+    | Compile.W_lit s -> Tval.of_string s
+    | Compile.W_parts _ | Compile.W_fail _ -> Option.get arg
+  in
+  dispatch_words t want (List.map word orig.Compile.words) orig
 
 (* Run an inlined structural command with the same guard delivery,
    command accounting and error tracing a dispatched command gets from
-   invoke + exec_command. *)
+   invoke + parse_and_run. *)
 and run_inline t ~text f =
   match if t.guard_active then guard_check t ~spend:true else None with
   | Some msg ->
@@ -2208,62 +2117,59 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
     | [] -> (Tcl_ok, "")
-    | words -> (
-      match invoke_vm t want words with
-      | (Tcl_error, v) as res ->
-        trace_error t ~command:orig.Compile.text v;
-        res
-      | res -> res))
-  | Vm.Iset { dst; value; orig } ->
-    if not t.vm_canon then deopt t orig
+    | words -> dispatch_words t want words orig)
+  | Vm.Iset { dst; value = None; orig } ->
+    if not t.vm_canon then deopt t want orig None
     else (
-      match value with
+      match inline_gate t orig.Compile.text with
+      | Some msg -> (Tcl_error, msg)
       | None -> (
+        match vref_get t dst with
+        | v -> (Tcl_ok, v)
+        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg))
+  | Vm.Iset { dst; value = Some w; orig } -> (
+    match vsubst_word t w with
+    | exception Propagate (status, v) -> (status, v)
+    | exception Tcl_failure msg -> subst_fail t msg
+    | v ->
+      if not t.vm_canon then deopt t want orig (Some (Tval.of_string v))
+      else (
         match inline_gate t orig.Compile.text with
         | Some msg -> (Tcl_error, msg)
         | None -> (
-          match vref_get t dst with
-          | v -> (Tcl_ok, v)
-          | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg))
-      | Some w -> (
-        match vsubst_word t w with
-        | exception Propagate (status, v) -> (status, v)
-        | exception Tcl_failure msg -> subst_fail t msg
-        | v -> (
-          match inline_gate t orig.Compile.text with
-          | Some msg -> (Tcl_error, msg)
-          | None -> (
-            match vref_set t dst v with
-            | () -> (Tcl_ok, v)
-            | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg))))
-  | Vm.Iincr { dst; by; orig } ->
-    if not t.vm_canon then deopt t orig
-    else (
-      match by with
-      | Vm.Aconst amount -> vm_incr t want dst amount orig
-      | Vm.Aword (Vm.Wvar r as w) -> (
-        (* Pull the increment straight from the variable's cached int
-           rep; parse_num is trim + int_of_string_opt, so a cell that
-           is not Nint is exactly one whose string form cmd_incr would
-           reject — fall through with that string.  An unbound var
-           takes the generic subst path to fail identically. *)
-        match vref_cell t r with
-        | cell -> (
-          match Tval.num cell with
-          | Tval.Nint amount -> vm_incr t want dst amount orig
-          | _ -> vm_incr_word t want dst (Tval.to_string cell) orig)
-        | exception Vm_unbound -> (
-          match vsubst_word t w with
-          | s -> vm_incr_word t want dst s orig
-          | exception Propagate (status, v) -> (status, v)
-          | exception Tcl_failure msg -> subst_fail t msg))
-      | Vm.Aword w -> (
-        match vsubst_word t w with
-        | s -> vm_incr_word t want dst s orig
-        | exception Propagate (status, v) -> (status, v)
-        | exception Tcl_failure msg -> subst_fail t msg))
+          match vref_set t dst v with
+          | () -> (Tcl_ok, v)
+          | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg)))
+  | Vm.Iincr { dst; by = Vm.Aconst amount; orig } ->
+    if not t.vm_canon then deopt t want orig None
+    else vm_incr t want dst amount orig
+  | Vm.Iincr { dst; by = Vm.Aword (Vm.Wvar r as w); orig } when t.vm_canon
+    -> (
+    (* Pull the increment straight from the variable's cached int rep
+       (a read cannot change canonicity, so testing first is safe);
+       parse_num is trim + int_of_string_opt, so a cell that is not Nint
+       is exactly one whose string form cmd_incr would reject — fall
+       through with that string.  An unbound var takes the generic
+       subst path to fail identically. *)
+    match vref_cell t r with
+    | cell -> (
+      match Tval.num cell with
+      | Tval.Nint amount -> vm_incr t want dst amount orig
+      | _ -> vm_incr_word t want dst (Tval.to_string cell) orig)
+    | exception Vm_unbound -> (
+      match vsubst_word t w with
+      | s -> vm_incr_word t want dst s orig
+      | exception Propagate (status, v) -> (status, v)
+      | exception Tcl_failure msg -> subst_fail t msg))
+  | Vm.Iincr { dst; by = Vm.Aword w; orig } -> (
+    match vsubst_word t w with
+    | exception Propagate (status, v) -> (status, v)
+    | exception Tcl_failure msg -> subst_fail t msg
+    | s ->
+      if not t.vm_canon then deopt t want orig (Some (Tval.of_string s))
+      else vm_incr_word t want dst s orig)
   | Vm.Iexpr { e; orig } ->
-    if not t.vm_canon then deopt t orig
+    if not t.vm_canon then deopt t want orig None
     else (
       match inline_gate t orig.Compile.text with
       | Some msg -> (Tcl_error, msg)
@@ -2286,7 +2192,7 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
         | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
         | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
   | Vm.Iif { arms; els; orig } ->
-    if not t.vm_canon then deopt t orig
+    if not t.vm_canon then deopt t want orig None
     else (
       match inline_gate t orig.Compile.text with
       | Some msg -> (Tcl_error, msg)
@@ -2299,7 +2205,7 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
         | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
         | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
   | Vm.Iwhile { cond; body; orig } ->
-    if not t.vm_canon then deopt t orig
+    if not t.vm_canon then deopt t want orig None
     else (
       match inline_gate t orig.Compile.text with
       | Some msg -> (Tcl_error, msg)
@@ -2312,7 +2218,7 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
         | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
         | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
   | Vm.Ifor { init; cond; next; body; orig } ->
-    if not t.vm_canon then deopt t orig
+    if not t.vm_canon then deopt t want orig None
     else (
       match inline_gate t orig.Compile.text with
       | Some msg -> (Tcl_error, msg)
@@ -2328,61 +2234,62 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
         | res -> res
         | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
         | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
-  | Vm.Iforeach { dst; items; body; orig } ->
-    if not t.vm_canon then deopt t orig
+  | Vm.Iforeach { dst; items; body; orig } -> (
+    match
+      match items with
+      | Vm.Lconst l -> `List l
+      | Vm.Lword w -> `Raw (vsubst_word t w)
+    with
+    | exception Propagate (status, v) -> (status, v)
+    | exception Tcl_failure msg -> subst_fail t msg
+    | `Raw s when not t.vm_canon ->
+      deopt t want orig (Some (Tval.of_string s))
+    | `List _ when not t.vm_canon -> deopt t want orig None
+    | items ->
+      run_inline t ~text:orig.Compile.text (fun () ->
+          match
+            match items with
+            | `List l -> Stdlib.Ok l
+            | `Raw s -> Tcl_list.parse s
+          with
+          | Stdlib.Error msg -> (Tcl_error, msg)
+          | Stdlib.Ok elements ->
+            let rec go = function
+              | [] -> (Tcl_ok, "")
+              | e :: rest -> (
+                vref_set t dst e;
+                match exec_vm t Vdiscard body with
+                | (Tcl_ok, _) | (Tcl_continue, _) -> go rest
+                | Tcl_break, _ -> (Tcl_ok, "")
+                | res -> res)
+            in
+            go elements))
+  | Vm.Ireturn { value = None; orig } ->
+    if not t.vm_canon then deopt t want orig None
     else (
-      match
-        match items with
-        | Vm.Lconst l -> `List l
-        | Vm.Lword w -> `Raw (vsubst_word t w)
-      with
-      | exception Propagate (status, v) -> (status, v)
-      | exception Tcl_failure msg -> subst_fail t msg
-      | items ->
-        run_inline t ~text:orig.Compile.text (fun () ->
-            match
-              match items with
-              | `List l -> Stdlib.Ok l
-              | `Raw s -> Tcl_list.parse s
-            with
-            | Stdlib.Error msg -> (Tcl_error, msg)
-            | Stdlib.Ok elements ->
-              let rec go = function
-                | [] -> (Tcl_ok, "")
-                | e :: rest -> (
-                  vref_set t dst e;
-                  match exec_vm t Vdiscard body with
-                  | (Tcl_ok, _) | (Tcl_continue, _) -> go rest
-                  | Tcl_break, _ -> (Tcl_ok, "")
-                  | res -> res)
-              in
-              go elements))
-  | Vm.Ireturn { value; orig } ->
-    if not t.vm_canon then deopt t orig
-    else (
-      match value with
-      | None -> (
+      match inline_gate t orig.Compile.text with
+      | Some msg -> (Tcl_error, msg)
+      | None -> (Tcl_return, ""))
+  | Vm.Ireturn { value = Some w; orig } -> (
+    match vsubst_word t w with
+    | exception Propagate (status, v) -> (status, v)
+    | exception Tcl_failure msg -> subst_fail t msg
+    | v -> (
+      if not t.vm_canon then deopt t want orig (Some (Tval.of_string v))
+      else
         match inline_gate t orig.Compile.text with
         | Some msg -> (Tcl_error, msg)
-        | None -> (Tcl_return, ""))
-      | Some w -> (
-        match vsubst_word t w with
-        | exception Propagate (status, v) -> (status, v)
-        | exception Tcl_failure msg -> subst_fail t msg
-        | v -> (
-          match inline_gate t orig.Compile.text with
-          | Some msg -> (Tcl_error, msg)
-          | None -> (Tcl_return, v))))
+        | None -> (Tcl_return, v)))
   | Vm.Ibreak { orig } ->
-    if not t.vm_canon then deopt t orig
+    if not t.vm_canon then deopt t want orig None
     else run_inline t ~text:orig.Compile.text (fun () -> (Tcl_break, ""))
   | Vm.Icontinue { orig } ->
-    if not t.vm_canon then deopt t orig
+    if not t.vm_canon then deopt t want orig None
     else run_inline t ~text:orig.Compile.text (fun () -> (Tcl_continue, ""))
 
 (* Lowered code for a procedure body, built on first VM call and cached
    on the proc record (a redefinition installs a fresh record). *)
-and proc_vm_code t name p =
+and proc_vm_code t p =
   match p.pvm with
   | Some code -> code
   | None ->
@@ -2394,19 +2301,13 @@ and proc_vm_code t name p =
         p.pcode <- Some code;
         code
     in
-    let seed =
-      match Hashtbl.find_opt t.kind_seeds name with
-      | Some facts -> facts
-      | None -> []
-    in
     let code =
-      Vm.lower_proc ~seed
+      Vm.lower_proc
         ~compile:(fun s -> compile_counted t s)
         ~formals:(List.map fst p.formals)
         pcode
     in
     t.vm.v_compiled <- t.vm.v_compiled + 1;
-    if seed <> [] then t.vm.v_seeded <- t.vm.v_seeded + 1;
     p.pvm <- Some code;
     code
 
@@ -2468,14 +2369,12 @@ and dispatch_vm t want name d words =
   match d with
   | Builtin cmd -> run_builtin t cmd (List.map Tval.to_string words)
   | Proc p ->
-    if t.compile_enabled && t.vm_enabled && t.vm_canon then
-      call_proc_vm t want name p (List.tl words)
+    if t.compile_enabled then call_proc_vm t want name p (List.tl words)
     else call_proc_ref t name p (List.map Tval.to_string words)
 
 and dispatch_vm1 t want name d (v1 : Tval.t) =
   match d with
-  | Proc p when t.compile_enabled && t.vm_enabled && t.vm_canon ->
-    call_proc_vm1 t want name p v1
+  | Proc p when t.compile_enabled -> call_proc_vm1 t want name p v1
   | Builtin cmd -> run_builtin t cmd [ name; Tval.to_string v1 ]
   | Proc p -> call_proc_ref t name p [ name; Tval.to_string v1 ]
 
@@ -2515,36 +2414,7 @@ and vm_take_frame p (code : frame Vm.code) =
     f
   | _ -> vm_frame code.Vm.locals
 
-(* Prime the dual-ported reps of bound arguments whose slots the
-   analyzer proved always hold an integer, float or list: parsing the
-   rep now (it would be parsed on first use anyway) lets the proc's
-   first execution run on the typed fast paths instead of shimmering
-   through strings.  Always semantically safe — priming only parses
-   earlier, never changes a value. *)
-and vm_prime_kinds t (code : frame Vm.code) frame =
-  let kinds = code.Vm.kinds in
-  for i = 0 to Array.length kinds - 1 do
-    match kinds.(i) with
-    | None -> ()
-    | Some k -> (
-      match frame.lcells.(i) with
-      | None -> ()
-      | Some v -> (
-        match k with
-        | Vm.Kint | Vm.Kfloat ->
-          if v.Tval.n = Tval.Nmaybe then begin
-            ignore (Tval.num v);
-            t.vm.v_seed_primed <- t.vm.v_seed_primed + 1
-          end
-        | Vm.Klist ->
-          if v.Tval.l = None then begin
-            ignore (Tval.list v);
-            t.vm.v_seed_primed <- t.vm.v_seed_primed + 1
-          end))
-  done
-
 and run_proc_frame t want name p (code : frame Vm.code) frame =
-  if Array.length code.Vm.kinds > 0 then vm_prime_kinds t code frame;
   t.stack <- frame :: t.stack;
   match exec_vm t want code with
   | res ->
@@ -2562,7 +2432,7 @@ and run_proc_frame t want name p (code : frame Vm.code) frame =
     raise e
 
 and call_proc_vm t want name p (actuals : Tval.t list) =
-  let code = proc_vm_code t name p in
+  let code = proc_vm_code t p in
   let frame = vm_take_frame p code in
   match vm_bind_formals frame name p.formals actuals with
   | Some msg -> (Tcl_error, msg)
@@ -2573,7 +2443,7 @@ and call_proc_vm t want name p (actuals : Tval.t list) =
 and call_proc_vm1 t want name p (v1 : Tval.t) =
   match p.formals with
   | [ (formal, _) ] when not (String.equal formal "args") ->
-    let code = proc_vm_code t name p in
+    let code = proc_vm_code t p in
     let frame = vm_take_frame p code in
     vm_set_slot frame formal v1;
     run_proc_frame t want name p code frame
@@ -2590,16 +2460,14 @@ and finish_proc name ((status, v) as res) =
 let eval t src =
   if t.compile_enabled then begin
     let e = script_entry_for t src in
-    if t.vm_enabled && t.vm_canon then
-      exec_vm t Vstring
-        (match e.s_vm with
-        | Some code -> code
-        | None ->
-          let code = Vm.lower ~compile:(fun s -> compile_counted t s) e.code in
-          t.vm.v_compiled <- t.vm.v_compiled + 1;
-          e.s_vm <- Some code;
-          code)
-    else exec_program t e.code
+    exec_vm t Vstring
+      (match e.s_vm with
+      | Some code -> code
+      | None ->
+        let code = Vm.lower ~compile:(fun s -> compile_counted t s) e.code in
+        t.vm.v_compiled <- t.vm.v_compiled + 1;
+        e.s_vm <- Some code;
+        code)
   end
   else begin
     t.stats.parse_passes <- t.stats.parse_passes + 1;

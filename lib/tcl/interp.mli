@@ -88,9 +88,12 @@ val eval_expr_bool : t -> string -> bool
     eviction at a bounded size. *)
 
 val set_compile_enabled : t -> bool -> unit
-(** Toggle the parse-once machinery (default on). Turning it off routes
-    every evaluation through the reference character-at-a-time
-    evaluator — used by the benchmark ablation and differential tests. *)
+(** Toggle the parse-once machinery (default on). On, every script and
+    procedure body runs as bytecode ({!Vm}) lowered from its cached
+    compiled form; off routes every evaluation through the reference
+    character-at-a-time evaluator — the [-no-compile-cache] ablation
+    and the differential tests' oracle. These are the only two
+    execution tiers. *)
 
 val compile_enabled : t -> bool
 
@@ -105,30 +108,13 @@ val compile_stats : t -> (string * string) list
     cache sizes, and the total number of parse passes over script
     text. *)
 
-val set_vm_enabled : t -> bool -> unit
-(** Toggle the bytecode VM (default on; effective only while the
-    compile layer is also on). Off routes compiled programs through the
-    tree-walking executor — the [-no-vm] ablation and differential
-    tests use this. *)
-
-val vm_enabled : t -> bool
-
 val reset_vm_stats : t -> unit
 
 val vm_stats : t -> (string * string) list
-(** Counters for the metrics registry ([tcl.vm.*]): whether the VM is
-    enabled and currently canonical, lowered code objects built,
-    per-instruction deopts to dispatched commands, variable accesses
-    served by local slots or inline caches, procs lowered with analyzer
-    kind seeds, and argument reps primed at bind time. *)
-
-val seed_proc_kinds : t -> string -> (string * Vm.kind) list -> unit
-(** Install analyzer-proven formal-parameter kinds (Lint [o_facts]) for
-    a procedure.  The next VM lowering of the proc carries them as
-    {!Vm.lower_proc} seeds, so calls prime bound arguments' numeric or
-    list reps instead of shimmering through strings on first use.
-    Always semantically safe: priming only parses a rep earlier.  An
-    empty fact list clears the seed. *)
+(** Counters for the metrics registry ([tcl.vm.*]): whether the
+    structural builtins are currently canonical, lowered code objects
+    built, per-instruction deopts to dispatched commands, and variable
+    accesses served by local slots or inline caches. *)
 
 val mark_canonical : t -> unit
 (** Snapshot the current definitions of the structural commands the VM
@@ -443,6 +429,19 @@ val output : t -> string -> unit
 
 val command_count : t -> int
 (** Total number of commands executed ([info cmdcount]). *)
+
+(** {1 File channels}
+
+    Open channels belong to the interpreter that opened them, so they
+    are reclaimed with it. *)
+
+type chan = Chan_in of in_channel | Chan_out of out_channel
+
+val channels : t -> (string, chan) Hashtbl.t
+(** The interpreter's open channels, by id (["file3"], ...). *)
+
+val add_channel : t -> chan -> string
+(** Register a newly opened channel under the next free id. *)
 
 (** {1 Error tracing}
 

@@ -41,13 +41,7 @@
    says a script belongs, and the call graph errs toward "reachable"
    (every literal token anywhere in a node counts as a mention).  The
    goal is zero false positives on working scripts; soundness bugs err
-   toward silence.
-
-   As a by-product the walker's value-kind facts feed the bytecode VM:
-   formal parameters proven to always receive an integer, float or list
-   become {!Vm.kind} seeds ([outcome.o_facts]) the executor uses to
-   prime bound arguments' dual-ported reps (always semantically safe —
-   priming only parses earlier). *)
+   toward silence. *)
 
 type severity = Error | Warning
 
@@ -144,12 +138,6 @@ type proc_info = {
   p_varargs : bool;  (* trailing "args" *)
 }
 
-(* One actual argument at a call site of a script-defined proc, for the
-   interprocedural kind fixpoint: either a kind known at walk time, or
-   an expression over the *calling* procedure's formals, re-evaluated as
-   their kinds refine. *)
-type site_spec = Sv of Absint.v | Sexpr of Callgraph.node * Expr.ast
-
 (* A reachable use of a command the -safe profile hides. *)
 type cap_hit = {
   h_file : string option;
@@ -183,11 +171,10 @@ type ctx = {
   aliases_cap : (string, string) Hashtbl.t;
       (* alias name -> hidden command it resolves to *)
   mutable cap_hits : cap_hit list;
-  mutable sites : (string * site_spec array) list;
   summaries : (string, uv list) Hashtbl.t;
   mutable has_dynamic : bool;
       (* a dynamically-named command, or a dynamic eval/uplevel/after
-         script, may call anything: reachability and kind facts are off *)
+         script, may call anything: reachability is off *)
   mutable suppress_unknown : bool;  (* a user [unknown] handler exists *)
 }
 
@@ -843,8 +830,7 @@ and fold_condition ctx usrc origin ?(effects = ref false) wc cmd i =
         None))
 
 (* Arity of a proc defined by the script under analysis, reported with
-   the interpreter's own messages; valid calls feed the upvar summary
-   and the interprocedural kind fixpoint. *)
+   the interpreter's own messages; valid calls feed the upvar summary. *)
 and check_script_proc ctx origin wc cmd name =
   match Hashtbl.find_opt ctx.procs name with
   | Some (Some info) ->
@@ -865,10 +851,7 @@ and check_script_proc ctx origin wc cmd name =
           "no value given for parameter \"%s\" to \"%s\"" formal name
       | None -> ()
     end
-    else begin
-      apply_upvar_site ctx origin wc cmd name;
-      record_site ctx wc cmd name info
-    end
+    else apply_upvar_site ctx origin wc cmd name
   | _ -> ()
 
 and apply_upvar_site ctx origin wc cmd name =
@@ -906,27 +889,6 @@ and apply_upvar_site ctx origin wc cmd name =
                 base ps.ps_proc name
             end))
     (summary_of ctx name)
-
-and record_site ctx wc cmd name info =
-  let spec j =
-    match List.nth_opt cmd.words (j + 1) with
-    | Some (Compile.W_lit s) -> Sv (Absint.Vconst s)
-    | Some (Compile.W_parts [ Compile.Var v ]) -> (
-      match Hashtbl.find_opt wc.kinds v with
-      | Some k when k <> Absint.Vtop -> Sv k
-      | _ -> (
-        match wc.node with
-        | Callgraph.Nproc _ -> Sexpr (wc.node, Expr.A_var v)
-        | Callgraph.Nroot -> Sv Absint.Vtop))
-    | Some (Compile.W_parts [ Compile.Cmd [ c ] ]) -> (
-      match expr_ast_of c with
-      | Some ast -> Sexpr (wc.node, ast)
-      | None -> Sv Absint.Vtop)
-    | Some _ -> Sv Absint.Vtop
-    | None -> Sv Absint.Vtop (* defaulted formal *)
-  in
-  ctx.sites <-
-    (name, Array.init (List.length info.p_formals) spec) :: ctx.sites
 
 and apply_signature ctx usrc origin wc cmd name (s : Interp.signature) : wres
     =
@@ -1651,77 +1613,6 @@ let finish_capability ctx =
       (List.rev ctx.cap_hits)
   end
 
-(* The interprocedural kind fixpoint: join every call site's argument
-   kinds into each procedure's formals, re-evaluating formal-dependent
-   expressions as the caller's own kinds refine, to a small bound.
-   Suppressed entirely when anything dynamic may call with anything. *)
-let compute_facts ctx =
-  if ctx.has_dynamic || ctx.suppress_unknown then []
-  else begin
-    let arrs = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun name info ->
-        match info with
-        | Some info ->
-          let fs = Array.of_list (List.map fst info.p_formals) in
-          Hashtbl.replace arrs name
-            (fs, Array.make (Array.length fs) Absint.Vbot)
-        | None -> ())
-      ctx.procs;
-    let lookup_in owner u =
-      match owner with
-      | Callgraph.Nroot -> Absint.Vtop
-      | Callgraph.Nproc p -> (
-        match Hashtbl.find_opt arrs p with
-        | Some (fs, arr) ->
-          let rec idx i =
-            if i >= Array.length fs then Absint.Vtop
-            else if fs.(i) = u then arr.(i)
-            else idx (i + 1)
-          in
-          idx 0
-        | None -> Absint.Vtop)
-    in
-    let changed = ref true and iters = ref 0 in
-    while !changed && !iters < 8 do
-      changed := false;
-      incr iters;
-      List.iter
-        (fun (callee, specs) ->
-          match Hashtbl.find_opt arrs callee with
-          | None -> ()
-          | Some (_fs, arr) ->
-            Array.iteri
-              (fun j spec ->
-                if j < Array.length arr then begin
-                  let v =
-                    match spec with
-                    | Sv v -> v
-                    | Sexpr (owner, ast) ->
-                      Absint.eval_quiet (lookup_in owner) ast
-                  in
-                  let jv = Absint.join arr.(j) v in
-                  if jv <> arr.(j) then begin
-                    arr.(j) <- jv;
-                    changed := true
-                  end
-                end)
-              specs)
-        ctx.sites
-    done;
-    Hashtbl.fold
-      (fun name (fs, arr) acc ->
-        let facts = ref [] in
-        Array.iteri
-          (fun j v ->
-            match Absint.vm_kind v with
-            | Some k -> facts := (fs.(j), k) :: !facts
-            | None -> ())
-          arr;
-        if !facts = [] then acc else (name, List.rev !facts) :: acc)
-      arrs []
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
@@ -1741,7 +1632,6 @@ type outcome = {
   o_diags : (string option * diag) list;
   o_procs : int;
   o_edges : int;
-  o_facts : (string * (string * Vm.kind) list) list;
 }
 
 let analyze_program ?(safe = false) ?(whole = false) interp
@@ -1763,7 +1653,6 @@ let analyze_program ?(safe = false) ?(whole = false) interp
       extra = Hashtbl.create 4;
       aliases_cap = Hashtbl.create 4;
       cap_hits = [];
-      sites = [];
       summaries = Hashtbl.create 8;
       has_dynamic = false;
       suppress_unknown = false;
@@ -1793,7 +1682,6 @@ let analyze_program ?(safe = false) ?(whole = false) interp
   ctx.cur_file <- None;
   finish_callgraph ctx;
   finish_capability ctx;
-  let facts = compute_facts ctx in
   let rank file =
     let rec go i = function
       | [] -> max_int
@@ -1828,7 +1716,6 @@ let analyze_program ?(safe = false) ?(whole = false) interp
     o_diags;
     o_procs = Callgraph.proc_count ctx.cg;
     o_edges = Callgraph.edge_count ctx.cg;
-    o_facts = facts;
   }
 
 let analyze ?safe interp src =

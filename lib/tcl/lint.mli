@@ -33,9 +33,6 @@ type outcome = {
       (** per-file diagnostics, in file order then position order *)
   o_procs : int;  (** procedures defined across the program *)
   o_edges : int;  (** call-graph edges (calls + mentions) *)
-  o_facts : (string * (string * Vm.kind) list) list;
-      (** per-procedure formal-parameter kind facts proven by the
-          interprocedural fixpoint — seeds for {!Vm} lowering *)
 }
 
 val analyze_program :

@@ -15,10 +15,13 @@
    cached like compiled programs; whether the inlined opcodes may
    actually bypass dispatch is the *executor's* decision (the
    interpreter tracks whether the ten structural builtins are still
-   canonical, and deopts to the stored original command otherwise).
-   The executor lives in {!Interp}; the types are parametric over the
-   frame representation ['f] to keep this module free of interpreter
-   internals. *)
+   canonical, and otherwise dispatches the opcode's command like an
+   [Ivk], its words being [orig]'s literals plus the value of the one
+   word the opcode substitutes itself).  Multi-part words lower too, so
+   the VM is the one compiled tier: nothing in a lowered program falls
+   back to interpreting [Compile] words.  The executor lives in
+   {!Interp}; the types are parametric over the frame representation
+   ['f] to keep this module free of interpreter internals. *)
 
 type 'f cache = ('f * int * Tval.t) option ref
 (** One-entry inline cache for a by-name variable reference: the frame
@@ -29,20 +32,11 @@ type 'f vref =
   | Rslot of int * string  (** procedure local: slot index + name *)
   | Rname of string * 'f cache  (** by-name with inline cache *)
 
-(* Value-kind facts the static analyzer (Lint/Absint) can attach to a
-   procedure's formal slots: every value ever bound to the slot is known
-   to be of this kind, so the executor may prime the matching Tval rep
-   at bind time and the first execution never shimmers. *)
-type kind = Kint | Kfloat | Klist
-
 type 'f code = {
   insns : 'f insn array;
   locals : string array;
       (** slot names for the frame this code runs in ([||] for nested
           and top-level code: nested code shares the enclosing frame) *)
-  kinds : kind option array;
-      (** analyzer-proven value kinds per local slot ([||] when no seed
-          was supplied); same length as [locals] otherwise *)
 }
 
 and 'f insn =
@@ -88,7 +82,18 @@ and 'f vword =
       (** a whole-word [\[expr ...\]] whose script is a single canonical
           expr command: the executor may evaluate [e] directly (typed,
           no string round-trip), falling back to [code] on deopt *)
-  | Wgen of Compile.word  (** general multi-part word: executor replays it *)
+  | Wcat of 'f wpart list  (** multi-part word: concatenated parts *)
+  | Wfail of 'f wpart list * string
+      (** syntax error mid-word: run the parts for their side effects,
+          then fail with the parser's message *)
+
+(* The parts of a multi-part word, mirroring Compile.part with variables
+   resolved and bracketed scripts lowered. *)
+and 'f wpart =
+  | Plit of string
+  | Pvar of 'f vref
+  | Pidx of string * 'f wpart list  (** [$base(index)], index substituted *)
+  | Pcmd of 'f code
 
 and 'f qpart = Ql of string | Qv of string | Qc of 'f code
 
@@ -163,14 +168,18 @@ let rec lower_word st (w : Compile.word) =
     match code.insns with
     | [| Iexpr { e; orig } |] -> Wexpr { e; code; orig }
     | _ -> Wvcmd code)
-  | Compile.W_parts _ | Compile.W_fail _ -> Wgen w
+  | Compile.W_parts parts -> Wcat (List.map (lower_part st) parts)
+  | Compile.W_fail (parts, msg) -> Wfail (List.map (lower_part st) parts, msg)
+
+and lower_part st (p : Compile.part) =
+  match p with
+  | Compile.Lit s -> Plit s
+  | Compile.Var name -> Pvar (ref_of st name)
+  | Compile.Var_idx (base, idx) -> Pidx (base, List.map (lower_part st) idx)
+  | Compile.Cmd prog -> Pcmd (lower_prog st prog)
 
 and lower_prog st (prog : Compile.program) =
-  {
-    insns = Array.of_list (List.map (lower_command st) prog);
-    locals = [||];
-    kinds = [||];
-  }
+  { insns = Array.of_list (List.map (lower_command st) prog); locals = [||] }
 
 and lower_body st src = lower_prog st (st.compile src)
 
@@ -320,7 +329,7 @@ let lower ~compile prog =
   in
   lower_prog st prog
 
-let lower_proc ?(seed = []) ~compile ~formals prog =
+let lower_proc ~compile ~formals prog =
   let st =
     { compile; alloc = true; tbl = Hashtbl.create 8; names = []; count = 0 }
   in
@@ -337,9 +346,4 @@ let lower_proc ?(seed = []) ~compile ~formals prog =
       end)
     formals;
   let code = lower_prog st prog in
-  let locals = Array.of_list (List.rev st.names) in
-  let kinds =
-    if seed = [] then [||]
-    else Array.map (fun name -> List.assoc_opt name seed) locals
-  in
-  { code with locals; kinds }
+  { code with locals = Array.of_list (List.rev st.names) }

@@ -1,4 +1,5 @@
-(** Register/slot bytecode lowered from {!Compile} programs.
+(** Register/slot bytecode lowered from {!Compile} programs — the
+    interpreter's one compiled execution tier.
 
     {!lower} (whole scripts) and {!lower_proc} (procedure bodies, with
     formal parameters pre-allocated to local slots) translate a
@@ -7,10 +8,11 @@
     it reads no variables and consults no command table — so lowered
     code can be cached alongside the compiled form and never goes
     stale; whether the inlined structural opcodes may bypass command
-    dispatch is decided at execution time by the interpreter (which
-    deopts per instruction to the stored original {!Compile.command}
-    when [set]/[if]/[while]/... have been redefined, renamed or
-    hidden).
+    dispatch is decided at execution time by the interpreter. When
+    [set]/[if]/[while]/... have been redefined, renamed or hidden, an
+    inlined opcode deopts: it dispatches its command like an [Ivk],
+    with words taken from the stored {!Compile.command}'s literals plus
+    the value of the one word the opcode substitutes itself.
 
     All types are parametric over the frame representation ['f]: the
     executor lives in {!Interp}, which instantiates ['f] with its
@@ -23,20 +25,11 @@ type 'f vref =
   | Rslot of int * string  (** procedure local: slot index + name *)
   | Rname of string * 'f cache  (** by-name lookup with inline cache *)
 
-type kind = Kint | Kfloat | Klist
-(** A value-kind fact the static analyzer ({!Lint}/{!Absint}) can prove
-    about a procedure's formal slot: every value bound there is of this
-    kind, so the executor may prime the matching {!Tval} rep at bind
-    time (always semantically safe — priming only parses earlier). *)
-
 type 'f code = {
   insns : 'f insn array;
   locals : string array;
       (** slot names for the frame this code runs in ([||] for nested
           and top-level code, which share the enclosing frame) *)
-  kinds : kind option array;
-      (** analyzer-proven value kinds per local slot ([||] when no seed
-          was supplied; same length as [locals] otherwise) *)
 }
 
 and 'f insn =
@@ -80,7 +73,16 @@ and 'f vword =
   | Wexpr of { e : 'f vexpr; code : 'f code; orig : Compile.command }
       (** whole-word [\[expr ...\]] with a single canonical expr
           command: evaluated typed, deopting to [code] *)
-  | Wgen of Compile.word
+  | Wcat of 'f wpart list  (** multi-part word: concatenated parts *)
+  | Wfail of 'f wpart list * string
+      (** syntax error mid-word: run the parts, then fail with the
+          parser's message *)
+
+and 'f wpart =
+  | Plit of string
+  | Pvar of 'f vref  (** slot or by-name variable *)
+  | Pidx of string * 'f wpart list  (** [$base(index)], index substituted *)
+  | Pcmd of 'f code  (** [\[script\]] substitution *)
 
 and 'f qpart = Ql of string | Qv of string | Qc of 'f code
 
@@ -101,15 +103,12 @@ val lower : compile:(string -> Compile.program) -> Compile.program -> 'f code
     expressions. *)
 
 val lower_proc :
-  ?seed:(string * kind) list ->
   compile:(string -> Compile.program) ->
   formals:string list ->
   Compile.program ->
   'f code
 (** Lower a procedure body. Formals claim the first local slots, and
-    literal [set]/[incr]/[foreach] targets (and [$x] reads) claim
-    further ones as they appear, up to a small bound; the executor
-    builds the call frame from [locals]. [seed] attaches analyzer-proven
-    value kinds to the named slots ({!kind}); the executor uses them to
-    prime bound arguments' numeric/list reps so canonical procedures
-    skip first-execution shimmering. *)
+    literal [set]/[incr]/[foreach] targets (and [$x] reads, including
+    those inside multi-part words) claim further ones as they appear, up
+    to a small bound; the executor builds the call frame from
+    [locals]. *)

@@ -157,11 +157,12 @@ let cache_tests =
     ( "loop bodies share one cache entry across iterations",
       fun () ->
         let tcl = new_interp ~compile:true () in
-        (* Counts per-iteration hits from the tree-walking executor;
-           the VM runs lowered bodies without consulting the cache. *)
-        Tcl.Interp.set_vm_enabled tcl false;
-        ignore (run tcl "set i 0; while {$i < 100} {incr i}");
-        (* The while body and condition each miss once, then hit. *)
+        (* Lowered loop bodies run without consulting the cache, so the
+           body goes through [eval], which looks it up every iteration:
+           one miss, then hits. *)
+        ignore
+          (run tcl
+             "set body {incr i}; set i 0; while {$i < 100} {eval $body}");
         check_bool "hits dominate" true
           (stat tcl "script_hits" > 90);
         check_bool "misses stay small" true (stat tcl "script_misses" < 10) );
@@ -219,9 +220,11 @@ let cache_tests =
     ( "expr ASTs are cached and reused",
       fun () ->
         let tcl = new_interp ~compile:true () in
-        (* Same: the VM evaluates its own typed expression IR. *)
-        Tcl.Interp.set_vm_enabled tcl false;
-        ignore (run tcl "set i 0; while {$i < 20} {incr i}");
+        (* Braced expressions lower to typed IR; an unbraced [expr $e]
+           hands its string to the expr command, which uses the cache. *)
+        ignore
+          (run tcl
+             "set e {$i + 1}; set i 0; while {$i < 20} {set i [expr $e]}");
         check_bool "expr hits recorded" true (stat tcl "expr_hits" > 10) );
   ]
 

@@ -286,7 +286,7 @@ let lint_command_tests =
         let _, app = fresh_app () in
         let msg = run_err app "lint" in
         check_bool "usage" true
-          (contains ~needle:"lint ?-safe? ?-seed? script" msg) );
+          (contains ~needle:"lint ?-safe? script" msg) );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -623,25 +623,6 @@ let scope_tests =
         check_bool "call graph saw the cross-file edge" true
           (out.Tcl.Lint.o_edges > 0);
         check_int "both procs counted" 1 out.Tcl.Lint.o_procs );
-    ( "kind facts are proven for canonical numeric procs",
-      fun () ->
-        let _, app = fresh_app () in
-        let out =
-          Tcl.Lint.analyze_program ~whole:true app.Tk.Core.interp
-            [
-              ( None,
-                "proc fib {n} {\n\
-                 \  if {$n < 2} {return $n}\n\
-                 \  return [expr [fib [expr $n - 1]] + [fib [expr $n - 2]]]\n\
-                 }\n\
-                 fib 10" );
-            ]
-        in
-        match List.assoc_opt "fib" out.Tcl.Lint.o_facts with
-        | Some [ ("n", Tcl.Vm.Kint) ] -> ()
-        | Some other ->
-          Alcotest.failf "unexpected facts for fib: %d" (List.length other)
-        | None -> Alcotest.fail "no kind facts proven for fib" );
   ]
 
 (* lint -safe over PR 7's hostile storm scripts: every hidden
@@ -670,15 +651,6 @@ let safe_non_execution_tests =
              ~needle:"\"leave\" is an alias for hidden command \"exit\"" out);
         check_bool "no alias actually created" false
           (Tcl.Interp.command_exists app.Tk.Core.interp "leave") );
-    ( "lint -seed installs VM kind seeds",
-      fun () ->
-        let _, app = fresh_app () in
-        ignore
-          (run app
-             "proc double {n} {return [expr $n * 2]}\n\
-              lint -seed {proc double {n} {return [expr $n * 2]}\ndouble 21}");
-        check_string "seed applied on next lowering" "42" (run app "double 21");
-        check_string "seeded counter" "1" (run app "xstat get tcl.vm.seeded") );
   ]
 
 let () =

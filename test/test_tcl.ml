@@ -557,6 +557,23 @@ let file_tests =
        Sys.remove path;
        Alcotest.(check bool) "wasn't opened for reading" true
          (contains ~needle:"for reading" msg));
+    ("channel lookups do not keep the interpreter alive",
+     fun () ->
+       (* Channels live on the interpreter that opened them, so an
+          interpreter that merely looked one up is garbage once dropped. *)
+       let n = 200 in
+       let live = Weak.create n in
+       for i = 0 to n - 1 do
+         let tcl = new_interp () in
+         ignore (Tcl.Interp.eval tcl "catch {eof file3}");
+         Weak.set live i (Some tcl)
+       done;
+       Gc.full_major ();
+       let survivors = ref 0 in
+       for i = 0 to n - 1 do
+         if Weak.check live i then incr survivors
+       done;
+       Alcotest.(check int) "interpreters still reachable" 0 !survivors);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,13 +1,17 @@
-(* Tests for the bytecode VM (PR8): every observable of a script run
-   must be byte-identical across the three execution tiers — the
-   reference character-at-a-time evaluator, the compiled tree-walking
-   executor, and the bytecode VM.  We compare status, result value,
-   errorInfo and the executed-command count; the corpus leans on the
-   VM's sharp edges (dual-ported values and %.12g float rendering, slot
-   versus hash variable access, inline-cached dispatch, deopt when a
-   core builtin is shadowed) plus PR 7's recursionlimit / resource-limit
-   / cancellation messages.  The counters section checks the tcl.vm.*
-   metrics the ablation reports. *)
+(* Tests for the bytecode VM: every observable of a script run must be
+   byte-identical across the two execution tiers — the reference
+   character-at-a-time evaluator and the bytecode VM.  The VM is
+   observed twice: with its inlined structural opcodes live, and with
+   every one of them deopted to ordinary command dispatch (one of the
+   inlined builtins is swapped for a behaviour-identical wrapper, which
+   makes the command table non-canonical).  We compare status, result
+   value, errorInfo and the executed-command count; the corpus leans on
+   the VM's sharp edges (dual-ported values and %.12g float rendering,
+   slot versus hash variable access, inline-cached dispatch, deopt when
+   a core builtin is shadowed) plus the recursionlimit / resource-limit
+   / cancellation messages, and a generated-program property drives the
+   same comparison on random scripts.  The counters section checks the
+   tcl.vm.* metrics. *)
 
 open Xsim
 
@@ -15,19 +19,26 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-type mode = Reference | Treewalk | Vm
+type mode = Reference | Vm | Deopt
 
 let mode_name = function
   | Reference -> "reference"
-  | Treewalk -> "treewalk"
   | Vm -> "vm"
+  | Deopt -> "vm-deopt"
 
+(* Deopt: [continue] becomes a wrapper that runs the original builtin
+   as a hidden command — same behaviour, same command count (hidden
+   invocations are not counted), but a different command-table entry,
+   so the VM stops treating the ten inlined builtins as canonical. *)
 let new_interp mode =
   let tcl = Tcl.Builtins.new_interp () in
   (match mode with
   | Reference -> Tcl.Interp.set_compile_enabled tcl false
-  | Treewalk -> Tcl.Interp.set_vm_enabled tcl false
-  | Vm -> ());
+  | Vm -> ()
+  | Deopt ->
+    ignore (Tcl.Interp.hide_command tcl "continue");
+    Tcl.Interp.register tcl "continue" (fun t words ->
+        Tcl.Interp.invoke_hidden t "continue" words));
   tcl
 
 let status_name = function
@@ -47,14 +58,15 @@ let observe mode script =
   let tcl = new_interp mode in
   observation tcl (Tcl.Interp.eval tcl script)
 
-(* The reference evaluator is the oracle; both compiled tiers must
-   reproduce it byte for byte. *)
+(* The reference evaluator is the oracle; the VM must reproduce it byte
+   for byte, with its inlined opcodes live and with all of them
+   deopted. *)
 let differential script () =
   let oracle = observe Reference script in
   check_string (Printf.sprintf "vm: %s" script) oracle (observe Vm script);
   check_string
-    (Printf.sprintf "treewalk: %s" script)
-    oracle (observe Treewalk script)
+    (Printf.sprintf "vm-deopt: %s" script)
+    oracle (observe Deopt script)
 
 let differential_scripts =
   [
@@ -102,6 +114,17 @@ let differential_scripts =
     "rename set realset; proc set {v x} {realset ::shadowed 1; uplevel \
      [list realset $v $x]}; set probe 7; realset out $probe; rename set {}; \
      rename realset set; list $probe $::shadowed";
+    (* ... including when the opcode's own value word does the shadowing:
+       the command is looked up only after its words are substituted *)
+    "proc p {} {rename set s0; proc set args {uplevel 1 [linsert $args 0 \
+     s0]}; return 1}; set x [p]; list $x [info cmdcount]";
+    "proc p {} {rename return r0; proc return args {uplevel 1 [linsert \
+     $args 0 r0]}; return 2}; proc q {} {return [p]}; q";
+    "proc p {} {rename incr i0; proc incr args {uplevel 1 [linsert $args 0 \
+     i0]}; return 3}; set n 1; incr n [p]; set n";
+    "proc p {} {rename foreach f0; proc foreach args {uplevel 1 [linsert \
+     $args 0 f0]}; return {a b}}; set r {}; foreach e [p] {lappend r $e}; \
+     set r";
     (* catch / return interactions the typed result channel must respect *)
     "proc p {} {catch {return 5}}; p";
     "proc p {} {list [catch {return 5} m] $m}; p";
@@ -127,6 +150,7 @@ let differential_scripts =
      400; list $a [down 100]";
   ]
 
+(* Each script is observed three ways: reference, vm and vm-deopt. *)
 let differential_tests =
   List.map
     (fun s -> (Printf.sprintf "three tiers identical: %s" s, differential s))
@@ -190,7 +214,7 @@ let guard_differential label observe_fn expect_msg () =
       check_string
         (Printf.sprintf "%s: %s" label (mode_name mode))
         oracle (observe_fn mode))
-    [ Treewalk; Vm ]
+    [ Vm; Deopt ]
 
 let guard_tests =
   [
@@ -209,8 +233,184 @@ let guard_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* tcl.vm.* counters: lowering, slot hits, deopt accounting, and the
-   enable switch. *)
+(* Generated programs.  Random well-formed scripts mixing procs, loops,
+   catch/error, upvar/global, arrays and multi-part words (with [cmd]
+   and $a($k) parts); a rare statement renames one of the ten inlined
+   builtins to a forwarding proc mid-run, so already-running lowered
+   code deopts.  Loops only count on dedicated counters (l0, l1, ...)
+   that no other statement writes, and procs never recurse, so every
+   program terminates. *)
+
+module G = QCheck.Gen
+
+type gctx = {
+  pool : string array;  (* scalars the statements read and write *)
+  arr : string;  (* an array variable with keys k0..k2 *)
+  key : string;  (* a variable holding one of those keys *)
+  calls : string list;  (* procs callable from here (no recursion) *)
+  in_proc : bool;
+}
+
+let gvar c = G.oneofa c.pool
+
+let gkey = G.oneofl [ "k0"; "k1"; "k2" ]
+
+let gword c =
+  G.frequency
+    [
+      (3, G.map string_of_int (G.int_range (-3) 9));
+      (2, G.oneofl [ "{a b}"; "foo"; "2.5"; "{}" ]);
+      (4, G.map (fun v -> "$" ^ v) (gvar c));
+      (2, G.map (Printf.sprintf "$%s(%s)" c.arr) gkey);
+      (2, G.return (Printf.sprintf "$%s($%s)" c.arr c.key));
+      (2, G.map (Printf.sprintf "[llength $%s]") (gvar c));
+      ( 2,
+        G.map2 (Printf.sprintf "\"<$%s>[string length $%s]\"") (gvar c) (gvar c)
+      );
+      (1, G.map (Printf.sprintf "[expr {$%s * 2}]") (gvar c));
+    ]
+
+let inlined_builtins =
+  [ "set"; "incr"; "expr"; "if"; "while"; "for"; "foreach"; "return";
+    "break"; "continue" ]
+
+(* Shadow a builtin with a proc forwarding to it (once), or undo that. *)
+let rename_stmt name =
+  Printf.sprintf
+    "if {[info commands %s_orig] == {}} {rename %s %s_orig; proc %s args \
+     {uplevel 1 [linsert $args 0 %s_orig]}}"
+    name name name name name
+
+let restore_stmt name =
+  Printf.sprintf
+    "if {[info commands %s_orig] != {}} {rename %s {}; rename %s_orig %s}" name
+    name name name
+
+let gleaf c loop =
+  let open G in
+  let call =
+    match c.calls with
+    | [] -> []
+    | procs ->
+      [
+        ( 2,
+          map3 (Printf.sprintf "set %s [%s %s]") (gvar c) (oneofl procs)
+            (gvar c) );
+      ]
+  in
+  let flow =
+    (if loop > 0 then [ (1, oneofl [ "break"; "continue" ]) ] else [])
+    @ if c.in_proc then [ (1, map (Printf.sprintf "return %s") (gword c)) ]
+      else []
+  in
+  frequency
+    ([
+       (6, map2 (Printf.sprintf "set %s %s") (gvar c) (gword c));
+       (2, map2 (Printf.sprintf "set %s(%s) %s" c.arr) gkey (gword c));
+       (2, map2 (Printf.sprintf "set %s(k$%s) %s" c.arr) (gvar c) (gword c));
+       (2, map (Printf.sprintf "incr %s") (gvar c));
+       (1, map2 (Printf.sprintf "incr %s %d") (gvar c) (int_range (-2) 3));
+       ( 2,
+         map3 (Printf.sprintf "append %s %s %s") (gvar c) (gword c) (gword c)
+       );
+       (2, map2 (Printf.sprintf "lappend %s %s") (gvar c) (gword c));
+       ( 2,
+         map3 (Printf.sprintf "catch {set %s [expr {$%s + %d}]} m") (gvar c)
+           (gvar c) (int_range 0 5) );
+       (1, map (Printf.sprintf "catch {error \"boom $%s\"} m") (gvar c));
+       (1, map (Printf.sprintf "error \"bad [llength $%s]\"") (gvar c));
+       (1, map rename_stmt (oneofl inlined_builtins));
+       (1, map restore_stmt (oneofl inlined_builtins));
+     ]
+    @ call @ flow)
+
+let rec gstmt c depth loop =
+  let open G in
+  if depth = 0 then gleaf c loop
+  else
+    let body = gbody c (depth - 1) in
+    let counter = Printf.sprintf "l%d" loop in
+    frequency
+      [
+        (6, gleaf c loop);
+        ( 1,
+          map3
+            (fun v n (a, b) ->
+              Printf.sprintf "if {$%s == %d} {%s} else {%s}" v n a b)
+            (gvar c) (int_range 0 3)
+            (pair (body loop) (body loop)) );
+        ( 1,
+          map2
+            (fun n b ->
+              Printf.sprintf "set %s 0; while {$%s < %d} {incr %s; %s}" counter
+                counter n counter b)
+            (int_range 0 3) (body (loop + 1)) );
+        ( 1,
+          map2
+            (fun n b ->
+              Printf.sprintf "for {set %s 0} {$%s < %d} {incr %s} {%s}"
+                counter counter n counter b)
+            (int_range 0 3) (body (loop + 1)) );
+        ( 1,
+          map2
+            (fun l b -> Printf.sprintf "foreach e%d %s {%s}" loop l b)
+            (oneofl [ "{a b c}"; "{1 2}"; "$" ^ c.pool.(1) ])
+            (body (loop + 1)) );
+        (1, map (Printf.sprintf "catch {%s} m") (body loop));
+      ]
+
+and gbody c depth loop =
+  G.map (String.concat "; ")
+    (G.list_size (G.int_range 1 3) (gstmt c depth loop))
+
+let top_ctx =
+  { pool = [| "x"; "y"; "z" |]; arr = "a"; key = "k"; calls = [ "p0"; "p1" ];
+    in_proc = false }
+
+let proc_ctx calls =
+  { pool = [| "r"; "w"; "t" |]; arr = "b"; key = "kk"; calls; in_proc = true }
+
+let gprogram =
+  let open G in
+  let prologue = "set t 0; set b(k0) 1; set b(k1) w; set b(k2) 4; set kk k1" in
+  map3
+    (fun p0 p1 stmts ->
+      String.concat "\n"
+        ([
+           Printf.sprintf "proc p0 {v {w 2}} {upvar 1 $v r; %s; %s; return $r}"
+             prologue p0;
+           Printf.sprintf
+             "proc p1 {n} {global x; set r [p0 x $n]; set w $n; %s; %s; \
+              return \"$r-$t\"}"
+             prologue p1;
+           "set x 1; set y {a b}; set z 2.5; set k k1";
+           "set a(k0) 0; set a(k1) k2; set a(k2) 7";
+         ]
+        @ stmts
+        @ [ "list [catch {set x} v] $v [catch {set y} v] $v [array names a]" ]))
+    (gbody (proc_ctx []) 1 0)
+    (gbody (proc_ctx [ "p0" ]) 1 0)
+    (list_size (int_range 3 8)
+       (map2
+          (fun wrap s -> if wrap then Printf.sprintf "catch {%s} m" s else s)
+          bool (gstmt top_ctx 2 0)))
+
+let generated_differential =
+  QCheck.Test.make ~name:"generated programs: reference = vm = vm-deopt"
+    ~count:500
+    (QCheck.make ~print:Fun.id gprogram)
+    (fun script ->
+      let oracle = observe Reference script in
+      List.for_all
+        (fun mode ->
+          let got = observe mode script in
+          got = oracle
+          || QCheck.Test.fail_reportf "%s differs:\n  reference: %s\n  %s: %s"
+               (mode_name mode) oracle (mode_name mode) got)
+        [ Vm; Deopt ])
+
+(* ------------------------------------------------------------------ *)
+(* tcl.vm.* counters: lowering, slot hits and deopt accounting. *)
 
 let vm_stat tcl key =
   match List.assoc_opt key (Tcl.Interp.vm_stats tcl) with
@@ -238,15 +438,7 @@ let counter_tests =
         check_bool "programs were lowered" true (vm_stat_int tcl "compiled" > 0);
         check_bool "slot hits dominate" true
           (vm_stat_int tcl "slot_hits" > 100);
-        check_string "vm reports enabled" "1" (vm_stat tcl "enabled") );
-    ( "vm off runs the tree-walker and keeps counters at zero",
-      fun () ->
-        let tcl = new_interp Treewalk in
-        check_string "loop still works" "100"
-          (run tcl "set i 0; while {$i < 100} {incr i}; set i");
-        check_int "nothing lowered" 0 (vm_stat_int tcl "compiled");
-        check_int "no slot traffic" 0 (vm_stat_int tcl "slot_hits");
-        check_string "vm reports disabled" "0" (vm_stat tcl "enabled") );
+        check_string "vm reports canonical" "1" (vm_stat tcl "canonical") );
     ( "shadowing a core builtin flips canonical off and counts deopts",
       fun () ->
         let tcl = new_interp Vm in
@@ -305,8 +497,8 @@ let metrics_tests =
           | Error msg -> Alcotest.failf "script %S failed: %s" script msg
         in
         ignore (run_app "set i 0; while {$i < 50} {incr i}");
-        check_string "enabled visible" "1"
-          (run_app "xstat get tcl.vm.enabled");
+        check_string "canonical visible" "1"
+          (run_app "xstat get tcl.vm.canonical");
         let hits = int_of_string (run_app "xstat get tcl.vm.slot_hits") in
         check_bool "slot hits visible and nonzero" true (hits > 0);
         ignore (run_app "xstat reset");
@@ -324,6 +516,12 @@ let () =
     [
       ("differential", List.map (fun (n, f) -> tc n f) differential_tests);
       ("guards", List.map (fun (n, f) -> tc n f) guard_tests);
+      ( "generated",
+        [
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 12 |])
+            generated_differential;
+        ] );
       ("counters", List.map (fun (n, f) -> tc n f) counter_tests);
       ("metrics", List.map (fun (n, f) -> tc n f) metrics_tests);
     ]
