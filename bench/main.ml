@@ -59,7 +59,39 @@ let time_min ?(reps = 5) f =
   done;
   !best
 
+(* Heap baseline: live words after a full major collection, read at the
+   start of every section and around the JSON collection.  Each reading
+   should sit at the first one; a section that leaves its apps or servers
+   reachable shows up as growth here, and would also bill its GC cost to
+   every later timing.  [check_heap] fails the run past [heap_slack_words],
+   which makes any bench run (CI's smoke step included) a leak gate. *)
+
+let heap_slack_words = 65_536
+
+let heap_readings = ref [] (* newest first *)
+
+let record_heap label =
+  Gc.full_major ();
+  let words = (Gc.quick_stat ()).Gc.live_words in
+  heap_readings := words :: !heap_readings;
+  Printf.printf "[heap] %s: %d live words\n%!" label words;
+  words
+
+let check_heap () =
+  match List.rev !heap_readings with
+  | [] -> ()
+  | first :: later ->
+    let peak = List.fold_left max first later in
+    if peak - first > heap_slack_words then begin
+      Printf.eprintf
+        "bench: live heap grew from %d to %d words (allowed: +%d); a \
+         section left state reachable\n"
+        first peak heap_slack_words;
+      exit 1
+    end
+
 let section title =
+  ignore (record_heap ("start of " ^ title));
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let run_tcl app script =
@@ -404,7 +436,6 @@ let figure8 () =
   let main = Tk.Core.main_widget app in
   Tk.Core.move_resize main ~x:main.Tk.Core.x ~y:main.Tk.Core.y ~width:100
     ~height:120;
-  Tk.Pack.arrange main;
   Tk.Core.update app;
   Printf.printf "%-8s %-16s %-16s %s\n" "window" "requested" "granted" "note";
   List.iter
@@ -906,7 +937,7 @@ let lint_section ~smoke =
 (* ------------------------------------------------------------------ *)
 (* Canvas at scale: per-item cost of create / move-one / move-tag /
    find-overlapping / full redraw as the item count sweeps 1k → 100k,
-   with the spatial index ablated (-no-canvas-index path) for contrast.
+   with the spatial index ablated (Canvas.install ~index:false) for contrast.
    The claim is that the move-one and find columns stay roughly flat under
    the grid index while the ablation shows the linear cliff; "considered"
    is how many items the damaged repaint sweep actually touched. *)
@@ -930,10 +961,8 @@ let canvas_case ~indexed n =
   let _server, app =
     new_display_app (Printf.sprintf "cv%d%c" n (if indexed then 'i' else 'l'))
   in
-  (* The ablation switch is sampled when the canvas widget is created. *)
-  Tk_widgets.Canvas.set_index_enabled indexed;
+  Tk_widgets.Canvas.install ~index:indexed app;
   ignore (run_tcl app "canvas .c -width 300 -height 200");
-  Tk_widgets.Canvas.set_index_enabled true;
   ignore (run_tcl app "pack append . .c {top}");
   Tk.Core.update app;
   let metric name =
@@ -1170,6 +1199,7 @@ let storm_json ~smoke =
     ]
 
 let emit_json ~path ~smoke =
+  let heap_start = record_heap "before JSON collection" in
   let quota = if smoke then Some 0.05 else None in
   (* Collected first, on a pristine heap: the canvas numbers are per-item
      microcosts whose GC component must not be billed for the hundreds of
@@ -1231,11 +1261,13 @@ let emit_json ~path ~smoke =
         J_obj [ ("widgets", J_int n); ("us_per_widget", J_float per_widget_us) ])
       (if smoke then [ 10; 25 ] else [ 10; 25; 50; 100 ])
   in
+  let storm = storm_json ~smoke in
+  let heap_end = record_heap "after JSON collection" in
   let doc =
     J_obj
       [
         ("benchmark", J_string "tk-repro");
-        ("pr", J_int 12);
+        ("pr", J_int 14);
         ("mode", J_string (if smoke then "smoke" else "full"));
         ( "table2",
           J_obj
@@ -1329,7 +1361,9 @@ let emit_json ~path ~smoke =
                          ])
                      lint_cases) );
             ] );
-        ("send_storm", storm_json ~smoke);
+        ("send_storm", storm);
+        ( "heap_live_words",
+          J_obj [ ("start", J_int heap_start); ("end", J_int heap_end) ] );
         ( "counters",
           J_obj (List.map (fun (k, v) -> (k, json_of_counter v)) snapshot) );
       ]
@@ -1339,7 +1373,8 @@ let emit_json ~path ~smoke =
   Buffer.add_char buf '\n';
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Buffer.contents buf));
-  Printf.printf "wrote %s (%d bytes)\n" path (Buffer.length buf)
+  Printf.printf "wrote %s (%d bytes)\n" path (Buffer.length buf);
+  check_heap ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -1361,6 +1396,8 @@ let full_suite () =
   scripts_ablation ();
   optiondb_ablation ();
   lint_section ~smoke:false;
+  ignore (record_heap "end of suite");
+  check_heap ();
   print_newline ()
 
 let () =

@@ -119,11 +119,6 @@ let () =
          and its bytecode VM. *)
       no_cache := true;
       parse script name stay faults crash_at rest
-    | "-no-canvas-index" :: rest ->
-      (* Ablation switch: canvases answer find/hit-test/exposure queries
-         with linear scans instead of the spatial grid. *)
-      Tk_widgets.Canvas.set_index_enabled false;
-      parse script name stay faults crash_at rest
     | "-faults" :: n :: rest -> (
       match int_of_string_opt n with
       | Some every when every >= 0 -> parse script name stay every crash_at rest
@@ -161,7 +156,7 @@ let () =
       Printf.eprintf
         "usage: wish ?-f script? ?-name appName? ?-stay? ?-lint? \
          ?-faults n? ?-crash-at n? ?-mailbox n? ?-safe-send? \
-         ?-limit-ms n? ?-no-compile-cache? ?-no-canvas-index?\n";
+         ?-limit-ms n? ?-no-compile-cache?\n";
       Printf.eprintf "unknown argument: %s\n" arg;
       exit 2
   in

@@ -135,6 +135,7 @@ and sel_state = {
   mutable sel_provider : (unit -> string) option;
   mutable sel_tcl_handler : string option;
   mutable sel_pending : string option option;
+  sel_handlers : (string, string) Hashtbl.t; (* [selection handle] scripts *)
 }
 
 and send_request = {
@@ -175,21 +176,22 @@ and guard_mode =
   | Guard_safe  (** a [-safe] slave interpreter, limits armed *)
 
 (* ------------------------------------------------------------------ *)
-(* Local application registry (in-process "display clients") *)
+(* Local application registry (in-process "display clients"), kept in
+   the server's client slot so it dies with the display. *)
 
 type display_clients = {
   mutable dc_apps : app list;
   dc_by_comm : (Xid.t, app) Hashtbl.t;
 }
 
-let registries : (Server.t * display_clients) list ref = ref []
+type Server.clients += Display_clients of display_clients
 
 let clients_for server =
-  match List.find_opt (fun (s, _) -> s == server) !registries with
-  | Some (_, dc) -> dc
-  | None ->
+  match Server.clients server with
+  | Display_clients dc -> dc
+  | _ ->
     let dc = { dc_apps = []; dc_by_comm = Hashtbl.create 64 } in
-    registries := (server, dc) :: !registries;
+    Server.set_clients server (Display_clients dc);
     dc
 
 let local_apps server = (clients_for server).dc_apps
@@ -1034,16 +1036,13 @@ let forget_widget w =
     Hashtbl.remove w.app.widgets w.path;
     Hashtbl.remove w.app.by_xid w.win;
     if w.app.focus_path = Some w.path then w.app.focus_path <- None;
+    Hashtbl.remove w.app.sel.sel_handlers w.path;
     if w.app.sel.sel_owner_path = Some w.path then begin
       w.app.sel.sel_owner_path <- None;
       w.app.sel.sel_provider <- None;
       w.app.sel.sel_tcl_handler <- None
     end
   end
-
-let destroy_hooks : (app -> unit) list ref = ref []
-
-let add_destroy_hook f = destroy_hooks := f :: !destroy_hooks
 
 let unregister_app app =
   let dc = clients_for app.server in
@@ -1070,8 +1069,7 @@ let destroy_app app =
         | None -> ())
       paths;
     unregister_app app;
-    Server.close app.conn;
-    List.iter (fun hook -> hook app) !destroy_hooks
+    Server.close app.conn
   end
 
 let destroy_widget w =
@@ -1435,6 +1433,7 @@ let create_app ?(app_class = "Tk") ~server ~name () =
           sel_provider = None;
           sel_tcl_handler = None;
           sel_pending = None;
+          sel_handlers = Hashtbl.create 8;
         };
       send =
         {

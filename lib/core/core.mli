@@ -153,6 +153,9 @@ and sel_state = {
   mutable sel_tcl_handler : string option;
   mutable sel_pending : string option option;
       (** in-flight [selection get]: None = waiting *)
+  sel_handlers : (string, string) Hashtbl.t;
+      (** [selection handle] scripts by window path; a window's entry goes
+          when the window is destroyed *)
 }
 
 and send_request = {
@@ -217,6 +220,11 @@ val create_app :
     in the display registry. *)
 
 val destroy_app : app -> unit
+(** Forget every widget (which drops its packer, placer and selection
+    state), leave the display registry and the server's client table, and
+    close the connection. Nothing outside the app and its server refers to
+    it, so an app that is dropped without this is reclaimed together with
+    its server. *)
 
 val absorb : app -> default:'a -> (unit -> 'a) -> 'a
 (** Run the thunk, absorbing any {!Xsim.Xerror.X_error}: the error is
@@ -226,14 +234,12 @@ val absorb : app -> default:'a -> (unit -> 'a) -> 'a
     on dead windows become no-ops and injected faults degrade gracefully
     instead of unwinding the event loop. *)
 
-val add_destroy_hook : (app -> unit) -> unit
-(** Run when any application is destroyed; modules keeping per-app side
-    tables (packer, placer, selection) use this to drop their state. *)
-
 val local_apps : Server.t -> app list
 (** All in-process applications on a display (the simulation's analogue of
     "other clients of the X server"); used by [send] and the selection to
-    pump their event queues. *)
+    pump their event queues. The table lives in the server's
+    {!Xsim.Server.clients} slot, so a display nobody references any more
+    is reclaimed together with its applications. *)
 
 val app_of_comm : Server.t -> Xid.t -> app option
 (** Find a local application by its communication window. *)

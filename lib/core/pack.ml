@@ -25,30 +25,13 @@ let default_opts =
 
 type slave = { sw : Core.widget; mutable opts : opts }
 
-(* Packing lists live beside the app (keyed physically, so several apps on
-   several displays don't interfere). *)
+(* One application's packing lists, made by [install] and shared by the
+   command, the configure hook and the slaves' geometry-manager closures;
+   a slave leaves its list when it is destroyed ([gm_lost_slave]). *)
 type state = {
-  app : Core.app;
   masters : (string, slave list ref) Hashtbl.t;
   mutable arranging : string list; (* masters currently being laid out *)
 }
-
-let states : state list ref = ref []
-
-let cleanup_registered = ref false
-
-let state_for app =
-  if not !cleanup_registered then begin
-    cleanup_registered := true;
-    Core.add_destroy_hook (fun dead ->
-        states := List.filter (fun s -> s.app != dead) !states)
-  end;
-  match List.find_opt (fun s -> s.app == app) !states with
-  | Some s -> s
-  | None ->
-    let s = { app; masters = Hashtbl.create 16; arranging = [] } in
-    states := s :: !states;
-    s
 
 let side_name = function
   | Top -> "top"
@@ -244,8 +227,7 @@ let arrange_now state master =
     in
     place slaves 0 0 master.Core.width master.Core.height
 
-let arrange master =
-  let state = state_for master.Core.app in
+let arrange state master =
   let path = master.Core.path in
   (* request_size on the master can re-enter (the master may itself be a
      packed slave); the per-master guard keeps the recursion shallow while
@@ -266,7 +248,7 @@ let manager_for state master =
     Core.gm_name = "pack";
     gm_slave_request =
       (fun _slave ->
-        if not master.Core.destroyed then arrange master);
+        if not master.Core.destroyed then arrange state master);
     gm_lost_slave =
       (fun slave ->
         match Hashtbl.find_opt state.masters master.Core.path with
@@ -274,8 +256,7 @@ let manager_for state master =
         | None -> ());
   }
 
-let append ~master pairs =
-  let state = state_for master.Core.app in
+let append state ~master pairs =
   let cell =
     match Hashtbl.find_opt state.masters master.Core.path with
     | Some cell -> cell
@@ -300,7 +281,7 @@ let append ~master pairs =
       w.Core.geom_mgr <- Some (manager_for state master);
       cell := !cell @ [ { sw = w; opts } ])
     pairs;
-  arrange master
+  arrange state master
 
 let find_master state w =
   Hashtbl.fold
@@ -309,8 +290,7 @@ let find_master state w =
       else acc)
     state.masters None
 
-let unpack w =
-  let state = state_for w.Core.app in
+let unpack state w =
   match find_master state w with
   | None -> ()
   | Some (master_path, cell) ->
@@ -318,17 +298,15 @@ let unpack w =
     w.Core.geom_mgr <- None;
     Core.unmap_widget w;
     (match Core.lookup w.Core.app master_path with
-    | Some master when not master.Core.destroyed -> arrange master
+    | Some master when not master.Core.destroyed -> arrange state master
     | Some _ | None -> ())
 
-let slaves master =
-  let state = state_for master.Core.app in
+let slaves state master =
   match Hashtbl.find_opt state.masters master.Core.path with
   | None -> []
   | Some cell -> List.map (fun s -> s.sw) !cell
 
-let info master =
-  let state = state_for master.Core.app in
+let info state master =
   match Hashtbl.find_opt state.masters master.Core.path with
   | None -> ""
   | Some cell ->
@@ -392,7 +370,7 @@ let parse_modern app = function
     go default_opts rest
   | [] -> failf "wrong # args in pack command"
 
-let command app : Tcl.Interp.command =
+let command app state : Tcl.Interp.command =
  fun _interp words ->
   let ok = Tcl.Interp.ok in
   match words with
@@ -404,17 +382,19 @@ let command app : Tcl.Interp.command =
         (Core.lookup_exn app path, parse_opts opts) :: pairs rest
       | [ path ] -> [ (Core.lookup_exn app path, default_opts) ]
     in
-    append ~master (pairs rest);
+    append state ~master (pairs rest);
     ok ""
   | _ :: "unpack" :: paths ->
-    List.iter (fun p -> unpack (Core.lookup_exn app p)) paths;
+    List.iter (fun p -> unpack state (Core.lookup_exn app p)) paths;
     ok ""
   | [ _; "info"; master_path ] ->
-    ok (info (Core.lookup_exn app master_path))
+    ok (info state (Core.lookup_exn app master_path))
   | [ _; "slaves"; master_path ] ->
     ok
       (Tcl.Tcl_list.format
-         (List.map (fun w -> w.Core.path) (slaves (Core.lookup_exn app master_path))))
+         (List.map
+            (fun w -> w.Core.path)
+            (slaves state (Core.lookup_exn app master_path))))
   | _ :: (first :: _ as rest)
     when String.length first > 0 && first.[0] = '.' ->
     let w, opts = parse_modern app rest in
@@ -423,20 +403,20 @@ let command app : Tcl.Interp.command =
       | Some p -> p
       | None -> failf "can't pack the main window"
     in
-    append ~master:(Core.lookup_exn app master_path) [ (w, opts) ];
+    append state ~master:(Core.lookup_exn app master_path) [ (w, opts) ];
     ok ""
   | _ ->
     Tcl.Interp.wrong_args
       "pack append master window options ?window options ...?"
 
 let install app =
-  Tcl.Interp.register app.Core.interp "pack" (command app);
-  let state = state_for app in
+  let state = { masters = Hashtbl.create 16; arranging = [] } in
+  Tcl.Interp.register app.Core.interp "pack" (command app state);
   (* Re-layout when a master is resized. *)
   app.Core.configure_hooks <-
     (fun w ->
       if
         Hashtbl.mem state.masters w.Core.path
         && not (List.mem w.Core.path state.arranging)
-      then arrange w)
+      then arrange state w)
     :: app.Core.configure_hooks

@@ -31,21 +31,8 @@ val parse_opts : string -> opts
 (** Parse an old-style option list ([{left expand fill padx 5}]).
     @raise Tcl.Interp.Tcl_failure on unknown options. *)
 
-val append : master:Core.widget -> (Core.widget * opts) list -> unit
-(** Append slaves to the master's packing list and (re)arrange. Each slave
-    must be a child of the master. *)
-
-val unpack : Core.widget -> unit
-(** Remove a window from its master's packing list and unmap it. *)
-
-val slaves : Core.widget -> Core.widget list
-(** The packing list of a master, in packing order. *)
-
-val info : Core.widget -> string
-(** Tcl-readable description of a master's packing list. *)
-
-val arrange : Core.widget -> unit
-(** Recompute the layout for a master now (normally automatic). *)
-
 val install : Core.app -> unit
-(** Register the [pack] Tcl command and the re-layout configure hook. *)
+(** Register the [pack] Tcl command and the re-layout configure hook. The
+    app's packing lists are made here and reachable only from the command
+    and the hooks, so they go when the app does; a master is re-laid out
+    whenever its ConfigureNotify arrives ({!Core.update}). *)

@@ -12,36 +12,17 @@ type placement = {
 let empty =
   { px = None; py = None; relx = None; rely = None; pwidth = None; pheight = None }
 
-type state = {
-  app : Core.app;
-  placements : (string, placement) Hashtbl.t; (* slave path -> placement *)
-}
-
-let states : state list ref = ref []
-
-let cleanup_registered = ref false
-
-let state_for app =
-  if not !cleanup_registered then begin
-    cleanup_registered := true;
-    Core.add_destroy_hook (fun dead ->
-        states := List.filter (fun s -> s.app != dead) !states)
-  end;
-  match List.find_opt (fun s -> s.app == app) !states with
-  | Some s -> s
-  | None ->
-    let s = { app; placements = Hashtbl.create 8 } in
-    states := s :: !states;
-    s
-
-(* Position one slave according to its placement and the master's size. *)
-let arrange_slave state w =
-  match Hashtbl.find_opt state.placements w.Core.path with
+(* Position one slave according to its placement and the master's size.
+   [placements] (slave path -> placement) is one application's table, made
+   by [install]; a slave's entry goes when it is destroyed
+   ([gm_lost_slave]). *)
+let arrange_slave placements w =
+  match Hashtbl.find_opt placements w.Core.path with
   | None -> ()
   | Some p ->
     let master =
       match Path.parent w.Core.path with
-      | Some mp -> Core.lookup state.app mp
+      | Some mp -> Core.lookup w.Core.app mp
       | None -> None
     in
     let mw, mh =
@@ -66,12 +47,11 @@ let arrange_slave state w =
     Core.move_resize w ~x ~y ~width ~height;
     Core.map_widget w
 
-let manager state =
+let manager placements =
   {
     Core.gm_name = "place";
-    gm_slave_request = (fun w -> arrange_slave state w);
-    gm_lost_slave =
-      (fun w -> Hashtbl.remove state.placements w.Core.path);
+    gm_slave_request = (fun w -> arrange_slave placements w);
+    gm_lost_slave = (fun w -> Hashtbl.remove placements w.Core.path);
   }
 
 let rec parse_options p = function
@@ -102,14 +82,13 @@ let rec parse_options p = function
     | None -> failf "bad screen distance \"%s\"" v)
   | bad :: _ -> failf "unknown place option \"%s\"" bad
 
-let command app : Tcl.Interp.command =
+let command app placements : Tcl.Interp.command =
  fun _interp words ->
-  let state = state_for app in
   match words with
   | [ _; "forget"; path ] ->
     (match Core.lookup app path with
     | Some w ->
-      Hashtbl.remove state.placements path;
+      Hashtbl.remove placements path;
       if
         match w.Core.geom_mgr with
         | Some m -> m.Core.gm_name = "place"
@@ -123,7 +102,7 @@ let command app : Tcl.Interp.command =
   | [ _; "info"; path ] ->
     ignore (Core.lookup_exn app path);
     Tcl.Interp.ok
-      (match Hashtbl.find_opt state.placements path with
+      (match Hashtbl.find_opt placements path with
       | None -> ""
       | Some p ->
         String.concat " "
@@ -142,29 +121,29 @@ let command app : Tcl.Interp.command =
   | _ :: path :: options when String.length path > 0 && path.[0] = '.' ->
     let w = Core.lookup_exn app path in
     let existing =
-      Option.value (Hashtbl.find_opt state.placements path) ~default:empty
+      Option.value (Hashtbl.find_opt placements path) ~default:empty
     in
     let p = parse_options existing options in
     (match w.Core.geom_mgr with
     | Some m when m.Core.gm_name <> "place" -> m.Core.gm_lost_slave w
     | _ -> ());
-    w.Core.geom_mgr <- Some (manager state);
-    Hashtbl.replace state.placements path p;
-    arrange_slave state w;
+    w.Core.geom_mgr <- Some (manager placements);
+    Hashtbl.replace placements path p;
+    arrange_slave placements w;
     Tcl.Interp.ok ""
   | _ -> Tcl.Interp.wrong_args "place window ?options? | place forget window"
 
 let install app =
-  Tcl.Interp.register app.Core.interp "place" (command app);
+  let placements = Hashtbl.create 8 in
+  Tcl.Interp.register app.Core.interp "place" (command app placements);
   (* Re-place slaves when masters resize. *)
-  let state = state_for app in
   app.Core.configure_hooks <-
     (fun master ->
       Hashtbl.iter
         (fun path _ ->
           match Core.lookup app path with
           | Some w when Path.parent path = Some master.Core.path ->
-            arrange_slave state w
+            arrange_slave placements w
           | Some _ | None -> ())
-        state.placements)
+        placements)
     :: app.Core.configure_hooks

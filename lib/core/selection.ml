@@ -152,31 +152,12 @@ let pre_handler app (d : Event.delivery) =
     true
   | _ -> false
 
-(* Tcl-level handler scripts registered with [selection handle], waiting
-   for the window to claim ownership. *)
-type state = { sapp : Core.app; handlers : (string, string) Hashtbl.t }
-
-let states : state list ref = ref []
-
-let cleanup_registered = ref false
-
-let state_for app =
-  if not !cleanup_registered then begin
-    cleanup_registered := true;
-    Core.add_destroy_hook (fun dead ->
-        states := List.filter (fun s -> s.sapp != dead) !states)
-  end;
-  match List.find_opt (fun s -> s.sapp == app) !states with
-  | Some s -> s
-  | None ->
-    let s = { sapp = app; handlers = Hashtbl.create 8 } in
-    states := s :: !states;
-    s
-
 let command app : Tcl.Interp.command =
  fun _interp words ->
   let ok = Tcl.Interp.ok in
-  let state = state_for app in
+  (* Handler scripts registered with [selection handle], waiting for the
+     window to claim ownership. *)
+  let handlers = app.Core.sel.Core.sel_handlers in
   match words with
   | [ _; "get" ] -> ok (get app)
   | [ _; "clear" ] ->
@@ -185,13 +166,13 @@ let command app : Tcl.Interp.command =
   | [ _; "own" ] -> ok (Option.value (owner_path app) ~default:"")
   | [ _; "own"; path ] ->
     let w = Core.lookup_exn app path in
-    (match Hashtbl.find_opt state.handlers path with
+    (match Hashtbl.find_opt handlers path with
     | Some script -> own_with_script w ~script
     | None -> own w ~provider:(fun () -> ""));
     ok ""
   | [ _; "handle"; path; script ] ->
     ignore (Core.lookup_exn app path);
-    Hashtbl.replace state.handlers path script;
+    Hashtbl.replace handlers path script;
     (* If this window already owns the selection, switch its handler. *)
     if owner_path app = Some path then
       app.Core.sel.Core.sel_tcl_handler <- Some script;

@@ -20,8 +20,9 @@
      is byte-identical to what a full redraw would leave.
 
    The [tk.canvas.*] counters in xstat expose the index hit rates and the
-   considered/drawn split; `wish -no-canvas-index` (Canvas.set_index_enabled)
-   ablates the grid back to linear scans for the bench. *)
+   considered/drawn split; `Canvas.install ~index:false` ablates one
+   application's grid back to linear scans (the bench's contrast column
+   and the tests' oracle). *)
 
 open Xsim
 
@@ -61,16 +62,10 @@ type state = {
   mutable next_top : int; (* serial for the next item placed on top *)
   mutable next_bottom : int; (* serial for the next item sent to bottom *)
   mutable dead_keys : int list; (* op-store keys to clear at next repaint *)
-  use_index : bool; (* captured at creation from the ablation switch *)
+  use_index : bool; (* false: linear scans (the install's ablation) *)
 }
 
-(* Ablation switch for `wish -no-canvas-index` / the bench: freshly created
-   canvases fall back to linear scans for every spatial query. *)
-let index_enabled = ref true
-
-let set_index_enabled b = index_enabled := b
-
-let new_state () =
+let new_state ~index =
   {
     arr = Array.make 64 None;
     len = 0;
@@ -82,7 +77,7 @@ let new_state () =
     next_top = 1;
     next_bottom = 0;
     dead_keys = [];
-    use_index = !index_enabled;
+    use_index = index;
   }
 
 type Tk.Core.wdata += Canvas_data of state
@@ -845,7 +840,7 @@ let make_class () =
   cls.Tk.Core.subcommands <- subcommands;
   cls
 
-let install app =
+let install ?(index = true) app =
   Wutil.standard_creator app ~command:"canvas" ~make:make_class
     ~subs:
       Tcl.Interp.
@@ -866,5 +861,5 @@ let install app =
           subsig "type" 1 ~max:1;
           subsig "itemcount" 0 ~max:0;
         ]
-    ~data:(fun () -> Canvas_data (new_state ()))
+    ~data:(fun () -> Canvas_data (new_state ~index))
     ()

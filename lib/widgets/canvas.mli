@@ -26,11 +26,11 @@
     pipeline ({!Tk.Core.schedule_damage}) — see the [tk.canvas.*]
     counters. *)
 
-val install : Tk.Core.app -> unit
+val install : ?index:bool -> Tk.Core.app -> unit
+(** Register the [canvas] command on one application. With [~index:false]
+    (the ablation; default [true]) the canvases it creates answer every
+    spatial query with an O(n) linear scan instead of the grid index —
+    the bench's contrast column and the tests' oracle. Installing again
+    replaces the command; existing canvases keep their mode. *)
 
 val item_count : Tk.Core.widget -> int
-
-val set_index_enabled : bool -> unit
-(** Ablation switch ([wish -no-canvas-index]): canvases created while
-    disabled answer every spatial query with an O(n) linear scan instead
-    of the grid index. Existing canvases are unaffected. *)

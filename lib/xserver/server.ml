@@ -34,6 +34,12 @@ type pending_convert = {
   pc_owner_cid : int;
 }
 
+(* The toolkit's table of this display's in-process clients. xsim cannot
+   name the toolkit's types, so the slot is an extensible variant. *)
+type clients = ..
+
+type clients += No_clients
+
 type t = {
   xids : Xid.allocator;
   atoms : Atom.table;
@@ -50,6 +56,7 @@ type t = {
   mutable mod_state : Event.state;
   mutable buttons_down : int list;
   faults : fault_plan;
+  mutable clients : clients;
 }
 
 and connection = {
@@ -113,6 +120,7 @@ let create ?(width = 1024) ?(height = 768) () =
         injected = 0;
         absorbed = 0;
       };
+    clients = No_clients;
   }
 
 let connect server ~name =
@@ -136,6 +144,8 @@ let connect server ~name =
 
 let root t = t.root_win.Window.id
 let root_window t = t.root_win
+let clients t = t.clients
+let set_clients t c = t.clients <- c
 let server_of conn = conn.server
 let connection_name conn = conn.cname
 let connection_id conn = conn.cid

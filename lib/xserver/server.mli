@@ -63,6 +63,16 @@ val crash_plan : connection -> int
 
 val root : t -> Xid.t
 val root_window : t -> Window.t
+
+type clients = ..
+(** The toolkit's per-display client table, kept on the server so that it
+    lives exactly as long as the display does. Extensible because xsim
+    cannot name the toolkit's application type; a fresh server holds a
+    private empty constructor. *)
+
+val clients : t -> clients
+val set_clients : t -> clients -> unit
+
 val server_of : connection -> t
 val connection_name : connection -> string
 val connection_id : connection -> int

@@ -1,8 +1,8 @@
 (* Canvas-at-scale tests: the spatial index pinned against a naive
-   linear-scan oracle (the `-no-canvas-index` ablation path) on a seeded
-   randomized op stream, damage-region repaint proven byte-identical to a
-   full redraw at the raster, tag-index consistency across every mutating
-   verb, and the O(dirty) repaint counters. *)
+   linear-scan oracle (the `Canvas.install ~index:false` ablation) on a
+   seeded randomized op stream, damage-region repaint proven
+   byte-identical to a full redraw at the raster, tag-index consistency
+   across every mutating verb, and the O(dirty) repaint counters. *)
 
 open Xsim
 
@@ -26,9 +26,8 @@ let run_err app script =
 
 let canvas_app ?(indexed = true) ?(name = "canvas") () =
   let server, app = fresh_app ~name () in
-  Tk_widgets.Canvas.set_index_enabled indexed;
+  Tk_widgets.Canvas.install ~index:indexed app;
   ignore (run app "canvas .c -width 300 -height 200");
-  Tk_widgets.Canvas.set_index_enabled true;
   ignore (run app "pack append . .c {top}");
   Tk.Core.update app;
   (server, app)

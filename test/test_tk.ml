@@ -446,7 +446,6 @@ let pack_tests =
         let main = Tk.Core.main_widget app in
         ignore (run app "pack append . .a {top} .b {top} .c {top} .d {top}");
         Tk.Core.move_resize main ~x:0 ~y:0 ~width:100 ~height:120;
-        Tk.Pack.arrange main;
         Tk.Core.update app;
         let geom path =
           let w = Tk.Core.lookup_exn app path in
@@ -497,7 +496,6 @@ let pack_tests =
         let main = Tk.Core.main_widget app in
         ignore (run app "pack append . .l {left} .r {right}");
         Tk.Core.move_resize main ~x:0 ~y:0 ~width:100 ~height:40;
-        Tk.Pack.arrange main;
         Tk.Core.update app;
         let l = Tk.Core.lookup_exn app ".l" in
         let r = Tk.Core.lookup_exn app ".r" in
@@ -511,7 +509,6 @@ let pack_tests =
         let main = Tk.Core.main_widget app in
         ignore (run app "pack append . .s {left} .e {left expand fill}");
         Tk.Core.move_resize main ~x:0 ~y:0 ~width:200 ~height:40;
-        Tk.Pack.arrange main;
         Tk.Core.update app;
         let e = Tk.Core.lookup_exn app ".e" in
         check_int "expanded width" 180 e.Tk.Core.width );
@@ -522,7 +519,6 @@ let pack_tests =
         let main = Tk.Core.main_widget app in
         ignore (run app "pack append . .t {top fillx}");
         Tk.Core.move_resize main ~x:0 ~y:0 ~width:150 ~height:100;
-        Tk.Pack.arrange main;
         Tk.Core.update app;
         check_int "fills width" 150 (Tk.Core.lookup_exn app ".t").Tk.Core.width );
     ( "padding insets the slave",
@@ -578,7 +574,6 @@ let pack_tests =
         ignore (run app "pack append . .w {top frame w} .e {top frame e}");
         Tk.Core.move_resize main ~x:main.Tk.Core.x ~y:main.Tk.Core.y
           ~width:100 ~height:40;
-        Tk.Pack.arrange main;
         Tk.Core.update app;
         check_int "west flush left" 0 (Tk.Core.lookup_exn app ".w").Tk.Core.x;
         check_int "east flush right" 80 (Tk.Core.lookup_exn app ".e").Tk.Core.x );
@@ -702,7 +697,6 @@ let pack_property_tests =
         ignore (run app ("pack append . " ^ spec));
         Tk.Core.move_resize main ~x:main.Tk.Core.x ~y:main.Tk.Core.y
           ~width:100 ~height:100;
-        Tk.Pack.arrange main;
         Tk.Core.update app;
         List.for_all
           (fun i ->
@@ -910,6 +904,52 @@ let widget_framework_tests =
         check_string "rooty" "84" (run app "winfo rooty .f.g") );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Lifecycle: packer, placer and selection state hangs off the app, and
+   the display's client table off its server, so nothing process-wide
+   keeps either alive. *)
+
+let lifecycle_tests =
+  [
+    ( "selection handler dies with its window",
+      fun () ->
+        let _, app = fresh_app () in
+        check_string "a new .b does not inherit the old handler" ""
+          (run app
+             "button .b; selection handle .b {list stale}; destroy .b; \
+              button .b; selection own .b; selection get") );
+    ( "destroyed and dropped apps are reclaimed with their displays",
+      fun () ->
+        let n = 10_000 in
+        let servers = Weak.create n and apps = Weak.create n in
+        let spawn i =
+          let server, app = fresh_app () in
+          ignore
+            (run app
+               "button .b; pack append . .b {top}; \
+                frame .f -width 10 -height 10; place .f -x 5 -y 5; \
+                selection handle .b {list x}; \
+                canvas .c; .c create line 0 0 9 9");
+          (* Half are torn down, half simply dropped. *)
+          if i mod 2 = 0 then Tk.Core.destroy_app app;
+          Weak.set servers i (Some server);
+          Weak.set apps i (Some app)
+        in
+        for i = 0 to n - 1 do
+          spawn i
+        done;
+        Gc.full_major ();
+        let survivors w =
+          let k = ref 0 in
+          for i = 0 to Weak.length w - 1 do
+            if Weak.check w i then incr k
+          done;
+          !k
+        in
+        check_int "servers alive" 0 (survivors servers);
+        check_int "apps alive" 0 (survivors apps) );
+  ]
+
 let to_alcotest = List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
 
 let () =
@@ -929,4 +969,5 @@ let () =
       ( "raster-properties",
         List.map QCheck_alcotest.to_alcotest raster_property_tests );
       ("framework", to_alcotest widget_framework_tests);
+      ("lifecycle", to_alcotest lifecycle_tests);
     ]
