@@ -147,11 +147,12 @@ and send_request = {
 
 and send_future = {
   ft_target : string;
-  mutable ft_comm : Xid.t;
+  ft_comm : Xid.t;
   ft_serial : string;
   ft_deadline : int; (* ms on the sender's dispatcher clock *)
+  ft_timeout_ms : int; (* the deadline's span, for the timeout message *)
   (* None while pending; Some (state, value) with state one of
-     ok/error/died/timeout/overflow once resolved. *)
+     ok/error/died/timeout/overflow/denied/limited once resolved. *)
   mutable ft_state : (string * string) option;
 }
 
@@ -272,15 +273,17 @@ let write_registry_shard app k entries =
           (fun (name, xid) -> Tcl.Tcl_list.format [ name; string_of_int xid ])
           entries))
 
+(* One shard's entries as stored, ghosts included. *)
+let raw_shard app k =
+  absorb app ~default:[] @@ fun () ->
+  let root = Server.root app.server in
+  let prop = Server.intern_atom app.conn (registry_shard_property k) in
+  match Server.get_property app.conn root ~prop with
+  | None -> []
+  | Some p -> parse_registry_entries p.Window.prop_data
+
 let read_registry_shard app k =
-  let entries =
-    absorb app ~default:[] @@ fun () ->
-    let root = Server.root app.server in
-    let prop = Server.intern_atom app.conn (registry_shard_property k) in
-    match Server.get_property app.conn root ~prop with
-    | None -> []
-    | Some p -> parse_registry_entries p.Window.prop_data
-  in
+  let entries = raw_shard app k in
   let live = List.filter (registry_entry_live app) entries in
   (* Garbage-collect: rewrite the shard without the ghosts. *)
   let ghosts = List.length entries - List.length live in
@@ -300,17 +303,7 @@ let lookup_registry app name =
    dead window fails, then fall back to the pinging {!lookup_registry}
    which garbage-collects the ghost. *)
 let lookup_registry_raw app name =
-  let entries =
-    absorb app ~default:[] @@ fun () ->
-    let root = Server.root app.server in
-    let prop =
-      Server.intern_atom app.conn (registry_shard_property (shard_of_name name))
-    in
-    match Server.get_property app.conn root ~prop with
-    | None -> []
-    | Some p -> parse_registry_entries p.Window.prop_data
-  in
-  List.assoc_opt name entries
+  List.assoc_opt name (raw_shard app (shard_of_name name))
 
 let read_registry app =
   let rec shards k acc =

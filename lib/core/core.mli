@@ -169,14 +169,18 @@ and send_request = {
 
 and send_future = {
   ft_target : string;
-  mutable ft_comm : Xid.t;
+  ft_comm : Xid.t;
   ft_serial : string;
   ft_deadline : int;  (** ms on the sender's dispatcher clock *)
+  ft_timeout_ms : int;
+      (** the span [ft_deadline] was set from, named in the timeout
+          message *)
   mutable ft_state : (string * string) option;
       (** [None] while pending; [Some (state, value)] with state one of
-          ok/error/died/timeout/overflow once resolved *)
+          ok/error/died/timeout/overflow/denied/limited once resolved *)
 }
-(** An outstanding [send -future] handle. *)
+(** A posted send awaiting its reply: a synchronous send, one target of a
+    broadcast, or a [send -future] handle. *)
 
 and send_state = {
   mailbox : send_request Queue.t;

@@ -17,14 +17,62 @@ let jitter app bound =
   if bound <= 0 then 0 else s.Core.send_rng mod bound
 
 (* ------------------------------------------------------------------ *)
+(* Outcomes *)
+
+(* One send's terminal state, from the receiver's evaluation to the
+   sender's result.  The failure taxonomy is deliberately disjoint:
+   [died] (liveness ping failed), [timeout] (alive but unresponsive past
+   the deadline), [overflow] (refused by the target's mailbox before
+   evaluation), [denied] (the script reached a hidden command in the
+   target's guard context), [limited] (the target's resource limits cut
+   the script short), [error] (the remote script raised an ordinary Tcl
+   error). *)
+type outcome =
+  | O_ok of string
+  | O_error of string
+  | O_died of string
+  | O_timeout of string
+  | O_overflow of string
+  | O_denied of string
+  | O_limited of string
+
+let outcome_state = function
+  | O_ok _ -> "ok"
+  | O_error _ -> "error"
+  | O_died _ -> "died"
+  | O_timeout _ -> "timeout"
+  | O_overflow _ -> "overflow"
+  | O_denied _ -> "denied"
+  | O_limited _ -> "limited"
+
+let outcome_value = function
+  | O_ok v | O_error v | O_died v | O_timeout v | O_overflow v | O_denied v
+  | O_limited v ->
+    v
+
+let malformed_reply = O_error "malformed send reply"
+
+(* Reads back a reply's [{state value}], and a settled send's stored
+   state. *)
+let outcome_of state value =
+  match state with
+  | "ok" -> O_ok value
+  | "error" -> O_error value
+  | "died" -> O_died value
+  | "timeout" -> O_timeout value
+  | "overflow" -> O_overflow value
+  | "denied" -> O_denied value
+  | "limited" -> O_limited value
+  | _ -> malformed_reply
+
+(* ------------------------------------------------------------------ *)
 (* Receiver side: mailbox, drain, replies *)
 
-(* Reply codes on the wire: "0" ok, "1" Tcl error, "2" mailbox overflow,
-   "3" hidden-command denial, "4" resource limit exceeded.  Overflow and
-   limit-exceeded are deliberately distinct codes with distinct messages:
+(* A reply is the list [{state value}] of the request's outcome.  Overflow
+   and limited are deliberately distinct states with distinct messages:
    the first is the *mailbox* refusing before evaluation, the second the
    *evaluator* cutting a runaway short. *)
-let reply app ~sender ~serial ~code ~value ~info =
+let reply app ~sender ~serial o =
   (* The sender may die between posting the script and our reply: writing
      the result property then raises BadWindow, which we absorb (there is
      nobody left to answer). *)
@@ -33,16 +81,7 @@ let reply app ~sender ~serial ~code ~value ~info =
     Server.intern_atom app.Core.conn (result_property_prefix ^ serial)
   in
   Server.change_property app.Core.conn sender ~prop ~ptype:Atom.string
-    (Tcl.Tcl_list.format [ code; value; info ])
-
-(* How one incoming script's evaluation ended, beyond ok/error: a
-   hidden-command denial or a resource-limit trip gets its own class so
-   the wire reply and the sender's outcome can distinguish them. *)
-type eval_class =
-  | C_ok
-  | C_error
-  | C_denied
-  | C_limited of Tcl.Interp.limit_kind
+    (Tcl.Tcl_list.format [ outcome_state o; outcome_value o ])
 
 let limited_msg app kind =
   Printf.sprintf "script in application \"%s\" exceeded its %s limit"
@@ -116,56 +155,38 @@ let eval_remote app script =
       s.Core.draining <- false
     end
   in
-  let status, value =
+  let o =
     match
       Tcl.Interp.with_level interp 0 (fun () -> Tcl.Interp.eval interp script)
     with
-    | r -> r
+    | Tcl.Interp.Tcl_error, value -> (
+      match Tcl.Interp.limit_tripped interp with
+      | Some k -> O_limited (limited_msg app k)
+      | None ->
+        if Tcl.Interp.denied_count interp > denied_before then O_denied value
+        else O_error value)
+    | _, value -> O_ok value
     | exception e ->
       disarm ();
       raise e
-  in
-  let cls =
-    match status with
-    | Tcl.Interp.Tcl_error -> (
-      match Tcl.Interp.limit_tripped interp with
-      | Some k -> C_limited k
-      | None ->
-        if Tcl.Interp.denied_count interp > denied_before then C_denied
-        else C_error)
-    | _ -> C_ok
-  in
-  let info =
-    match status with
-    | Tcl.Interp.Tcl_error -> Tcl.Interp.get_error_info interp
-    | _ -> ""
   in
   disarm ();
   (* The limit/unwind error has been delivered into the reply; it must
      not keep unwinding the (self-path) sender's own catch frames. *)
   if armed then Tcl.Interp.clear_unwinding interp;
-  (match cls with
-  | C_denied -> m.Metrics.recv_denied <- m.Metrics.recv_denied + 1
-  | C_limited _ -> m.Metrics.recv_limited <- m.Metrics.recv_limited + 1
-  | C_ok | C_error -> ());
-  (status, value, info, cls)
+  (match o with
+  | O_denied _ -> m.Metrics.recv_denied <- m.Metrics.recv_denied + 1
+  | O_limited _ -> m.Metrics.recv_limited <- m.Metrics.recv_limited + 1
+  | _ -> ());
+  o
 
 let evaluate_request app (rq : Core.send_request) =
-  let _status, value, info, cls = eval_remote app rq.Core.sq_script in
-  if rq.Core.sq_mode <> "async" then begin
-    let code, value, info =
-      match cls with
-      | C_ok -> ("0", value, "")
-      | C_error -> ("1", value, info)
-      | C_denied -> ("3", value, "")
-      | C_limited k -> ("4", limited_msg app k, "")
-    in
-    reply app ~sender:rq.Core.sq_sender ~serial:rq.Core.sq_serial ~code
-      ~value ~info
-  end
+  let o = eval_remote app rq.Core.sq_script in
+  if rq.Core.sq_mode <> "async" then
+    reply app ~sender:rq.Core.sq_sender ~serial:rq.Core.sq_serial o
 
 (* Accept or refuse one parked request.  Refusals answer immediately with
-   the overflow code (asyncs are dropped silently — there is nobody
+   an overflow reply (asyncs are dropped silently — there is nobody
    waiting), so a sender learns about backpressure without waiting out
    its deadline. *)
 let enqueue_request app (rq : Core.send_request) =
@@ -175,11 +196,9 @@ let enqueue_request app (rq : Core.send_request) =
     m.Metrics.mailbox_rejected <- m.Metrics.mailbox_rejected + 1;
     if rq.Core.sq_mode <> "async" then
       reply app ~sender:rq.Core.sq_sender ~serial:rq.Core.sq_serial
-        ~code:"2"
-        ~value:
-          (Printf.sprintf "mailbox of application \"%s\" is full (limit %d)"
-             app.Core.app_name s.Core.mailbox_limit)
-        ~info:""
+        (O_overflow
+           (Printf.sprintf "mailbox of application \"%s\" is full (limit %d)"
+              app.Core.app_name s.Core.mailbox_limit))
   end
   else begin
     Queue.add rq s.Core.mailbox;
@@ -285,9 +304,8 @@ let take_reply app serial =
   | Some p -> (
     Server.delete_property app.Core.conn app.Core.comm_win ~prop;
     match Tcl.Tcl_list.parse p.Window.prop_data with
-    | Ok [ code; value ] -> Some (code, value, "")
-    | Ok [ code; value; info ] -> Some (code, value, info)
-    | Ok _ | Error _ -> Some ("1", "malformed send reply", ""))
+    | Ok [ state; value ] -> Some (outcome_of state value)
+    | Ok _ | Error _ -> Some malformed_reply)
 
 (* Is the peer behind this communication window still alive?  For
    in-process peers (every client in the simulation) this is an O(1)
@@ -316,46 +334,6 @@ let pump app comm =
     Core.update peer
   | Some _ | None -> ()
 
-(* One send's terminal state.  The failure taxonomy is deliberately
-   disjoint: [died] (liveness ping failed), [timeout] (alive but
-   unresponsive past the deadline), [overflow] (refused by the target's
-   mailbox before evaluation), [denied] (the script reached a hidden
-   command in the target's guard context), [limited] (the target's
-   resource limits cut the script short), [error] (the remote script
-   raised an ordinary Tcl error). *)
-type outcome =
-  | O_ok of string
-  | O_error of string
-  | O_died of string
-  | O_timeout of string
-  | O_overflow of string
-  | O_denied of string
-  | O_limited of string
-
-let outcome_state = function
-  | O_ok _ -> "ok"
-  | O_error _ -> "error"
-  | O_died _ -> "died"
-  | O_timeout _ -> "timeout"
-  | O_overflow _ -> "overflow"
-  | O_denied _ -> "denied"
-  | O_limited _ -> "limited"
-
-let outcome_value = function
-  | O_ok v | O_error v | O_died v | O_timeout v | O_overflow v | O_denied v
-  | O_limited v ->
-    v
-
-(* The self-send fast path maps an eval_remote classification onto the
-   same outcome (with the same message text) the wire path would have
-   delivered, keeping the two paths differential-identical. *)
-let outcome_of_local app (value, cls) =
-  match cls with
-  | C_ok -> O_ok value
-  | C_error -> O_error value
-  | C_denied -> O_denied value
-  | C_limited k -> O_limited (limited_msg app k)
-
 let died_msg target = Printf.sprintf "target application \"%s\" died" target
 
 let timeout_msg target timeout_ms =
@@ -363,12 +341,6 @@ let timeout_msg target timeout_ms =
     "send to application \"%s\" timed out after %d ms (interpreter is \
      alive but unresponsive)"
     target timeout_ms
-
-let future_timeout_msg target =
-  Printf.sprintf
-    "send to application \"%s\" timed out (interpreter is alive but \
-     unresponsive)"
-    target
 
 (* Count one terminal outcome against the sender's tk.send.* metrics. *)
 let count_outcome app o =
@@ -382,73 +354,40 @@ let count_outcome app o =
   | O_denied _ -> m.Metrics.sends_denied <- m.Metrics.sends_denied + 1
   | O_limited _ -> m.Metrics.sends_limited <- m.Metrics.sends_limited + 1
 
-(* Wait for the reply to [serial] against [deadline] on the dispatcher
-   clock.  Polls pump the sender and the target so evaluation makes
-   progress; between polls we back off exponentially.  An overflow reply
-   triggers a jittered-backoff repost when [retry] is set, bounded by the
-   same overall deadline. *)
-let wait_reply app ~target ~comm ~serial ~deadline ~timeout_ms ~retry script
-    =
-  let disp = app.Core.disp in
-  let m = app.Core.metrics in
-  let rec wait backoff =
-    pump app comm;
-    match take_reply app serial with
-    | Some ("0", value, _) -> O_ok value
-    | Some ("1", value, _) -> O_error value
-    | Some ("3", value, _) -> O_denied value
-    | Some ("4", value, _) -> O_limited value
-    | Some (_, value, _) ->
-      if retry && Dispatch.now_ms disp < deadline then begin
-        m.Metrics.send_retries <- m.Metrics.send_retries + 1;
-        Dispatch.sleep_ms disp (backoff + jitter app backoff);
-        match post app ~target_comm:comm ~serial ~mode:"call" script with
-        | () -> wait (min (backoff * 2) max_backoff_ms)
-        | exception Xerror.X_error e ->
-          Server.note_absorbed app.Core.server e;
-          O_died (died_msg target)
-      end
-      else O_overflow value
-    | None ->
-      if not (peer_alive app comm) then O_died (died_msg target)
-      else if Dispatch.now_ms disp >= deadline then
-        O_timeout (timeout_msg target timeout_ms)
-      else begin
-        Dispatch.sleep_ms disp backoff;
-        wait (min (backoff * 2) max_backoff_ms)
-      end
-  in
-  wait 1
-
 (* Post to a possibly-stale registry entry.  The fast lookup does not
    ping entries, so the target may have crashed since it registered: the
    post then raises, and we re-read the (ghost-collecting) registry once
-   and retry a fresh entry before giving up. *)
+   and retry a fresh entry before giving up.  A [comm] the caller already
+   read from the ghost-collected registry is posted to once. *)
 type posted =
   | P_posted of Xid.t  (** the comm window actually posted to *)
   | P_died  (** registered but unreachable (fresh retry included) *)
   | P_unknown  (** never registered *)
 
-let post_with_retry app ~target ~serial ~mode script =
-  match Core.lookup_registry_raw app target with
-  | None -> P_unknown
-  | Some comm -> (
+let post_with_retry ?comm app ~target ~serial ~mode script =
+  let attempt comm =
     match post app ~target_comm:comm ~serial ~mode script with
     | () -> P_posted comm
-    | exception Xerror.X_error e -> (
+    | exception Xerror.X_error e ->
       Server.note_absorbed app.Core.server e;
-      match Core.lookup_registry app target with
-      | Some comm' when comm' <> comm -> (
-        match post app ~target_comm:comm' ~serial ~mode script with
-        | () -> P_posted comm'
-        | exception Xerror.X_error e2 ->
-          Server.note_absorbed app.Core.server e2;
-          P_died)
-      | Some _ -> P_died
-      | None ->
-        (* The stale entry was just garbage-collected and nothing took
-           its place: the name is simply no longer registered. *)
-        P_unknown))
+      P_died
+  in
+  match comm with
+  | Some comm -> attempt comm
+  | None -> (
+    match Core.lookup_registry_raw app target with
+    | None -> P_unknown
+    | Some comm -> (
+      match attempt comm with
+      | P_died -> (
+        match Core.lookup_registry app target with
+        | Some comm' when comm' <> comm -> attempt comm'
+        | Some _ -> P_died
+        | None ->
+          (* The stale entry was just garbage-collected and nothing took
+             its place: the name is simply no longer registered. *)
+          P_unknown)
+      | posted -> posted))
 
 let no_interp_msg target =
   Printf.sprintf "no registered interpreter named \"%s\"" target
@@ -457,31 +396,109 @@ let is_self app target =
   target = app.Core.app_name && app.Core.send.Core.self_fast_path
 
 (* ------------------------------------------------------------------ *)
-(* Synchronous send *)
+(* Awaited sends: a sync send, each broadcast target and each future is
+   one Core.send_future record *)
 
-let send_outcome ?(timeout_ms = default_timeout_ms) ?(retry = false) app
-    ~target script =
+(* Begin one awaited send: count it, take its deadline, then evaluate a
+   self-send in place or post the script.  A self-send, or a target that
+   died racing the post, comes back already settled; [Error] means no
+   interpreter has the name. *)
+let start ?(timeout_ms = default_timeout_ms) ?deadline ?comm app ~target
+    script =
   let m = app.Core.metrics in
   m.Metrics.sends <- m.Metrics.sends + 1;
+  let deadline =
+    match deadline with
+    | Some d -> d
+    | None -> Dispatch.now_ms app.Core.disp + timeout_ms
+  in
+  let serial = fresh_serial app in
+  let record ?settled comm =
+    Ok
+      {
+        Core.ft_target = target;
+        ft_comm = comm;
+        ft_serial = serial;
+        ft_deadline = deadline;
+        ft_timeout_ms = timeout_ms;
+        ft_state =
+          Option.map (fun o -> (outcome_state o, outcome_value o)) settled;
+      }
+  in
+  if is_self app target then begin
+    m.Metrics.sends_self <- m.Metrics.sends_self + 1;
+    record ~settled:(eval_remote app script) app.Core.comm_win
+  end
+  else
+    match post_with_retry ?comm app ~target ~serial ~mode:"call" script with
+    | P_posted comm -> record comm
+    | P_died -> record ~settled:(O_died (died_msg target)) Xid.none
+    | P_unknown -> Error (no_interp_msg target)
+
+(* What a send has come to, if anything yet: its stored state, its reply,
+   its peer's death or its passed deadline. *)
+let poll app (ft : Core.send_future) =
+  match ft.Core.ft_state with
+  | Some (state, value) -> Some (outcome_of state value)
+  | None -> (
+    match take_reply app ft.Core.ft_serial with
+    | Some _ as reply -> reply
+    | None ->
+      if not (peer_alive app ft.Core.ft_comm) then
+        Some (O_died (died_msg ft.Core.ft_target))
+      else if Dispatch.now_ms app.Core.disp >= ft.Core.ft_deadline then
+        Some (O_timeout (timeout_msg ft.Core.ft_target ft.Core.ft_timeout_ms))
+      else None)
+
+(* Drive a send to its outcome: pump the sender and the target, poll, and
+   back off exponentially between polls.  Given [repost], an overflow
+   reply reposts that script after a jittered backoff, under the same
+   deadline. *)
+let await ?repost app (ft : Core.send_future) =
+  let disp = app.Core.disp in
+  let rec loop backoff =
+    let next = min (backoff * 2) max_backoff_ms in
+    if ft.Core.ft_state = None then pump app ft.Core.ft_comm;
+    match (poll app ft, repost) with
+    | Some (O_overflow _), Some script
+      when Dispatch.now_ms disp < ft.Core.ft_deadline -> (
+      let m = app.Core.metrics in
+      m.Metrics.send_retries <- m.Metrics.send_retries + 1;
+      Dispatch.sleep_ms disp (backoff + jitter app backoff);
+      match
+        post app ~target_comm:ft.Core.ft_comm ~serial:ft.Core.ft_serial
+          ~mode:"call" script
+      with
+      | () -> loop next
+      | exception Xerror.X_error e ->
+        Server.note_absorbed app.Core.server e;
+        O_died (died_msg ft.Core.ft_target))
+    | Some o, _ -> o
+    | None, _ ->
+      Dispatch.sleep_ms disp backoff;
+      loop next
+  in
+  loop 1
+
+(* Await a started send and count its outcome; a name nobody registered
+   ends as died. *)
+let finish ?repost app started =
   let o =
-    if is_self app target then begin
-      m.Metrics.sends_self <- m.Metrics.sends_self + 1;
-      let _, value, _, cls = eval_remote app script in
-      outcome_of_local app (value, cls)
-    end
-    else begin
-      let serial = fresh_serial app in
-      match post_with_retry app ~target ~serial ~mode:"call" script with
-      | P_unknown -> O_died (no_interp_msg target)
-      | P_died -> O_died (died_msg target)
-      | P_posted comm ->
-        let deadline = Dispatch.now_ms app.Core.disp + timeout_ms in
-        wait_reply app ~target ~comm ~serial ~deadline ~timeout_ms ~retry
-          script
-    end
+    match started with
+    | Ok ft -> await ?repost app ft
+    | Error msg -> O_died msg
   in
   count_outcome app o;
   o
+
+(* ------------------------------------------------------------------ *)
+(* Synchronous send *)
+
+let send_outcome ?timeout_ms ?(retry = false) app ~target script =
+  finish
+    ?repost:(if retry then Some script else None)
+    app
+    (start ?timeout_ms app ~target script)
 
 let send ?timeout_ms ?retry app ~target script =
   match send_outcome ?timeout_ms ?retry app ~target script with
@@ -528,39 +545,15 @@ let resolve_future app (ft : Core.send_future) o =
   let m = app.Core.metrics in
   m.Metrics.futures_resolved <- m.Metrics.futures_resolved + 1
 
-(* Advance one future if its reply is in, its peer died, or its deadline
-   passed.  Returns true when the call resolved it. *)
+(* Resolve a pending future if it can be; true when this call did. *)
 let check_future app (ft : Core.send_future) =
-  match ft.Core.ft_state with
-  | Some _ -> false
-  | None -> (
-    match take_reply app ft.Core.ft_serial with
-    | Some ("0", value, _) ->
-      resolve_future app ft (O_ok value);
-      true
-    | Some ("1", value, _) ->
-      resolve_future app ft (O_error value);
-      true
-    | Some ("3", value, _) ->
-      resolve_future app ft (O_denied value);
-      true
-    | Some ("4", value, _) ->
-      resolve_future app ft (O_limited value);
-      true
-    | Some (_, value, _) ->
-      resolve_future app ft (O_overflow value);
-      true
-    | None ->
-      if not (peer_alive app ft.Core.ft_comm) then begin
-        resolve_future app ft (O_died (died_msg ft.Core.ft_target));
-        true
-      end
-      else if Dispatch.now_ms app.Core.disp >= ft.Core.ft_deadline then begin
-        resolve_future app ft
-          (O_timeout (future_timeout_msg ft.Core.ft_target));
-        true
-      end
-      else false)
+  ft.Core.ft_state = None
+  &&
+  match poll app ft with
+  | Some o ->
+    resolve_future app ft o;
+    true
+  | None -> false
 
 let check_futures app =
   Hashtbl.fold
@@ -572,87 +565,47 @@ let pending_futures app =
     (fun _ ft n -> if ft.Core.ft_state = None then n + 1 else n)
     app.Core.send.Core.futures 0
 
-let new_future_handle app =
-  let s = app.Core.send in
-  s.Core.future_serial <- s.Core.future_serial + 1;
-  Printf.sprintf "future#%d" s.Core.future_serial
-
-let register_future app ~target ~comm ~serial ~deadline =
-  let handle = new_future_handle app in
-  let ft =
-    {
-      Core.ft_target = target;
-      ft_comm = comm;
-      ft_serial = serial;
-      ft_deadline = deadline;
-      ft_state = None;
-    }
-  in
-  Hashtbl.replace app.Core.send.Core.futures handle ft;
-  let m = app.Core.metrics in
-  m.Metrics.futures_created <- m.Metrics.futures_created + 1;
-  (handle, ft)
-
-let send_future ?(timeout_ms = default_timeout_ms) app ~target script =
-  let m = app.Core.metrics in
-  m.Metrics.sends <- m.Metrics.sends + 1;
-  let deadline = Dispatch.now_ms app.Core.disp + timeout_ms in
-  if is_self app target then begin
-    m.Metrics.sends_self <- m.Metrics.sends_self + 1;
-    let handle, ft =
-      register_future app ~target ~comm:app.Core.comm_win
-        ~serial:(fresh_serial app) ~deadline
-    in
-    let _, value, _, cls = eval_remote app script in
-    resolve_future app ft (outcome_of_local app (value, cls));
+let send_future ?timeout_ms app ~target script =
+  match start ?timeout_ms app ~target script with
+  | Error msg -> Error msg
+  | Ok ft ->
+    let s = app.Core.send in
+    let m = app.Core.metrics in
+    s.Core.future_serial <- s.Core.future_serial + 1;
+    let handle = Printf.sprintf "future#%d" s.Core.future_serial in
+    Hashtbl.replace s.Core.futures handle ft;
+    m.Metrics.futures_created <- m.Metrics.futures_created + 1;
+    (* Born settled (a self-send, or a target that died racing the post):
+       resolved now, so no future is ever lost to a crash. *)
+    Option.iter
+      (fun (state, value) -> resolve_future app ft (outcome_of state value))
+      ft.Core.ft_state;
     Ok handle
-  end
-  else
-    let serial = fresh_serial app in
-    match post_with_retry app ~target ~serial ~mode:"call" script with
-    | P_unknown -> Error (no_interp_msg target)
-    | P_died ->
-      (* The target existed and is gone: the future is born resolved, so
-         no future is ever lost to a crash racing the post. *)
-      let handle, ft =
-        register_future app ~target ~comm:Xid.none ~serial ~deadline
-      in
-      resolve_future app ft (O_died (died_msg target));
-      Ok handle
-    | P_posted comm ->
-      let handle, _ =
-        register_future app ~target ~comm ~serial ~deadline
-      in
-      Ok handle
 
-let wait_future app handle =
-  match Hashtbl.find_opt app.Core.send.Core.futures handle with
-  | None -> Error (Printf.sprintf "no such send future \"%s\"" handle)
-  | Some ft ->
-    let rec loop backoff =
-      match ft.Core.ft_state with
-      | Some (state, value) ->
-        Hashtbl.remove app.Core.send.Core.futures handle;
-        Ok (state, value)
-      | None ->
-        pump app ft.Core.ft_comm;
-        ignore (check_future app ft);
-        if ft.Core.ft_state = None then
-          Dispatch.sleep_ms app.Core.disp backoff;
-        loop (min (backoff * 2) max_backoff_ms)
-    in
-    loop 1
-
-let future_result app handle =
-  match Hashtbl.find_opt app.Core.send.Core.futures handle with
+(* Resolve a handle, blocking until its future settles or polling once; a
+   resolved handle is consumed.  The drain hook may resolve the future
+   while [await] pumps, so only an outcome still unstored is resolved
+   here. *)
+let future app ~block handle =
+  let futures = app.Core.send.Core.futures in
+  match Hashtbl.find_opt futures handle with
   | None -> Error (Printf.sprintf "no such send future \"%s\"" handle)
   | Some ft -> (
-    ignore (check_future app ft);
+    if block then begin
+      let o = await app ft in
+      if ft.Core.ft_state = None then resolve_future app ft o
+    end
+    else ignore (check_future app ft);
     match ft.Core.ft_state with
     | None -> Ok None
-    | Some (state, value) ->
-      Hashtbl.remove app.Core.send.Core.futures handle;
-      Ok (Some (state, value)))
+    | Some resolved ->
+      Hashtbl.remove futures handle;
+      Ok (Some resolved))
+
+let wait_future app handle =
+  Result.map Option.get (future app ~block:true handle)
+
+let future_result app handle = future app ~block:false handle
 
 (* ------------------------------------------------------------------ *)
 (* Broadcast / multicast *)
@@ -670,44 +623,14 @@ let broadcast ?(timeout_ms = default_timeout_ms) ?pattern app script =
     | Some p ->
       List.filter (fun (name, _) -> Tcl.Glob.matches ~pattern:p name) entries
   in
-  let pending =
-    List.map
-      (fun (name, comm) ->
-        m.Metrics.sends <- m.Metrics.sends + 1;
-        if is_self app name then begin
-          m.Metrics.sends_self <- m.Metrics.sends_self + 1;
-          let o =
-            let _, value, _, cls = eval_remote app script in
-            outcome_of_local app (value, cls)
-          in
-          count_outcome app o;
-          (name, `Done o)
-        end
-        else begin
-          let serial = fresh_serial app in
-          match post app ~target_comm:comm ~serial ~mode:"call" script with
-          | () -> (name, `Wait (comm, serial))
-          | exception Xerror.X_error e ->
-            Server.note_absorbed app.Core.server e;
-            let o = O_died (died_msg name) in
-            count_outcome app o;
-            (name, `Done o)
-        end)
-      entries
-  in
   let deadline = Dispatch.now_ms app.Core.disp + timeout_ms in
   List.map
-    (fun (name, st) ->
-      match st with
-      | `Done o -> (name, outcome_state o, outcome_value o)
-      | `Wait (comm, serial) ->
-        let o =
-          wait_reply app ~target:name ~comm ~serial ~deadline ~timeout_ms
-            ~retry:false script
-        in
-        count_outcome app o;
-        (name, outcome_state o, outcome_value o))
-    pending
+    (fun (name, comm) ->
+      (name, start ~timeout_ms ~deadline ~comm app ~target:name script))
+    entries
+  |> List.map (fun (name, started) ->
+         let o = finish app started in
+         (name, outcome_state o, outcome_value o))
 
 (* ------------------------------------------------------------------ *)
 (* The Tcl-level [send] command *)

@@ -99,9 +99,9 @@ val send_future :
   (string, string) result
 (** Post the script and return a future handle ("future#N") immediately.
     The future resolves on the sender's event loop (any [update] sweep)
-    to one of ok/error/died/timeout/overflow; no future is ever lost —
-    even a target that dies racing the post yields a resolved-died
-    future. Resolve with {!wait_future} / {!future_result} (or the
+    to one of ok/error/died/timeout/overflow/denied/limited; no future is
+    ever lost — even a target that dies racing the post yields a
+    resolved-died future. Resolve with {!wait_future} / {!future_result} (or the
     [send wait] / [send result] Tcl subcommands). *)
 
 val wait_future : Core.app -> string -> (string * string, string) result

@@ -203,6 +203,21 @@ let send_tests =
         hang b;
         let msg = expect_error a "send beta set x 1" in
         check_bool "timed out" true (contains ~needle:"timed out" msg) );
+    ( "a sync send and a future to a hung peer report one timeout message",
+      fun () ->
+        let _server, a, b = fresh_pair () in
+        ignore (Tk.Dispatch.use_virtual_clock a.Tk.Core.disp : int -> unit);
+        hang b;
+        let expected =
+          "send to application \"beta\" timed out after 100 ms (interpreter \
+           is alive but unresponsive)"
+        in
+        check_string "sync send fails" "1"
+          (run a "catch {send -timeout 100 beta set x 1} m");
+        check_string "sync send message" expected (run a "set m");
+        check_string "future message" expected
+          (expect_error a "send wait [send -future -timeout 100 beta set x 1]")
+    );
     ( "send still works between live peers under the deadline machinery",
       fun () ->
         let _server, a, _b = fresh_pair () in

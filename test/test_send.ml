@@ -72,10 +72,76 @@ let self_send_differential () =
   check_bool "errorInfo captured the remote frame" true
     (contains ~needle:"boom from afar" f_info)
 
+(* The same comparison on generated scripts under every guard mode with a
+   command budget.  Each script runs in a fresh single-app world, once
+   per path; the two runs must agree on status, result, errorInfo and the
+   outcome counters of both ends of the send.  Runaway loops only go to
+   guarded receivers, and [exit]/[interp] only to the safe slave, where
+   the guard stops them. *)
+let gself_script mode =
+  let open QCheck.Gen in
+  let digit = int_bound 9 in
+  let commands =
+    [
+      map2 (Printf.sprintf "set v%d %d") (int_bound 2) digit;
+      map2 (Printf.sprintf "expr {%d * %d}") digit digit;
+      map (Printf.sprintf "list a {b %d}") digit;
+      map (Printf.sprintf "error {boom %d}") digit;
+      return "incr never_set";
+      return "expr {1 / 0}";
+      return "no_such_command x";
+    ]
+    @ (if mode = "off" then [] else [ return "while 1 {set spin 1}" ])
+    @ if mode = "safe" then [ return "exit 7"; return "interp create x" ]
+      else []
+  in
+  map (String.concat "; ") (list_size (int_range 1 3) (oneof commands))
+
+let self_send_generated () =
+  let observe mode fast_path script =
+    let server = Server.create () in
+    let a = new_app ~server ~name:"solo" () in
+    ignore (run a ("send guard " ^ mode ^ "; send limit commands 200"));
+    a.Tk.Core.send.Tk.Core.self_fast_path <- fast_path;
+    let status, result =
+      Tcl.Interp.eval a.Tk.Core.interp
+        (Tcl.Tcl_list.format [ "send"; "solo"; script ])
+    in
+    let m = metrics a in
+    ( (status = Tcl.Interp.Tcl_ok, result,
+       Tcl.Interp.get_error_info a.Tk.Core.interp),
+      Tk.Metrics.
+        [ m.sends_ok; m.sends_error; m.sends_denied; m.sends_limited;
+          m.recv_denied; m.recv_limited ] )
+  in
+  let show ((ok, result, info), counters) =
+    Printf.sprintf "ok=%b %S errorInfo=%S counters=%s" ok result info
+      (String.concat "," (List.map string_of_int counters))
+  in
+  (* Which sender outcomes were reached: ok, error, denied, limited. *)
+  let reached = Array.make 4 false in
+  let agree mode script =
+    let fast = observe mode true script and wire = observe mode false script in
+    List.iteri (fun i n -> if i < 4 && n > 0 then reached.(i) <- true) (snd fast);
+    fast = wire
+    || QCheck.Test.fail_reportf "guard %s, script %S:\n  fast: %s\n  wire: %s"
+         mode script (show fast) (show wire)
+  in
+  let scripts mode = QCheck.make ~print:Fun.id (gself_script mode) in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 16 |])
+    (QCheck.Test.make ~name:"self-send fast path = wire" ~count:150
+       (QCheck.triple (scripts "off") (scripts "limits") (scripts "safe"))
+       (fun (off, limits, safe) ->
+         agree "off" off && agree "limits" limits && agree "safe" safe));
+  check_bool "reached ok, error, denied and limited" true
+    (Array.for_all Fun.id reached)
+
 let fast_path_tests =
   [
     ("self-send: fast path and wire path are differentially identical",
      self_send_differential);
+    ( "self-send: generated scripts under every guard mode agree on both paths",
+      self_send_generated );
     ( "self-send takes the fast path and is counted",
       fun () ->
         let server = Server.create () in
