@@ -52,8 +52,6 @@ let create () =
 let add_def t name ~file ~off =
   if not (Hashtbl.mem t.defs name) then Hashtbl.add t.defs name (file, off)
 
-let def_site t name = Hashtbl.find_opt t.defs name
-
 let add_call t ~from ~callee ~file ~off ~cond =
   t.n_calls <- t.n_calls + 1;
   t.calls <-

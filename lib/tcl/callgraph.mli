@@ -23,7 +23,6 @@ type t
 
 val create : unit -> t
 val add_def : t -> string -> file:string option -> off:int -> unit
-val def_site : t -> string -> (string option * int) option
 
 val add_call :
   t ->

@@ -1,8 +1,6 @@
 let is_space c =
   match c with ' ' | '\t' | '\r' | '\012' | '\011' -> true | _ -> false
 
-let is_command_end c = c = '\n' || c = ';'
-
 let is_var_char c =
   match c with
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true

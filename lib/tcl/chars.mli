@@ -4,9 +4,6 @@
 val is_space : char -> bool
 (** Horizontal whitespace (space, tab, CR, FF, VT) — separates words. *)
 
-val is_command_end : char -> bool
-(** Newline or semicolon — terminates a command outside braces/quotes. *)
-
 val is_var_char : char -> bool
 (** Characters allowed in a variable name after [$]: letters, digits, [_]. *)
 

@@ -291,23 +291,3 @@ and compile_block src n pos =
 let compile src =
   let prog, _, _ = compile_script src (String.length src) 0 ~bracket:false [] in
   prog
-
-let rec program_commands prog =
-  List.fold_left
-    (fun acc cmd ->
-      List.fold_left
-        (fun acc w ->
-          match w with
-          | W_lit _ -> acc
-          | W_parts parts | W_fail (parts, _) -> acc + nested_commands parts)
-        (acc + 1) cmd.words)
-    0 prog
-
-and nested_commands parts =
-  List.fold_left
-    (fun acc p ->
-      match p with
-      | Lit _ | Var _ -> acc
-      | Var_idx (_, idx) -> acc + nested_commands idx
-      | Cmd prog -> acc + program_commands prog)
-    0 parts

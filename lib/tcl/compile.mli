@@ -42,7 +42,3 @@ and program = command list
 val compile : string -> program
 (** Compile a whole script. Never raises: structural errors are embedded
     as [W_fail] words at the position execution would discover them. *)
-
-val program_commands : program -> int
-(** Total number of compiled commands, including nested substitution
-    programs (a cheap size gauge for cache diagnostics). *)

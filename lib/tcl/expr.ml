@@ -568,27 +568,13 @@ let eval env src =
   | End -> v
   | _ -> error "extra tokens at end of expression %S" src
 
-let eval_string env src = to_string (eval env src)
-
-let eval_bool env src = truthy (eval env src)
-
 (* ------------------------------------------------------------------ *)
 (* Parsed-AST entry point.
 
-   The evaluator above interleaves lexing with substitution, so a hot
-   condition like [{$i < $n}] is re-scanned on every loop iteration.
-   The pure tokenizer below reads the same grammar without touching the
-   environment, producing an AST that can be cached keyed by the source
-   string and evaluated repeatedly.
-
-   Fidelity contract: for any string that {!parse} accepts, [eval_ast]
-   must behave byte-identically to {!eval} — same values, same errors,
-   same substitution order, same short-circuit behaviour.  Strings that
-   {!parse} rejects are NOT necessarily invalid at run time in a
-   different sense: the interleaved evaluator may perform substitutions
-   (with side effects) before discovering the same syntax error.  The
-   caller therefore falls back to {!eval} whenever [parse] fails, which
-   reproduces the reference behaviour exactly. *)
+   The evaluator above interleaves lexing with substitution. The pure
+   tokenizer below reads the same grammar without touching the
+   environment, producing an AST that the bytecode VM lowers once and
+   the static analyzer interprets abstractly. *)
 
 type qpart = Q_lit of string | Q_var of string | Q_cmd of string
 
@@ -915,41 +901,3 @@ let parse src =
   with
   | a -> Stdlib.Ok a
   | exception Error msg -> Stdlib.Error msg
-
-(* Evaluation order matches the interleaved evaluator: left to right in
-   lexical order, with &&, || and ?: short-circuiting (the dead branch's
-   substitutions never run, just as the reference suppresses them in skip
-   mode). *)
-let rec eval_ast env a =
-  match a with
-  | A_const v -> v
-  | A_var name -> operand_value (env.get_var name)
-  | A_cmd script -> operand_value (env.eval_cmd script)
-  | A_quoted parts ->
-    let buf = Buffer.create 16 in
-    List.iter
-      (function
-        | Q_lit s -> Buffer.add_string buf s
-        | Q_var name -> Buffer.add_string buf (env.get_var name)
-        | Q_cmd script -> Buffer.add_string buf (env.eval_cmd script))
-      parts;
-    operand_value (Buffer.contents buf)
-  | A_unop (op, x) -> apply_unary op (eval_ast env x)
-  | A_binop ("&&", x, y) ->
-    if truthy (eval_ast env x) then bool_val (truthy (eval_ast env y))
-    else bool_val false
-  | A_binop ("||", x, y) ->
-    if truthy (eval_ast env x) then bool_val true
-    else bool_val (truthy (eval_ast env y))
-  | A_binop (op, x, y) ->
-    let a = eval_ast env x in
-    let b = eval_ast env y in
-    apply_binary op a b
-  | A_ternary (c, t, f) ->
-    if truthy (eval_ast env c) then eval_ast env t else eval_ast env f
-  | A_func (name, args) ->
-    (* Arguments substitute in lexical order, like the reference. *)
-    let vals =
-      List.rev (List.fold_left (fun acc x -> eval_ast env x :: acc) [] args)
-    in
-    apply_function name vals

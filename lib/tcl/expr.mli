@@ -23,15 +23,6 @@ exception Error of string
 val eval : env -> string -> value
 (** Evaluate an expression. @raise Error on syntax or type errors. *)
 
-val eval_string : env -> string -> string
-(** {!eval} rendered back to Tcl's string form (integers without a decimal
-    point, floats via [%g]-style formatting). *)
-
-val eval_bool : env -> string -> bool
-(** Evaluate as a condition: numeric values are tested against zero, and
-    the words true/false/yes/no/on/off are accepted. @raise Error
-    otherwise. *)
-
 val to_string : value -> string
 
 val truthy : value -> bool
@@ -44,7 +35,7 @@ val number_of_string : string -> value option
 
 (** {2 Evaluation primitives}
 
-    The building blocks {!eval_ast} is made of, exposed so the bytecode
+    The building blocks {!eval} is made of, exposed so the bytecode
     VM ({!Vm}) can evaluate its typed expression IR with exactly the
     same coercions, short-circuiting and error messages. *)
 
@@ -67,13 +58,13 @@ val apply_function : string -> value list -> value
 (** {2 Parsed-AST entry point}
 
     {!parse} tokenizes an expression once, without performing any
-    substitution, so the result can be cached keyed by the source string
-    and re-evaluated cheaply with {!eval_ast}. For any string [parse]
-    accepts, [eval_ast] behaves byte-identically to {!eval}: same
-    values, same errors, same substitution order and short-circuiting.
-    When [parse] fails, fall back to {!eval} — the interleaved reference
-    evaluator may run substitutions (with side effects) before reporting
-    the same syntax error, and only it reproduces that faithfully. *)
+    substitution; the bytecode VM ({!Vm}) lowers the result and the
+    static analyzer ({!Absint}) interprets it. An evaluator of the AST
+    must match {!eval} on the same text: same values, same errors, same
+    substitution order and short-circuiting. When [parse] fails, fall
+    back to {!eval} — the interleaved reference evaluator may run
+    substitutions (with side effects) before reporting the same syntax
+    error, and only it reproduces that faithfully. *)
 
 type qpart = Q_lit of string | Q_var of string | Q_cmd of string
 
@@ -90,7 +81,3 @@ type ast =
 val parse : string -> (ast, string) result
 (** Parse without evaluating. [Error msg] carries the syntax error the
     reference evaluator would (eventually) raise. *)
-
-val eval_ast : env -> ast -> value
-(** Evaluate a parsed expression. @raise Error on runtime type or
-    substitution errors, exactly as {!eval} would. *)

@@ -53,10 +53,6 @@ type compile_stats = {
   mutable script_misses : int;
   mutable script_evictions : int;
   mutable script_compiles : int;
-  mutable expr_hits : int;
-  mutable expr_misses : int;
-  mutable expr_evictions : int;
-  mutable expr_compiles : int;
   mutable parse_passes : int;
 }
 
@@ -66,10 +62,6 @@ let fresh_stats () =
     script_misses = 0;
     script_evictions = 0;
     script_compiles = 0;
-    expr_hits = 0;
-    expr_misses = 0;
-    expr_evictions = 0;
-    expr_compiles = 0;
     parse_passes = 0;
   }
 
@@ -223,11 +215,10 @@ type t = {
   mutable history : (int * string) list; (* newest first *)
   mutable history_next : int;
   mutable compile_enabled : bool;
-      (* parse-once mode: scripts and exprs run from cached compiled
-         forms; off = the reference character-at-a-time evaluator *)
-  script_cache : (string, script_entry) Hashtbl.t;
-  expr_cache : (string, expr_entry) Hashtbl.t;
-  mutable cache_tick : int; (* LRU clock for both caches *)
+      (* parse-once mode: scripts run from cached lowered code; off =
+         the reference character-at-a-time evaluator *)
+  script_cache : (string, frame Vm.code) Hashtbl.t;
+  script_order : string Queue.t; (* the cache's keys, oldest first *)
   stats : compile_stats;
   mutable time_source : (unit -> float) option;
       (* pluggable clock for [time] (seconds); None = Sys.time *)
@@ -290,30 +281,14 @@ and cmd_def =
 and proc_def = {
   formals : (string * string option) list;
   body : string;
-  mutable pcode : Compile.program option;
-      (* compiled at definition time (or lazily on first call); always
-         derived from [body], so redefinition replaces it atomically *)
   mutable pvm : frame Vm.code option;
-      (* lowered on first VM call; like [pcode], derived from [body] *)
+      (* compiled and lowered on first VM call; always derived from
+         [body], so redefinition replaces it atomically *)
   mutable pframes : frame list;
       (* pool of call frames for reuse, bounded by recursion depth: only
          frames that never spilled into their hashtable (fgen = 0, so no
          inline cache or link can reference them) are returned here,
          with their slot cells wiped *)
-}
-
-and script_entry = {
-  code : Compile.program;
-  mutable s_vm : frame Vm.code option;  (* lowered on first VM run *)
-  mutable s_tick : int;
-}
-
-and expr_entry = {
-  east : Expr.ast option;
-      (* None: the pure parser rejected it — always fall back to the
-         interleaved evaluator, which reproduces mid-substitution
-         side effects before the syntax error *)
-  mutable e_tick : int;
 }
 
 let default_recursion_limit = 1000
@@ -371,8 +346,7 @@ let create () =
     history_next = 1;
     compile_enabled = true;
     script_cache = Hashtbl.create 64;
-    expr_cache = Hashtbl.create 64;
-    cache_tick = 0;
+    script_order = Queue.create ();
     stats = fresh_stats ();
     time_source = None;
     slaves = Hashtbl.create 4;
@@ -657,10 +631,6 @@ let register_signature t s = Hashtbl.replace t.signatures s.sig_name s
 
 let signature_of t name = Hashtbl.find_opt t.signatures name
 
-let signature_names t =
-  List.sort String.compare
-    (Hashtbl.fold (fun k _ acc -> k :: acc) t.signatures [])
-
 let usage_of t name =
   Option.map (fun s -> s.sig_usage) (signature_of t name)
 
@@ -697,18 +667,9 @@ let lint_stats t =
     ("warnings", string_of_int t.lint.lint_warnings);
   ]
 
-(* Compile a script, counting the pass. *)
-let compile_counted t src =
-  t.stats.script_compiles <- t.stats.script_compiles + 1;
-  t.stats.parse_passes <- t.stats.parse_passes + 1;
-  Compile.compile src
-
 let define_proc t name formals body =
-  let p = { formals; body; pcode = None; pvm = None; pframes = [] } in
-  (* Parse the body once at definition time; a redefinition installs a
-     fresh record, so stale code cannot survive. *)
-  if t.compile_enabled then p.pcode <- Some (compile_counted t body);
-  Hashtbl.replace t.commands name (Proc p);
+  Hashtbl.replace t.commands name
+    (Proc { formals; body; pvm = None; pframes = [] });
   refresh_canon t
 
 let proc_info t name =
@@ -809,67 +770,39 @@ let add_channel t c =
   id
 
 (* ------------------------------------------------------------------ *)
-(* Compiled-script and expression caches.
+(* The script cache: source text to lowered VM code.
 
-   Both caches are keyed by the source string alone: compilation is
-   purely syntactic (see Compile), so entries never go stale and
-   invalidation reduces to LRU eviction. Recency is a shared tick; when
-   a cache is full the entry with the smallest tick is scanned out
-   (O(n), but only on eviction at the bounded size). *)
+   Compilation and lowering are purely syntactic (see Compile and Vm),
+   so an entry never goes stale and is keyed by the source string
+   alone. A full table drops its oldest entry, in insertion order: a hot
+   text pays one recompile per [cache_limit] misses, a hit does no
+   bookkeeping, and a miss no scan. The table stays full, so the memory
+   it holds does not depend on how many misses came before. *)
 
 let cache_limit = 512
 
-let bump_tick t =
-  t.cache_tick <- t.cache_tick + 1;
-  t.cache_tick
+(* Compile a script, counting the pass. *)
+let compile_counted t src =
+  t.stats.script_compiles <- t.stats.script_compiles + 1;
+  t.stats.parse_passes <- t.stats.parse_passes + 1;
+  Compile.compile src
 
-let evict_oldest (type a) (tbl : (string, a) Hashtbl.t) (tick_of : a -> int) =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun k e ->
-      match !victim with
-      | Some (_, best) when best <= tick_of e -> ()
-      | _ -> victim := Some (k, tick_of e))
-    tbl;
-  match !victim with
-  | Some (k, _) ->
-    Hashtbl.remove tbl k;
-    true
-  | None -> false
-
-let script_entry_for t src =
+let script_code t src =
   match Hashtbl.find_opt t.script_cache src with
-  | Some e ->
+  | Some code ->
     t.stats.script_hits <- t.stats.script_hits + 1;
-    e.s_tick <- bump_tick t;
-    e
+    code
   | None ->
     t.stats.script_misses <- t.stats.script_misses + 1;
-    (if Hashtbl.length t.script_cache >= cache_limit then
-       if evict_oldest t.script_cache (fun e -> e.s_tick) then
-         t.stats.script_evictions <- t.stats.script_evictions + 1);
-    let code = compile_counted t src in
-    let e = { code; s_vm = None; s_tick = bump_tick t } in
-    Hashtbl.add t.script_cache src e;
-    e
-
-let cached_expr_ast t src =
-  match Hashtbl.find_opt t.expr_cache src with
-  | Some e ->
-    t.stats.expr_hits <- t.stats.expr_hits + 1;
-    e.e_tick <- bump_tick t;
-    e.east
-  | None ->
-    t.stats.expr_misses <- t.stats.expr_misses + 1;
-    (if Hashtbl.length t.expr_cache >= cache_limit then
-       if evict_oldest t.expr_cache (fun e -> e.e_tick) then
-         t.stats.expr_evictions <- t.stats.expr_evictions + 1);
-    t.stats.expr_compiles <- t.stats.expr_compiles + 1;
-    let east =
-      match Expr.parse src with Ok a -> Some a | Error _ -> None
-    in
-    Hashtbl.add t.expr_cache src { east; e_tick = bump_tick t };
-    east
+    if Hashtbl.length t.script_cache >= cache_limit then begin
+      t.stats.script_evictions <- t.stats.script_evictions + 1;
+      Hashtbl.remove t.script_cache (Queue.pop t.script_order)
+    end;
+    let code = Vm.lower ~compile:(compile_counted t) (compile_counted t src) in
+    t.vm.v_compiled <- t.vm.v_compiled + 1;
+    Hashtbl.add t.script_cache src code;
+    Queue.push src t.script_order;
+    code
 
 let set_compile_enabled t flag = t.compile_enabled <- flag
 
@@ -890,7 +823,7 @@ let vm_stats t =
 
 let clear_compile_caches t =
   Hashtbl.reset t.script_cache;
-  Hashtbl.reset t.expr_cache
+  Queue.clear t.script_order
 
 let reset_compile_stats t =
   let s = t.stats in
@@ -898,10 +831,6 @@ let reset_compile_stats t =
   s.script_misses <- 0;
   s.script_evictions <- 0;
   s.script_compiles <- 0;
-  s.expr_hits <- 0;
-  s.expr_misses <- 0;
-  s.expr_evictions <- 0;
-  s.expr_compiles <- 0;
   s.parse_passes <- 0
 
 let compile_stats t =
@@ -913,11 +842,6 @@ let compile_stats t =
     ("script_misses", string_of_int s.script_misses);
     ("script_evictions", string_of_int s.script_evictions);
     ("script_compiles", string_of_int s.script_compiles);
-    ("expr_cache_size", string_of_int (Hashtbl.length t.expr_cache));
-    ("expr_hits", string_of_int s.expr_hits);
-    ("expr_misses", string_of_int s.expr_misses);
-    ("expr_evictions", string_of_int s.expr_evictions);
-    ("expr_compiles", string_of_int s.expr_compiles);
     ("parse_passes", string_of_int s.parse_passes);
   ]
 
@@ -978,8 +902,6 @@ let set_command_limit t n =
 
 let time_limit t = t.limit_time_ms
 
-let time_limit_granularity t = t.limit_granularity
-
 let command_limit t = t.limit_cmds
 
 let limit_tripped t = t.tripped
@@ -997,8 +919,6 @@ let cancel ?(unwind = false) ?message t =
   t.cancel_request <- Some (msg, unwind);
   t.guard.g_cancels <- t.guard.g_cancels + 1;
   recompute_guard t
-
-let cancel_pending t = t.cancel_request <> None
 
 let unwinding t = t.unwinding
 
@@ -1677,7 +1597,8 @@ and vexpr_cmd_operand t code =
     | _, msg -> raise (Expr.Error msg)
   end
 
-(* Mirror of Expr.eval_ast over the lowered expression IR. The numeric
+(* The lowered expression IR, evaluated as Expr.eval evaluates the same
+   text: left to right, with &&, || and ?: short-circuiting. The numeric
    rep cached on a Tval cell feeds operators directly; the string parse
    it replaces (Tval.parse_num) is the same trim + int_of_string_opt /
    float_of_string_opt sequence as Expr.number_of_string, so the typed
@@ -2293,19 +2214,10 @@ and proc_vm_code t p =
   match p.pvm with
   | Some code -> code
   | None ->
-    let pcode =
-      match p.pcode with
-      | Some code -> code
-      | None ->
-        let code = compile_counted t p.body in
-        p.pcode <- Some code;
-        code
-    in
     let code =
-      Vm.lower_proc
-        ~compile:(fun s -> compile_counted t s)
+      Vm.lower_proc ~compile:(compile_counted t)
         ~formals:(List.map fst p.formals)
-        pcode
+        (compile_counted t p.body)
     in
     t.vm.v_compiled <- t.vm.v_compiled + 1;
     p.pvm <- Some code;
@@ -2458,17 +2370,7 @@ and finish_proc name ((status, v) as res) =
   | Tcl_error -> (Tcl_error, Printf.sprintf "%s\n    (procedure \"%s\")" v name)
 
 let eval t src =
-  if t.compile_enabled then begin
-    let e = script_entry_for t src in
-    exec_vm t Vstring
-      (match e.s_vm with
-      | Some code -> code
-      | None ->
-        let code = Vm.lower ~compile:(fun s -> compile_counted t s) e.code in
-        t.vm.v_compiled <- t.vm.v_compiled + 1;
-        e.s_vm <- Some code;
-        code)
-  end
+  if t.compile_enabled then exec_vm t Vstring (script_code t src)
   else begin
     t.stats.parse_passes <- t.stats.parse_passes + 1;
     let status, v, _ = eval_in t src 0 ~bracket:false in
@@ -2503,17 +2405,7 @@ let expr_env t =
         | _, msg -> raise (Expr.Error msg));
   }
 
-(* Evaluate an expression through the AST cache when compilation is on.
-   Unparseable strings (None entries) always take the interleaved
-   evaluator, which reproduces partial-substitution side effects before
-   the syntax error. *)
-let eval_expr t src =
-  let env = expr_env t in
-  if t.compile_enabled then
-    match cached_expr_ast t src with
-    | Some ast -> Expr.eval_ast env ast
-    | None -> Expr.eval env src
-  else Expr.eval env src
+let eval_expr t src = Expr.eval (expr_env t) src
 
 let eval_expr_string t src = Expr.to_string (eval_expr t src)
 

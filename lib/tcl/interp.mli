@@ -68,8 +68,10 @@ val expr_env : t -> Expr.env
 (** The variable/command hooks that connect {!Expr} to this interpreter. *)
 
 val eval_expr : t -> string -> Expr.value
-(** Evaluate an expression, through the parsed-AST cache when compilation
-    is enabled. @raise Expr.Error on expression errors. *)
+(** Evaluate an expression string with the reference evaluator
+    {!Expr.eval}. The VM lowers every literal expression that parses, so
+    this serves expressions built at run time, unparseable ones and
+    deopted opcodes. @raise Expr.Error on expression errors. *)
 
 val eval_expr_string : t -> string -> string
 (** {!eval_expr} rendered back to Tcl's string form (for [expr]). *)
@@ -79,17 +81,19 @@ val eval_expr_bool : t -> string -> bool
 
 (** {1 Parse-once compilation}
 
-    Scripts and expressions are tokenized once (see {!Compile}) and the
-    result cached keyed by the source string; re-evaluating a hot loop
-    body, binding script or proc body then skips the scanner entirely.
-    Semantics are byte-identical to the reference evaluator — the caches
-    only trade memory for parse passes. Entries never go stale (the
-    compiled form is purely syntactic), so invalidation is plain LRU
-    eviction at a bounded size. *)
+    A script is tokenized once (see {!Compile}), lowered to bytecode
+    (see {!Vm}) and the code cached keyed by the source string;
+    re-evaluating a hot binding script then skips the scanner entirely.
+    A procedure body is compiled on its first call and kept on the
+    procedure. Semantics are byte-identical to the reference evaluator —
+    the cache only trades memory for parse passes. Entries never go
+    stale (compilation is purely syntactic), so the only invalidation is
+    dropping the oldest entry, in insertion order, when a miss finds the
+    512 entries full. *)
 
 val set_compile_enabled : t -> bool -> unit
 (** Toggle the parse-once machinery (default on). On, every script and
-    procedure body runs as bytecode ({!Vm}) lowered from its cached
+    procedure body runs as cached bytecode ({!Vm}) lowered from its
     compiled form; off routes every evaluation through the reference
     character-at-a-time evaluator — the [-no-compile-cache] ablation
     and the differential tests' oracle. These are the only two
@@ -98,15 +102,15 @@ val set_compile_enabled : t -> bool -> unit
 val compile_enabled : t -> bool
 
 val clear_compile_caches : t -> unit
-(** Drop all cached scripts and expressions (counters are kept). *)
+(** Drop all cached scripts (counters are kept). *)
 
 val reset_compile_stats : t -> unit
 
 val compile_stats : t -> (string * string) list
-(** Counters for the metrics registry ([tcl.compile.*]): cache hits,
-    misses, evictions, compiles for scripts and expressions, current
-    cache sizes, and the total number of parse passes over script
-    text. *)
+(** Counters for the metrics registry ([tcl.compile.*]): script cache
+    hits, misses, evictions (oldest entries dropped from the full
+    table), compiles, the current cache size, and the total number of
+    parse passes over script text. *)
 
 val reset_vm_stats : t -> unit
 
@@ -167,7 +171,6 @@ val rearm_limits : t -> unit
     deadline restarts from now; the command budget refills). *)
 
 val time_limit : t -> int
-val time_limit_granularity : t -> int
 val command_limit : t -> int
 
 val limit_tripped : t -> limit_kind option
@@ -182,8 +185,6 @@ val cancel : ?unwind:bool -> ?message:string -> t -> unit
     fails with [message] (default ["eval canceled"], or ["eval unwound"]
     with [~unwind:true]). A plain cancel is catchable by [catch]; an
     unwinding cancel propagates through it. *)
-
-val cancel_pending : t -> bool
 
 val unwinding : t -> bool
 (** True while a limit or unwinding cancel is propagating — [catch]
@@ -384,7 +385,6 @@ val signature :
 
 val register_signature : t -> signature -> unit
 val signature_of : t -> string -> signature option
-val signature_names : t -> string list
 
 val usage_of : t -> string -> string option
 (** The registered usage string, if any. *)

@@ -78,11 +78,6 @@ let set_int t i =
   t.n <- Nint i;
   t.l <- None
 
-let set_float t f =
-  t.s <- None;
-  t.n <- Ndbl f;
-  t.l <- None
-
 let list t =
   match t.l with
   | Some l -> Ok l

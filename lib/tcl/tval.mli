@@ -33,7 +33,6 @@ val list : t -> (string list, string) result
 
 val set_string : t -> string -> unit
 val set_int : t -> int -> unit
-val set_float : t -> float -> unit
 
 val float_to_string : float -> string
 (** Tcl's float formatting: %.12g with a %.17g round-trip fallback, and

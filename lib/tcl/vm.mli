@@ -6,7 +6,7 @@
     compiled program into an instruction array with resolved variable
     references and typed expressions. Lowering is purely syntactic —
     it reads no variables and consults no command table — so lowered
-    code can be cached alongside the compiled form and never goes
+    code can be cached keyed by its source text and never goes
     stale; whether the inlined structural opcodes may bypass command
     dispatch is decided at execution time by the interpreter. When
     [set]/[if]/[while]/... have been redefined, renamed or hidden, an

@@ -126,6 +126,9 @@ let differential_scripts =
     "expr {int(3.9) + abs(-2)}";
     "set n 4; expr {$n * $n}";
     "expr 1 + 2";
+    (* expressions built at run time reach the expr command unlowered *)
+    "set e {$i + 1}; set i 0; while {$i < 20} {set i [expr $e]}; set i";
+    "set e {$nosuch + 1}; catch {expr $e} m; set m";
     (* recursion limits (PR7): the overflow error, its catchability and
        re-arming must look the same from both evaluators *)
     "interp recursionlimit 30; proc loop {} {loop}; loop";
@@ -217,15 +220,33 @@ let cache_tests =
         check_int "no misses" 0 (stat tcl "script_misses");
         check_bool "legacy parse passes counted" true
           (stat tcl "parse_passes" > 0) );
-    ( "expr ASTs are cached and reused",
+    ( "a full script cache drops its oldest entry, however recently hit",
       fun () ->
         let tcl = new_interp ~compile:true () in
-        (* Braced expressions lower to typed IR; an unbraced [expr $e]
-           hands its string to the expr command, which uses the cache. *)
-        ignore
+        for i = 1 to 512 do
+          ignore (run tcl (Printf.sprintf "set x %d" i))
+        done;
+        check_string "a hit on the oldest entry" "1" (run tcl "set x 1");
+        ignore (run tcl "set x 513");
+        check_int "the table stays full" 512 (stat tcl "script_cache_size");
+        check_int "one entry dropped" 1 (stat tcl "script_evictions");
+        check_string "the second oldest stays" "2" (run tcl "set x 2");
+        check_int "two hits" 2 (stat tcl "script_hits");
+        check_string "the dropped text recompiles" "1" (run tcl "set x 1");
+        check_int "one more miss" 514 (stat tcl "script_misses");
+        (* The running loop's own entry is dropped by the misses it
+           causes. *)
+        check_string "a loop survives dropping its own entry" "599"
           (run tcl
-             "set e {$i + 1}; set i 0; while {$i < 20} {set i [expr $e]}");
-        check_bool "expr hits recorded" true (stat tcl "expr_hits" > 10) );
+             "for {set i 0} {$i < 600} {incr i} {eval \"set y $i\"}; set y") );
+    ( "a proc body is compiled on its first call",
+      fun () ->
+        let tcl = new_interp ~compile:true () in
+        ignore (run tcl "proc p {} {return 7}");
+        check_int "definition parses only its script" 1
+          (stat tcl "parse_passes");
+        check_string "first call" "7" (run tcl "p");
+        check_int "the call compiles the body" 3 (stat tcl "parse_passes") );
   ]
 
 (* ------------------------------------------------------------------ *)
