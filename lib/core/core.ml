@@ -583,17 +583,23 @@ let arm_repaint w =
             let wrect =
               Geom.rect ~x:0 ~y:0 ~width:w.width ~height:w.height
             in
-            let visible =
-              List.filter_map (fun r -> Geom.intersect r wrect) rects
-            in
             let total =
-              List.fold_left (fun acc r -> acc + Geom.area r) 0 visible
+              List.fold_left
+                (fun acc r ->
+                  match Geom.intersect r wrect with
+                  | Some v -> acc + Geom.area v
+                  | None -> acc)
+                0 rects
             in
             if total * 100 >= Geom.area wrect * damage_deopt_percent then begin
               m.Metrics.damage_deopt_full <- m.Metrics.damage_deopt_full + 1;
               None
             end
-            else Some (repaint, visible)
+            else
+              (* The class gets the damage unclipped: an edit outside the
+                 window still leaves retained ops to replace or drop
+                 there.  Only the threshold is about what shows. *)
+              Some (repaint, rects)
         in
         (* A rejected request mid-repaint leaves the window partially
            drawn until the next Expose — but the application lives on. *)

@@ -88,8 +88,9 @@ and wclass = {
   mutable display : widget -> unit;  (** repaint into the X window *)
   mutable display_damaged : (widget -> Geom.rect -> unit) option;
       (** repaint only the given (widget-coordinate) clip, leaving
-          retained drawing outside it alone; classes without one get a
-          full redraw whenever damage is scheduled *)
+          retained drawing outside it alone; the clip is the damage as
+          scheduled, so it may reach outside the window. Classes without
+          one get a full redraw whenever damage is scheduled *)
   mutable handle_event : widget -> Event.t -> unit;
       (** the widget's built-in ("C code") event behaviour *)
   mutable subcommands : widget -> string list -> Tcl.Interp.result;

@@ -79,8 +79,9 @@ let mk_word = function
   | [ Lit s ] -> W_lit s
   | parts -> W_parts parts
 
-(* A part accumulator: coalesces adjacent literal text. *)
-let accum () =
+(* A part accumulator: coalesces adjacent literal text.  [add_run] adds
+   the source characters [i, j) without copying them first. *)
+let accum src =
   let acc = ref [] in
   let lit = Buffer.create 16 in
   let flush () =
@@ -90,6 +91,7 @@ let accum () =
     end
   in
   let add_lit s = Buffer.add_string lit s in
+  let add_run i j = if j > i then Buffer.add_substring lit src i (j - i) in
   let add_part = function
     | Lit s -> add_lit s
     | p ->
@@ -100,46 +102,77 @@ let accum () =
     flush ();
     List.rev !acc
   in
-  (add_lit, add_part, all)
+  (add_lit, add_run, add_part, all)
+
+(* '$', '[' and '\\' start a substitution wherever they appear. *)
+let is_subst c = c = '$' || c = '[' || c = '\\'
+
+(* End of the run of characters from [pos] that stand for themselves in a
+   bare word ([stop_quote] false) or inside a quoted word: the run stops
+   at a substitution or at what ends the word. *)
+let rec plain_end src n pos ~stop_quote ~bracket =
+  if pos >= n then pos
+  else
+    let c = src.[pos] in
+    let ends =
+      if stop_quote then c = '"'
+      else Chars.is_space c || c = '\n' || c = ';' || (bracket && c = ']')
+    in
+    if is_subst c || ends then pos
+    else plain_end src n (pos + 1) ~stop_quote ~bracket
+
+(* The same for an array index, which ends at ')'. *)
+let rec index_end src n pos =
+  if pos >= n || is_subst src.[pos] || src.[pos] = ')' then pos
+  else index_end src n (pos + 1)
+
+(* A backslash-newline at [i] separates words. *)
+let backslash_newline src n i =
+  i + 1 < n && src.[i] = '\\' && src.[i + 1] = '\n'
+
+(* Skip word separators; a backslash-newline counts as one. *)
+let rec skip_word_separators src n p =
+  if p < n && Chars.is_space src.[p] then skip_word_separators src n (p + 1)
+  else if backslash_newline src n p then
+    skip_word_separators src n (snd (Chars.backslash_subst src p))
+  else p
 
 (* Mirrors Interp.substitute_until: scan a bare word or the inside of a
-   quoted word, collecting parts instead of substituting. *)
+   quoted word, collecting parts instead of substituting.  Each run of
+   ordinary characters enters the accumulator as one substring, so a
+   literal costs one copy whatever its length. *)
 let rec compile_parts src n pos0 ~stop_quote ~bracket =
-  let add_lit, add_part, all = accum () in
+  let add_lit, add_run, add_part, all = accum src in
   let rec go pos =
-    if pos >= n then
+    let j = plain_end src n pos ~stop_quote ~bracket in
+    add_run pos j;
+    if j >= n then
       if stop_quote then Seq_fail (all (), "missing close quote")
-      else Seq_ok (all (), pos)
+      else Seq_ok (all (), j)
     else
-      let c = src.[pos] in
-      if stop_quote && c = '"' then Seq_ok (all (), pos + 1)
-      else if
-        (not stop_quote)
-        && (Chars.is_space c || c = '\n' || c = ';' || (bracket && c = ']'))
-      then Seq_ok (all (), pos)
-      else
-        match c with
-        | '\\' when (not stop_quote) && pos + 1 < n && src.[pos + 1] = '\n' ->
-          (* Backslash-newline terminates a bare word (word separator). *)
-          Seq_ok (all (), pos)
-        | '\\' ->
-          let repl, j = Chars.backslash_subst src pos in
-          add_lit repl;
-          go j
-        | '$' -> (
-          match compile_variable src n pos ~bracket with
-          | V_ok (p, j) ->
-            add_part p;
-            go j
-          | V_fail (ps, msg) -> Seq_fail (all () @ ps, msg)
-          | V_abort ps -> Seq_abort (all () @ ps))
-        | '[' -> (
-          let prog, j, failed = compile_block src n (pos + 1) in
-          add_part (Cmd prog);
-          if failed then Seq_abort (all ()) else go j)
-        | c ->
-          add_lit (String.make 1 c);
-          go (pos + 1)
+      match src.[j] with
+      | '"' when stop_quote -> Seq_ok (all (), j + 1)
+      | '\\' when (not stop_quote) && backslash_newline src n j ->
+        (* Backslash-newline terminates a bare word (word separator). *)
+        Seq_ok (all (), j)
+      | '\\' ->
+        let repl, k = Chars.backslash_subst src j in
+        add_lit repl;
+        go k
+      | '$' -> (
+        match compile_variable src n j ~bracket with
+        | V_ok (p, k) ->
+          add_part p;
+          go k
+        | V_fail (ps, msg) -> Seq_fail (all () @ ps, msg)
+        | V_abort ps -> Seq_abort (all () @ ps))
+      | '[' -> (
+        let prog, k, failed = compile_block src n (j + 1) in
+        add_part (Cmd prog);
+        if failed then Seq_abort (all ()) else go k)
+      | _ ->
+        (* What ends a bare word: a separator, a terminator, or ']'. *)
+        Seq_ok (all (), j)
   in
   go pos0
 
@@ -175,30 +208,29 @@ and compile_variable src n pos ~bracket =
 
 (* Mirrors Interp.substitute_index. *)
 and compile_index src n pos0 ~bracket =
-  let add_lit, add_part, all = accum () in
+  let add_lit, add_run, add_part, all = accum src in
   let rec go pos =
-    if pos >= n then Seq_fail (all (), "missing )")
+    let j = index_end src n pos in
+    add_run pos j;
+    if j >= n then Seq_fail (all (), "missing )")
     else
-      match src.[pos] with
-      | ')' -> Seq_ok (all (), pos + 1)
+      match src.[j] with
+      | ')' -> Seq_ok (all (), j + 1)
       | '\\' ->
-        let repl, j = Chars.backslash_subst src pos in
+        let repl, k = Chars.backslash_subst src j in
         add_lit repl;
-        go j
+        go k
       | '$' -> (
-        match compile_variable src n pos ~bracket with
-        | V_ok (p, j) ->
+        match compile_variable src n j ~bracket with
+        | V_ok (p, k) ->
           add_part p;
-          go j
+          go k
         | V_fail (ps, msg) -> Seq_fail (all () @ ps, msg)
         | V_abort ps -> Seq_abort (all () @ ps))
-      | '[' -> (
-        let prog, j, failed = compile_block src n (pos + 1) in
+      | _ (* '[' *) -> (
+        let prog, k, failed = compile_block src n (j + 1) in
         add_part (Cmd prog);
-        if failed then Seq_abort (all ()) else go j)
-      | c ->
-        add_lit (String.make 1 c);
-        go (pos + 1)
+        if failed then Seq_abort (all ()) else go k)
   in
   go pos0
 
@@ -225,10 +257,16 @@ and compile_word src n pos ~bracket =
     | Seq_abort parts -> W_stop (W_parts parts)
   end
   else begin
-    match compile_parts src n pos ~stop_quote:false ~bracket with
-    | Seq_ok (parts, j) -> W_done (mk_word parts, j)
-    | Seq_fail (parts, msg) -> W_stop (W_fail (parts, msg))
-    | Seq_abort parts -> W_stop (W_parts parts)
+    let j = plain_end src n pos ~stop_quote:false ~bracket in
+    if j >= n || (not (is_subst src.[j])) || backslash_newline src n j
+    then
+      (* Nothing to substitute: the word is its own source text. *)
+      W_done (W_lit (String.sub src pos (j - pos)), j)
+    else
+      match compile_parts src n pos ~stop_quote:false ~bracket with
+      | Seq_ok (parts, j) -> W_done (mk_word parts, j)
+      | Seq_fail (parts, msg) -> W_stop (W_fail (parts, msg))
+      | Seq_abort parts -> W_stop (W_parts parts)
   end
 
 (* Mirrors Interp.parse_words: one command's words up to its terminator.
@@ -236,34 +274,17 @@ and compile_word src n pos ~bracket =
    the enclosing program must stop here. *)
 and compile_command src n pos0 ~bracket =
   let rec words pos acc pacc =
-    let p = ref pos in
-    (* Skip word separators; a backslash-newline counts as one. *)
-    let rec skip () =
-      if !p < n && Chars.is_space src.[!p] then begin
-        incr p;
-        skip ()
-      end
-      else if !p + 1 < n && src.[!p] = '\\' && src.[!p + 1] = '\n' then begin
-        let _, j = Chars.backslash_subst src !p in
-        p := j;
-        skip ()
-      end
-    in
-    skip ();
-    if
-      !p >= n
-      || src.[!p] = '\n'
-      || src.[!p] = ';'
-      || (bracket && src.[!p] = ']')
+    let p = skip_word_separators src n pos in
+    if p >= n || src.[p] = '\n' || src.[p] = ';' || (bracket && src.[p] = ']')
     then
       let next =
-        if !p < n && (src.[!p] = '\n' || src.[!p] = ';') then !p + 1 else !p
+        if p < n && (src.[p] = '\n' || src.[p] = ';') then p + 1 else p
       in
       (List.rev acc, List.rev pacc, next, false)
     else
-      match compile_word src n !p ~bracket with
-      | W_done (w, j) -> words j (w :: acc) (!p :: pacc)
-      | W_stop w -> (List.rev (w :: acc), List.rev (!p :: pacc), n, true)
+      match compile_word src n p ~bracket with
+      | W_done (w, j) -> words j (w :: acc) (p :: pacc)
+      | W_stop w -> (List.rev (w :: acc), List.rev (p :: pacc), n, true)
   in
   let ws, wps, next, failed = words pos0 [] [] in
   let stop = min next n in

@@ -18,15 +18,10 @@ let to_string = function
   | Str s -> s
 
 let number_of_string s =
-  let s' = String.trim s in
-  if s' = "" then None
-  else
-    match int_of_string_opt s' with
-    | Some i -> Some (Int i)
-    | None -> (
-      match float_of_string_opt s' with
-      | Some f -> Some (Float f)
-      | None -> None)
+  match Tval.parse_num s with
+  | Tval.Nint i -> Some (Int i)
+  | Tval.Ndbl f -> Some (Float f)
+  | Tval.Nnone | Tval.Nmaybe -> None
 
 let as_number v =
   match v with

@@ -30,8 +30,9 @@ val truthy : value -> bool
     true/false/yes/no/on/off). @raise Error otherwise. *)
 
 val number_of_string : string -> value option
-(** Parse a string as [Int] or [Float] if possible ([None] otherwise).
-    Exposed for the [lsort -integer] style commands. *)
+(** Parse a string as [Int] or [Float] if possible ([None] otherwise),
+    by {!Tval.parse_num}. Exposed for the [lsort -integer] style
+    commands. *)
 
 (** {2 Evaluation primitives}
 

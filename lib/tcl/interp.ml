@@ -1600,9 +1600,8 @@ and vexpr_cmd_operand t code =
 (* The lowered expression IR, evaluated as Expr.eval evaluates the same
    text: left to right, with &&, || and ?: short-circuiting. The numeric
    rep cached on a Tval cell feeds operators directly; the string parse
-   it replaces (Tval.parse_num) is the same trim + int_of_string_opt /
-   float_of_string_opt sequence as Expr.number_of_string, so the typed
-   path cannot disagree with the reference's operand_value. *)
+   it replaces (Tval.parse_num) is the one Expr.number_of_string makes,
+   so the typed path cannot disagree with the reference's operand_value. *)
 and eval_vexpr t (e : frame Vm.vexpr) : Expr.value =
   match e with
   | Vm.Xconst v -> v

@@ -48,10 +48,48 @@ let to_string t =
     t.s <- Some s;
     s
 
-(* Must match Expr.number_of_string: trim, try int, then float. *)
+(* Characters the quick test below leaves to the full parse:
+   float_of_string drops every '_' before strtod sees the rest, and strtod
+   skips a leading vertical tab (String.trim keeps it), so "_1" and
+   "\0111.5" are floats; other bytes outside printable ASCII are left
+   alone too.  Past an unsure character the test answers yes, as
+   positions no longer line up with what the parser sees. *)
+let unsure c = c = '_' || c < '!' || c > '~'
+
+(* Whether [s] from [i] spells [w] from [k] on, in either case. *)
+let rec spells s i w k =
+  k = String.length w
+  || i < String.length s
+     && (unsure s.[i]
+        || (Char.lowercase_ascii s.[i] = w.[k] && spells s (i + 1) w (k + 1)))
+
+(* Whether a mantissa can start at [i]: a digit, '.' and a digit, or
+   "inf" or "nan" in any case. *)
+let rec mantissa_at s i ~after_dot =
+  i < String.length s
+  &&
+  match s.[i] with
+  | '0' .. '9' -> true
+  | '.' when not after_dot -> mantissa_at s (i + 1) ~after_dot:true
+  | ('i' | 'I') when not after_dot -> spells s (i + 1) "inf" 1
+  | ('n' | 'N') when not after_dot -> spells s (i + 1) "nan" 1
+  | c -> unsure c
+
+(* Whether a trimmed, non-empty string can start a number for
+   int_of_string or float_of_string.  Both take an optional sign and then
+   a digit; float_of_string also takes ".5", "inf" and "nan" in any case.
+   False means both parses would fail. *)
+let may_start_number s =
+  match s.[0] with
+  | '+' | '-' -> mantissa_at s 1 ~after_dot:false
+  | _ -> mantissa_at s 0 ~after_dot:false
+
+(* Trim, try int, then float; Expr.number_of_string is this.  Words that
+   cannot start a number ("create", ".c", "-fill") are turned away before
+   either parse, as each failed parse raises and catches an exception. *)
 let parse_num s =
   let s' = String.trim s in
-  if s' = "" then Nnone
+  if s' = "" || not (may_start_number s') then Nnone
   else
     match int_of_string_opt s' with
     | Some i -> Nint i

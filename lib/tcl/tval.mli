@@ -40,4 +40,5 @@ val float_to_string : float -> string
 
 val parse_num : string -> num
 (** Parse a string as a number the way [expr] operands do (trim, int
-    first, then float). Never returns [Nmaybe]. *)
+    first, then float). A string that cannot start a number is
+    [Nnone] without either parse being tried. Never returns [Nmaybe]. *)

@@ -382,12 +382,15 @@ let bg_key = min_int
 
 let relief_key = min_int + 1
 
-let emit_item w it =
+(* The GC an item draws colour [color] with. *)
+let item_gc w color = Tk.Core.widget_gc w ~fg:color ~font:"-font" ()
+
+(* Emit one item's ops under its z-serial; [gc] maps a colour to its GC. *)
+let draw_item w gc it =
   let app = w.Tk.Core.app in
   let conn = app.Tk.Core.conn in
   let win = w.Tk.Core.win in
   let key = it.zserial in
-  let gc color = Tk.Core.widget_gc w ~fg:color ~font:"-font" () in
   match it.kind with
   | Line ->
     if it.fill <> "" then
@@ -408,6 +411,8 @@ let emit_item w it =
       Server.draw_text ~key conn win (gc it.fill) ~x:it.coords.(0)
         ~y:it.coords.(1) it.text
 
+let emit_item w it = draw_item w (fun color -> item_gc w color) it
+
 let clear_dead_keys w s =
   let conn = w.Tk.Core.app.Tk.Core.conn in
   List.iter (fun k -> Server.clear_keyed conn w.Tk.Core.win k) s.dead_keys;
@@ -420,10 +425,9 @@ let display w =
   let m = metrics w in
   m.Tk.Metrics.canvas_full_redraws <- m.Tk.Metrics.canvas_full_redraws + 1;
   s.dead_keys <- [];
-  let gc color = Tk.Core.widget_gc w ~fg:color () in
   let app = w.Tk.Core.app in
   Server.fill_rect ~key:bg_key app.Tk.Core.conn w.Tk.Core.win
-    (gc (Tk.Core.cget w "-background"))
+    (Tk.Core.widget_gc w ~fg:(Tk.Core.cget w "-background") ())
     (Geom.rect ~x:0 ~y:0 ~width:w.Tk.Core.width ~height:w.Tk.Core.height);
   let bw = Tk.Core.get_pixels w "-borderwidth" in
   let relief = Tk.Core.get_relief w "-relief" in
@@ -431,12 +435,26 @@ let display w =
     Server.draw_relief ~key:relief_key app.Tk.Core.conn w.Tk.Core.win
       (Geom.rect ~x:0 ~y:0 ~width:w.Tk.Core.width ~height:w.Tk.Core.height)
       ~raised:(relief = Tk.Core.Raised) ~width:bw;
+  (* Each colour's GC is looked up once per pass, not once per item: the
+     lookup (option reads, name normalising, a formatted cache key) costs
+     more than the draw.  A colour is looked up at the first item that
+     uses it, so the X requests are those of a lookup per item, in the
+     same order. *)
+  let gcs = Hashtbl.create 8 in
+  let gc color =
+    match Hashtbl.find gcs color with
+    | g -> g
+    | exception Not_found ->
+      let g = item_gc w color in
+      Hashtbl.add gcs color g;
+      g
+  in
   for i = 0 to s.len - 1 do
     let it = get s i in
     m.Tk.Metrics.canvas_items_considered <-
       m.Tk.Metrics.canvas_items_considered + 1;
     m.Tk.Metrics.canvas_items_drawn <- m.Tk.Metrics.canvas_items_drawn + 1;
-    emit_item w it;
+    draw_item w gc it;
     it.dirty <- false
   done
 

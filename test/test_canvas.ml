@@ -325,8 +325,37 @@ let differential_run () =
     (metric app_i "tk.damage.coalesced" > 0);
   Buffer.contents transcript
 
+(* The window's retained ops, in paint order. *)
+let canvas_ops server app =
+  match Server.lookup_window server (canvas_widget app).Tk.Core.win with
+  | Some win -> Window.ops_in_order win
+  | None -> Alcotest.fail "no window for .c"
+
+(* Check that the damage path left the ops a full redraw leaves. *)
+let check_ops_match_full server app what =
+  let damaged = canvas_ops server app in
+  Tk.Core.schedule_redraw (canvas_widget app);
+  Tk.Core.update app;
+  let full = canvas_ops server app in
+  check_bool
+    (Printf.sprintf "%s: %d ops after damage, %d after full redraw" what
+       (List.length damaged) (List.length full))
+    true (damaged = full)
+
 let differential_tests =
   [
+    ( "offscreen move and delete: damage ops = full redraw ops",
+      fun () ->
+        let server, app = canvas_app () in
+        ignore (run app ".c create rectangle 10 10 20 20");
+        ignore (run app ".c create rectangle 400 400 410 410 -tags off");
+        Tk.Core.update app;
+        ignore (run app ".c move off 20 20");
+        Tk.Core.update app;
+        check_ops_match_full server app "after move";
+        ignore (run app ".c delete off");
+        Tk.Core.update app;
+        check_ops_match_full server app "after delete" );
     ( "randomized stream: index = linear oracle, damage raster = full",
       fun () -> ignore (differential_run ()) );
     ( "two runs on the fixed seed are identical",

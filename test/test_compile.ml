@@ -136,6 +136,19 @@ let differential_scripts =
     "interp recursionlimit 20; proc down {n} {if {$n == 0} {return done}; \
      down [expr {$n - 1}]}; set a [catch {down 100}]; interp recursionlimit \
      400; list $a [down 100]";
+    (* where a bare word's plain run stops: a trailing or lone '$', ']'
+       and '"' inside a word, backslash-newline, escapes, a substitution
+       followed by text, and text after a close-brace *)
+    "set x a$";
+    "set x $";
+    "set x a]b";
+    "set x a\"b";
+    "set x a\\\nb";
+    "list a\\\n  b";
+    "set x x\\;y";
+    "set x \\$y";
+    "set a 1; set x [set a]b";
+    "set x {a}b";
   ]
 
 let differential_tests =
@@ -417,6 +430,28 @@ let recursion_tests =
     ("overflow message, compiled path", overflow_message ~compile:true);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* First-run cost: a script of plain words compiles to little more than
+   the program it keeps. *)
+
+let first_run_tests =
+  [
+    ( "a .c create line compiles in at most 250 minor words",
+      fun () ->
+        let lines = 1000 in
+        let src =
+          String.concat ""
+            (List.init lines (fun _ -> ".c create rectangle 1 2 3 4\n"))
+        in
+        let before = Gc.minor_words () in
+        let prog = Tcl.Compile.compile src in
+        let per_command = (Gc.minor_words () -. before) /. float lines in
+        check_int "commands" lines (List.length prog);
+        check_bool
+          (Printf.sprintf "%.0f minor words per command" per_command)
+          true (per_command <= 250.0) );
+  ]
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -427,4 +462,5 @@ let () =
       ("caches", List.map (fun (n, f) -> tc n f) cache_tests);
       ("time", List.map (fun (n, f) -> tc n f) time_tests);
       ("bindings", List.map (fun (n, f) -> tc n f) binding_tests);
+      ("first-run", List.map (fun (n, f) -> tc n f) first_run_tests);
     ]

@@ -791,6 +791,82 @@ let incr_loop_sums =
       in
       run_fresh script = string_of_int (n * (n + 1) / 2))
 
+(* ------------------------------------------------------------------ *)
+(* Numbers: Tval.parse_num against the definition it shortcuts *)
+
+(* Trim, then int_of_string, then float_of_string: what parse_num must
+   answer for every string, however early it turns a word away. *)
+let two_parse s =
+  let s' = String.trim s in
+  if s' = "" then Tcl.Tval.Nnone
+  else
+    match int_of_string_opt s' with
+    | Some i -> Tcl.Tval.Nint i
+    | None -> (
+      match float_of_string_opt s' with
+      | Some f -> Tcl.Tval.Ndbl f
+      | None -> Tcl.Tval.Nnone)
+
+let same_num a b =
+  match (a, b) with
+  | Tcl.Tval.Ndbl x, Tcl.Tval.Ndbl y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | a, b -> a = b
+
+let expr_num s =
+  match Tcl.Expr.number_of_string s with
+  | Some (Tcl.Expr.Int i) -> Tcl.Tval.Nint i
+  | Some (Tcl.Expr.Float f) -> Tcl.Tval.Ndbl f
+  | Some (Tcl.Expr.Str _) | None -> Tcl.Tval.Nnone
+
+let show_num = function
+  | Tcl.Tval.Nint i -> Printf.sprintf "int %d" i
+  | Tcl.Tval.Ndbl f -> Printf.sprintf "float %h" f
+  | Tcl.Tval.Nnone -> "none"
+  | Tcl.Tval.Nmaybe -> "maybe"
+
+let number_chars =
+  [ '0'; '1'; '7'; '9'; '+'; '-'; '.'; '_'; 'e'; 'E'; 'x'; 'i'; 'I'; 'n';
+    'N'; 'f'; 'a'; 'F'; 'A'; 't'; 'y'; 'c'; 'r'; 'z'; ' '; '\t'; '\011' ]
+
+let parse_num_prop =
+  QCheck.Test.make ~name:"parse_num equals trim + int + float parse"
+    ~count:3000
+    QCheck.(string_gen_of_size (Gen.int_bound 8) (Gen.oneofl number_chars))
+    (fun s ->
+      let want = two_parse s in
+      same_num (Tcl.Tval.parse_num s) want && same_num (expr_num s) want)
+
+let number_tests =
+  [
+    ( "parse_num keeps OCaml's number quirks",
+      fun () ->
+        List.iter
+          (fun (s, want) ->
+            let got = Tcl.Tval.parse_num s in
+            Alcotest.(check string) (Printf.sprintf "%S" s) (show_num want)
+              (show_num got);
+            Alcotest.(check bool) (Printf.sprintf "%S: two parses" s) true
+              (same_num got (two_parse s));
+            Alcotest.(check bool) (Printf.sprintf "%S: expr" s) true
+              (same_num (expr_num s) got))
+          [
+            ("_1", Tcl.Tval.Ndbl 1.0);
+            ("\0111.5", Tcl.Tval.Ndbl 1.5);
+            ("inf", Tcl.Tval.Ndbl Float.infinity);
+            ("NaN", two_parse "NaN");
+            ("1_000", Tcl.Tval.Nint 1000);
+            ("0x1F", Tcl.Tval.Nint 31);
+            ("-.5", Tcl.Tval.Ndbl (-0.5));
+            (".c", Tcl.Tval.Nnone);
+            ("create", Tcl.Tval.Nnone);
+          ];
+        Alcotest.(check bool) "NaN is a float" true
+          (match Tcl.Tval.parse_num "NaN" with
+          | Tcl.Tval.Ndbl f -> Float.is_nan f
+          | _ -> false) );
+  ]
+
 let to_alcotest = List.map (fun (n, f) -> Alcotest.test_case n `Quick f)
 
 let () =
@@ -807,6 +883,7 @@ let () =
       ("regexp", to_alcotest regexp_tests);
       ("info", to_alcotest info_tests);
       ("file-misc", to_alcotest file_tests);
+      ("numbers", to_alcotest number_tests);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -820,5 +897,6 @@ let () =
             regexp_literal_prop;
             regexp_star_prop;
             regsub_identity_prop;
+            parse_num_prop;
           ] );
     ]
