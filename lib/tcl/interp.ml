@@ -1842,32 +1842,33 @@ and subst_fail t msg =
   (Tcl_error, msg)
 
 (* Dispatch a command's substituted words; an error is traced with the
-   command's source text. *)
-and dispatch_words t want words (orig : Compile.command) =
+   command's source [text], all that an [Ivk] keeps of its command. *)
+and dispatch_words t want words text =
   match invoke_vm t want words with
   | (Tcl_error, v) as res ->
-    trace_error t ~command:orig.Compile.text v;
+    trace_error t ~command:text v;
     res
   | res -> res
 
 (* An inlined opcode whose builtin is no longer canonical dispatches
-   the generic command it was lowered from, as an [Ivk] would.  The
-   words are [orig]'s literal words plus [arg], the value the opcode
-   already substituted for its one non-literal word (a set/return
-   value, an incr amount, a foreach list), so nothing is substituted
-   twice and no bracketed script is compiled again.  Opcodes with such
-   a word substitute it before they test [vm_canon]: the reference
-   evaluator looks a command up only after substituting its words, so
-   a substitution that shadows the builtin must reach the shadow.  The
-   lowerer guarantees [arg] is present whenever [orig] has a
-   non-literal word. *)
+   the generic command it was lowered from, as an [Ivk] would; this is
+   why the inlined opcodes keep their [Compile.command] and an [Ivk]
+   only its text.  The words are [orig]'s literal words plus [arg], the
+   value the opcode already substituted for its one non-literal word (a
+   set/return value, an incr amount, a foreach list), so nothing is
+   substituted twice and no bracketed script is compiled again.
+   Opcodes with such a word substitute it before they test [vm_canon]:
+   the reference evaluator looks a command up only after substituting
+   its words, so a substitution that shadows the builtin must reach the
+   shadow.  The lowerer guarantees [arg] is present whenever [orig] has
+   a non-literal word. *)
 and deopt t want (orig : Compile.command) (arg : Tval.t option) =
   t.vm.v_deopts <- t.vm.v_deopts + 1;
   let word = function
     | Compile.W_lit s -> Tval.of_string s
     | Compile.W_parts _ | Compile.W_fail _ -> Option.get arg
   in
-  dispatch_words t want (List.map word orig.Compile.words) orig
+  dispatch_words t want (List.map word orig.Compile.words) orig.Compile.text
 
 (* Run an inlined structural command with the same guard delivery,
    command accounting and error tracing a dispatched command gets from
@@ -2012,7 +2013,7 @@ and vm_for_loop t cond next body =
 
 and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
   match insn with
-  | Vm.Ivk { vwords = [ Vm.Wlit nametv; w1 ]; orig } -> (
+  | Vm.Ivk { vwords = [ Vm.Wlit nametv; w1 ]; text } -> (
     (* One-argument call to a literal name (`cmd $x`, `fib [expr ...]`):
        dispatch without materializing the words list. *)
     match vsubst_wordv t w1 with
@@ -2021,10 +2022,10 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
     | v1 -> (
       match invoke_vm1 t want nametv v1 with
       | (Tcl_error, v) as res ->
-        trace_error t ~command:orig.Compile.text v;
+        trace_error t ~command:text v;
         res
       | res -> res))
-  | Vm.Ivk { vwords; orig } -> (
+  | Vm.Ivk { vwords; text } -> (
     match
       (* A literal command-name word is passed shared, not copied: the
          callee never binds the head (procs bind the tail, builtins
@@ -2037,7 +2038,7 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
     | [] -> (Tcl_ok, "")
-    | words -> dispatch_words t want words orig)
+    | words -> dispatch_words t want words text)
   | Vm.Iset { dst; value = None; orig } ->
     if not t.vm_canon then deopt t want orig None
     else (
@@ -2226,8 +2227,10 @@ and proc_vm_code t p =
    guard delivery and accounting, but the substituted words stay Tvals
    (each one owned by the callee) so a proc binds them — numeric reps
    and all — without a string round-trip.  A one-entry cache keyed by
-   the physical name string (lowered literal words intern it) elides
-   the table lookup on straight-line dispatch. *)
+   the physical name string elides the table lookup on straight-line
+   dispatch: one lowering shares one value per distinct literal, so it
+   hits on every run of one instruction and on consecutive commands of
+   one script that call the same name. *)
 and invoke_vm t want (words : Tval.t list) =
   match words with
   | [] -> (Tcl_ok, "")

@@ -8,10 +8,17 @@
 type num = Nnone | Nmaybe | Nint of int | Ndbl of float
 
 type t = {
-  mutable s : string option; (* canonical string, rendered on demand *)
+  mutable s : string; (* canonical string; [unrendered] until rendered *)
   mutable n : num; (* cached numeric rep; Nmaybe = not yet parsed *)
   mutable l : string list option; (* cached parsed-list rep *)
 }
+
+(* A numeric value's string before it is rendered.  It is made at run
+   time, so no other string is physically equal to it, and it never
+   leaves this module: [t] is abstract and [to_string] renders first.
+   With it in place of [None] the field holds a string unboxed, with no
+   [Some] per value. *)
+let unrendered = String.make 1 '?'
 
 (* Tcl's default float formatting is %.12g (tcl_precision 12); %g's six
    significant digits lose bits, so [expr 1.0/3] would not round-trip
@@ -26,26 +33,25 @@ let float_to_string f =
     | Some g when g = f -> s
     | _ -> Printf.sprintf "%.17g" f
 
-let of_string s = { s = Some s; n = Nmaybe; l = None }
+let of_string s = { s; n = Nmaybe; l = None }
 
 (* Value-semantics duplicate: the reps are immutable, so sharing them is
    safe; only the containing record must be fresh (a bound variable cell
    is mutated in place by set/incr). *)
 let copy t = { s = t.s; n = t.n; l = t.l }
-let of_int i = { s = None; n = Nint i; l = None }
-let of_float f = { s = None; n = Ndbl f; l = None }
+let of_int i = { s = unrendered; n = Nint i; l = None }
+let of_float f = { s = unrendered; n = Ndbl f; l = None }
 
 let to_string t =
-  match t.s with
-  | Some s -> s
-  | None ->
+  if t.s != unrendered then t.s
+  else
     let s =
       match t.n with
       | Nint i -> string_of_int i
       | Ndbl f -> float_to_string f
-      | Nnone | Nmaybe -> "" (* unreachable: s = None implies numeric *)
+      | Nnone | Nmaybe -> "" (* unreachable: unrendered implies numeric *)
     in
-    t.s <- Some s;
+    t.s <- s;
     s
 
 (* Characters the quick test below leaves to the full parse:
@@ -107,12 +113,12 @@ let num t =
   | n -> n
 
 let set_string t s =
-  t.s <- Some s;
+  t.s <- s;
   t.n <- Nmaybe;
   t.l <- None
 
 let set_int t i =
-  t.s <- None;
+  t.s <- unrendered;
   t.n <- Nint i;
   t.l <- None
 

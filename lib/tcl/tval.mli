@@ -8,11 +8,9 @@
 
 type num = Nnone | Nmaybe | Nint of int | Ndbl of float
 
-type t = {
-  mutable s : string option;
-  mutable n : num;
-  mutable l : string list option;
-}
+type t
+(** A mutable value cell: its string rep, kept unboxed once rendered,
+    and its cached numeric and list reps. *)
 
 val of_string : string -> t
 val of_int : int -> t

@@ -40,8 +40,10 @@ type 'f code = {
 }
 
 and 'f insn =
-  | Ivk of { vwords : 'f vword list; orig : Compile.command }
-      (** substitute the words, dispatch normally *)
+  | Ivk of { vwords : 'f vword list; text : string }
+      (** substitute the words, dispatch normally; [text] is the
+          command's source, quoted by the errorInfo trace.  A generic
+          invoke never deopts, so it keeps no {!Compile.command} *)
   | Iset of { dst : 'f vref; value : 'f vword option; orig : Compile.command }
   | Iincr of { dst : 'f vref; by : 'f amount; orig : Compile.command }
   | Iexpr of { e : 'f vexpr; orig : Compile.command }
@@ -75,7 +77,8 @@ and 'f items = Lconst of string list | Lword of 'f vword
 and 'f vword =
   | Wlit of Tval.t
       (** literal word as a shared dual-ported value: its numeric/list
-          reps, parsed once at first use, persist across executions *)
+          reps, parsed once at first use, persist across executions.
+          One lowering makes one per distinct literal string *)
   | Wvar of 'f vref
   | Wvcmd of 'f code  (** a whole-word [\[...\]] substitution *)
   | Wexpr of { e : 'f vexpr; code : 'f code; orig : Compile.command }
@@ -112,36 +115,49 @@ and 'f vexpr =
 (* ------------------------------------------------------------------ *)
 (* Lowering *)
 
-type lstate = {
+type 'f lstate = {
   compile : string -> Compile.program;
       (* braced bodies and bracketed scripts are compiled through the
          interpreter's counted compiler so the pass shows up in
          tcl.compile.* like any other compilation *)
   alloc : bool;  (* procedure context: new names may claim slots *)
-  tbl : (string, int) Hashtbl.t;
   mutable names : string list;  (* allocated slot names, reversed *)
   mutable count : int;
+  lits : (string, 'f vword) Hashtbl.t;
+      (* one [Wlit] per distinct literal string, shared by every word of
+         this lowering that spells it (Tcl's literal table): a literal
+         value is never written, only its rep caches are filled, and a
+         word bound into a variable is a copy *)
 }
 
 (* Slots are scanned linearly by name on the slow path; keep the table
    small enough that the scan stays cheap. *)
 let max_slots = 32
 
+(* The slot already given to [name]: [names] lists slots [count - 1]
+   down to 0. *)
+let find_slot st name =
+  let rec go i = function
+    | [] -> None
+    | n :: rest -> if String.equal n name then Some i else go (i - 1) rest
+  in
+  go (st.count - 1) st.names
+
+let add_slot st name =
+  let i = st.count in
+  st.count <- i + 1;
+  st.names <- name :: st.names;
+  i
+
 let ref_of st name =
   (* Array references (and any name that could be one) resolve by name:
      arrays always live in the frame hashtable. *)
   if String.contains name '(' then Rname (name, ref None)
   else
-    match Hashtbl.find_opt st.tbl name with
+    match find_slot st name with
     | Some i -> Rslot (i, name)
     | None ->
-      if st.alloc && st.count < max_slots then begin
-        let i = st.count in
-        st.count <- st.count + 1;
-        Hashtbl.add st.tbl name i;
-        st.names <- name :: st.names;
-        Rslot (i, name)
-      end
+      if st.alloc && st.count < max_slots then Rslot (add_slot st name, name)
       else Rname (name, ref None)
 
 let lit = function Compile.W_lit s -> Some s | _ -> None
@@ -156,12 +172,17 @@ let all_lits words =
 
 let rec lower_word st (w : Compile.word) =
   match w with
-  | Compile.W_lit s ->
-    (* Prime the numeric rep now: every copy bound from this literal
-       then carries it, so "fib 28" never re-parses the 28. *)
-    let tv = Tval.of_string s in
-    ignore (Tval.num tv);
-    Wlit tv
+  | Compile.W_lit s -> (
+    match Hashtbl.find_opt st.lits s with
+    | Some w -> w
+    | None ->
+      (* Prime the numeric rep now: every copy bound from this literal
+         then carries it, so "fib 28" never re-parses the 28. *)
+      let tv = Tval.of_string s in
+      ignore (Tval.num tv);
+      let w = Wlit tv in
+      Hashtbl.add st.lits s w;
+      w)
   | Compile.W_parts [ Compile.Var name ] -> Wvar (ref_of st name)
   | Compile.W_parts [ Compile.Cmd prog ] -> (
     let code = lower_prog st prog in
@@ -186,10 +207,13 @@ and lower_body st src = lower_prog st (st.compile src)
 and lower_command st (c : Compile.command) =
   match c.words with
   | Compile.W_lit name :: rest -> lower_named st c name rest
-  | _ -> Ivk { vwords = List.map (lower_word st) c.words; orig = c }
+  | _ -> lower_ivk st c
+
+and lower_ivk st (c : Compile.command) =
+  Ivk { vwords = List.map (lower_word st) c.words; text = c.text }
 
 and lower_named st c name rest =
-  let ivk () = Ivk { vwords = List.map (lower_word st) c.words; orig = c } in
+  let ivk () = lower_ivk st c in
   match (name, rest) with
   | "set", [ n ] -> (
     match lit n with
@@ -215,7 +239,7 @@ and lower_named st c name rest =
              executor reports the runtime parse error verbatim. *)
           match int_of_string_opt (String.trim s) with
           | Some i -> Aconst i
-          | None -> Aword (Wlit (Tval.of_string s)))
+          | None -> Aword (lower_word st b))
         | None -> Aword (lower_word st b)
       in
       Iincr { dst = ref_of st n; by; orig = c })
@@ -323,27 +347,21 @@ and lower_ast st (a : Expr.ast) =
     Xternary (lower_ast st c, lower_ast st a, lower_ast st b)
   | Expr.A_func (name, args) -> Xfunc (name, List.map (lower_ast st) args)
 
-let lower ~compile prog =
-  let st =
-    { compile; alloc = false; tbl = Hashtbl.create 8; names = []; count = 0 }
-  in
-  lower_prog st prog
+(* The literal table lives as long as one lowering. *)
+let lstate ~compile ~alloc =
+  { compile; alloc; names = []; count = 0; lits = Hashtbl.create 16 }
+
+let lower ~compile prog = lower_prog (lstate ~compile ~alloc:false) prog
 
 let lower_proc ~compile ~formals prog =
-  let st =
-    { compile; alloc = true; tbl = Hashtbl.create 8; names = []; count = 0 }
-  in
+  let st = lstate ~compile ~alloc:true in
   List.iter
     (fun f ->
       if
         (not (String.contains f '('))
-        && (not (Hashtbl.mem st.tbl f))
+        && find_slot st f = None
         && st.count < max_slots
-      then begin
-        Hashtbl.add st.tbl f st.count;
-        st.names <- f :: st.names;
-        st.count <- st.count + 1
-      end)
+      then ignore (add_slot st f))
     formals;
   let code = lower_prog st prog in
   { code with locals = Array.of_list (List.rev st.names) }

@@ -33,7 +33,12 @@ type 'f code = {
 }
 
 and 'f insn =
-  | Ivk of { vwords : 'f vword list; orig : Compile.command }
+  | Ivk of { vwords : 'f vword list; text : string }
+      (** generic invoke: substitute the words, dispatch the command.
+          It never deopts, so it keeps only the command's source [text]
+          for the errorInfo trace, not its {!Compile.command}; the
+          inlined opcodes below keep [orig] because a deopt rebuilds
+          their words from it *)
   | Iset of { dst : 'f vref; value : 'f vword option; orig : Compile.command }
   | Iincr of { dst : 'f vref; by : 'f amount; orig : Compile.command }
   | Iexpr of { e : 'f vexpr; orig : Compile.command }
@@ -67,7 +72,10 @@ and 'f items = Lconst of string list | Lword of 'f vword
 and 'f vword =
   | Wlit of Tval.t
       (** literal word as a shared dual-ported value (numeric/list reps
-          parsed once, persist across executions) *)
+          parsed once, persist across executions). One lowering makes
+          one [Wlit] per distinct literal string and every word that
+          spells it shares it: the executor never writes a literal
+          value, only fills its rep caches, and binds a copy *)
   | Wvar of 'f vref
   | Wvcmd of 'f code
   | Wexpr of { e : 'f vexpr; code : 'f code; orig : Compile.command }

@@ -149,6 +149,16 @@ let differential_scripts =
     "set x \\$y";
     "set a 1; set x [set a]b";
     "set x {a}b";
+    (* one lowering shares one value per distinct literal: giving a
+       shared literal a numeric, list or string rep, or binding and
+       mutating a copy of it, must not change any other word that
+       spells it, and an error still quotes its own command's text *)
+    "set a 10; list $a [llength 10] [expr {10 + 1}] [string length 10]";
+    "proc p {x} {append x !; set x}; list [p abc] [p abc] abc";
+    "set l {a b}; lappend l c; list $l {a b} [llength {a b}] [lindex {a b} 1]";
+    "set n 5; incr n; list $n 5";
+    "llength {a b}; llength {a b} c";
+    "set set 1; set set";
   ]
 
 let differential_tests =
@@ -450,6 +460,36 @@ let first_run_tests =
         check_bool
           (Printf.sprintf "%.0f minor words per command" per_command)
           true (per_command <= 250.0) );
+    ( "a cached generic command holds at most 45 words",
+      fun () ->
+        (* A set-up script like a canvas app's: distinct lines over a
+           lattice of coordinates, each a generic invoke.  What the cache
+           releases is what the script's entry holds: its commands' texts,
+           word lists and literal values, not the source, which is kept. *)
+        let lines = 1000 in
+        let src =
+          String.concat ""
+            (List.init lines (fun k ->
+                 let x = k mod 100 * 24 and y = k / 100 * 24 in
+                 Printf.sprintf "r create rectangle %d %d %d %d\n" x y (x + 6)
+                   (y + 4)))
+        in
+        let tcl = new_interp ~compile:true () in
+        ignore (run tcl "proc r args {}");
+        Tcl.Interp.clear_compile_caches tcl;
+        ignore (run tcl src);
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        let cached = live () in
+        Tcl.Interp.clear_compile_caches tcl;
+        let per_command = float (cached - live ()) /. float lines in
+        ignore (Sys.opaque_identity src);
+        check_int "commands run" (lines + 1) (Tcl.Interp.command_count tcl);
+        check_bool
+          (Printf.sprintf "%.1f cached words per command" per_command)
+          true (per_command <= 45.0) );
   ]
 
 let tc name f = Alcotest.test_case name `Quick f

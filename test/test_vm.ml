@@ -268,6 +268,12 @@ let gword c =
         G.map2 (Printf.sprintf "\"<$%s>[string length $%s]\"") (gvar c) (gvar c)
       );
       (1, G.map (Printf.sprintf "[expr {$%s * 2}]") (gvar c));
+      (* literals that the words above also spell, given list, string and
+         numeric reps before a later statement binds and mutates them *)
+      ( 2,
+        G.oneofl
+          [ "[llength {a b}]"; "[lindex {a b} 1]"; "[string length 2.5]";
+            "[expr {2.5 + 1}]" ] );
     ]
 
 let inlined_builtins =
@@ -296,6 +302,11 @@ let gleaf c loop =
         ( 2,
           map3 (Printf.sprintf "set %s [%s %s]") (gvar c) (oneofl procs)
             (gvar c) );
+        (* p0's second formal, which its body may write, bound from any
+           word, literals included *)
+        ( 1,
+          map3 (Printf.sprintf "set %s [p0 %s %s]") (gvar c) (gvar c)
+            (gword c) );
       ]
   in
   let flow =
