@@ -30,7 +30,8 @@
 
    - The errorInfo trace quotes the command's source text verbatim
      (including a trailing semicolon, which [String.trim] preserves), so
-     each compiled command carries that exact substring. *)
+     each compiled command records where that text starts and ends; the
+     text itself is cut from the source only when an error is traced. *)
 
 type part =
   | Lit of string  (** static text, backslash sequences already applied *)
@@ -48,8 +49,10 @@ and word =
 
 and command = {
   words : word list;  (** empty for a blank command (resets the result) *)
-  text : string;  (** exact source text, for the errorInfo trace *)
   pos : int;  (** offset of the command's first word within the source *)
+  stop : int;
+      (** offset just past the command's text: [\[pos, stop)] is what the
+          errorInfo trace quotes, terminator included *)
   wpos : int list;  (** offset of each word's start, parallel to [words] *)
 }
 
@@ -287,11 +290,7 @@ and compile_command src n pos0 ~bracket =
       | W_stop w -> (List.rev (w :: acc), List.rev (p :: pacc), n, true)
   in
   let ws, wps, next, failed = words pos0 [] [] in
-  let stop = min next n in
-  ( { words = ws; text = String.sub src pos0 (stop - pos0); pos = pos0;
-      wpos = wps },
-    next,
-    failed )
+  ({ words = ws; pos = pos0; stop = min next n; wpos = wps }, next, failed)
 
 (* Mirrors Interp.eval_loop's scan over commands. *)
 and compile_script src n pos ~bracket acc =

@@ -32,8 +32,10 @@ and word =
 
 and command = {
   words : word list;
-  text : string;  (** exact source text, quoted by the errorInfo trace *)
   pos : int;  (** offset of the command's first word within the source *)
+  stop : int;
+      (** offset just past the command's text, its terminator included:
+          the errorInfo trace quotes the source's [\[pos, stop)] *)
   wpos : int list;  (** offset of each word's start, parallel to [words] *)
 }
 

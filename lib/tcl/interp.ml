@@ -774,10 +774,12 @@ let add_channel t c =
 
    Compilation and lowering are purely syntactic (see Compile and Vm),
    so an entry never goes stale and is keyed by the source string
-   alone. A full table drops its oldest entry, in insertion order: a hot
-   text pays one recompile per [cache_limit] misses, a hit does no
-   bookkeeping, and a miss no scan. The table stays full, so the memory
-   it holds does not depend on how many misses came before. *)
+   alone. The code points into that key (its [src] is the key itself),
+   so an entry keeps no copy of its text. A full table drops its oldest
+   entry, in insertion order: a hot text pays one recompile per
+   [cache_limit] misses, a hit does no bookkeeping, and a miss no scan.
+   The table stays full, so the memory it holds does not depend on how
+   many misses came before. *)
 
 let cache_limit = 512
 
@@ -798,7 +800,7 @@ let script_code t src =
       t.stats.script_evictions <- t.stats.script_evictions + 1;
       Hashtbl.remove t.script_cache (Queue.pop t.script_order)
     end;
-    let code = Vm.lower ~compile:(compile_counted t) (compile_counted t src) in
+    let code = Vm.lower ~compile:(compile_counted t) src in
     t.vm.v_compiled <- t.vm.v_compiled + 1;
     Hashtbl.add t.script_cache src code;
     Queue.push src t.script_order;
@@ -1457,8 +1459,8 @@ and exec_vm t (want : wantv) (code : frame Vm.code) =
       t.depth <- t.depth + 1;
       match
         let insns = code.Vm.insns in
-        if Array.length insns = 1 then exec_vinsn t want insns.(0)
-        else exec_vinsns t insns 0 want (Tcl_ok, "")
+        if Array.length insns = 1 then exec_vinsn t want code.Vm.src insns.(0)
+        else exec_vinsns t code.Vm.src insns 0 want (Tcl_ok, "")
       with
       | res ->
         t.depth <- t.depth - 1;
@@ -1468,12 +1470,12 @@ and exec_vm t (want : wantv) (code : frame Vm.code) =
         raise e)
   end
 
-and exec_vinsns t insns i want last =
+and exec_vinsns t src insns i want last =
   let n = Array.length insns in
   if i >= n then last
   else
-    match exec_vinsn t (if i = n - 1 then want else Vdiscard) insns.(i) with
-    | (Tcl_ok, _) as res -> exec_vinsns t insns (i + 1) want res
+    match exec_vinsn t (if i = n - 1 then want else Vdiscard) src insns.(i) with
+    | (Tcl_ok, _) as res -> exec_vinsns t src insns (i + 1) want res
     | res -> res
 
 (* The value cell directly bound to [name] in frame [f], if any: a
@@ -1570,7 +1572,7 @@ and vexpr_cmd_operand t code =
        delivery (inactive). *)
     t.depth <- t.depth + 1;
     t.vm_xval <- None;
-    match exec_vinsn t Vtyped insns.(0) with
+    match exec_vinsn t Vtyped code.Vm.src insns.(0) with
     | Tcl_ok, v -> (
       t.depth <- t.depth - 1;
       match t.vm_xval with
@@ -1721,8 +1723,8 @@ and vsubst_word t (w : frame Vm.vword) =
   | Vm.Wlit tv -> Tval.to_string tv
   | Vm.Wvar r -> vref_get t r
   | Vm.Wvcmd code -> vsubst_cmd t code
-  | Vm.Wexpr { e; code; orig } ->
-    if t.vm_canon then Expr.to_string (wexpr_val t e orig)
+  | Vm.Wexpr { e; code; span } ->
+    if t.vm_canon then Expr.to_string (wexpr_val t e code span)
     else vsubst_cmd t code
   | Vm.Wcat parts ->
     let buf = Buffer.create 16 in
@@ -1766,7 +1768,7 @@ and vsubst_wordv t (w : frame Vm.vword) : Tval.t =
       | Some v -> Tval.of_string v
       | None -> failf "can't read \"%s\": no such variable" name))
   | Vm.Wvcmd code -> Tval.of_string (vsubst_cmd t code)
-  | Vm.Wexpr { e; code; orig } ->
+  | Vm.Wexpr { e; code; span } ->
     if t.vm_canon then (
       match e with
       | Vm.Xbinop ((("+" | "-" | "*") as op), Vm.Xvar r, Vm.Xconst (Expr.Int k))
@@ -1782,9 +1784,9 @@ and vsubst_wordv t (w : frame Vm.vword) : Tval.t =
             t.cmd_count <- t.cmd_count + 1;
             Tval.of_int
               (match op with "+" -> i + k | "-" -> i - k | _ -> i * k)
-          | _ -> tval_of_value (wexpr_val t e orig))
-        | exception Vm_unbound -> tval_of_value (wexpr_val t e orig))
-      | _ -> tval_of_value (wexpr_val t e orig))
+          | _ -> tval_of_value (wexpr_val t e code span))
+        | exception Vm_unbound -> tval_of_value (wexpr_val t e code span))
+      | _ -> tval_of_value (wexpr_val t e code span))
     else Tval.of_string (vsubst_cmd t code)
   | Vm.Wcat _ | Vm.Wfail _ -> Tval.of_string (vsubst_word t w)
 
@@ -1800,7 +1802,7 @@ and tval_of_value (v : Expr.value) =
    inlined: same depth accounting, same guard deliveries, same command
    count, same traces — word substitution always runs at depth >= 1, so
    exec_vm's depth-0 reset can never fire here. *)
-and wexpr_val t (e : frame Vm.vexpr) (orig : Compile.command) : Expr.value =
+and wexpr_val t (e : frame Vm.vexpr) code span : Expr.value =
   if t.depth > t.recursionlimit then begin
     t.guard.g_recursion_exceeded <- t.guard.g_recursion_exceeded + 1;
     raise (Propagate (Tcl_error, "too many nested evaluations (infinite loop?)"))
@@ -1809,7 +1811,7 @@ and wexpr_val t (e : frame Vm.vexpr) (orig : Compile.command) : Expr.value =
   | Some msg -> raise (Propagate (Tcl_error, msg))
   | None -> ());
   t.depth <- t.depth + 1;
-  match inline_gate t orig.Compile.text with
+  match inline_gate t code.Vm.src span with
   | Some msg ->
     t.depth <- t.depth - 1;
     raise (Propagate (Tcl_error, msg))
@@ -1822,15 +1824,16 @@ and wexpr_val t (e : frame Vm.vexpr) (orig : Compile.command) : Expr.value =
       t.depth <- t.depth - 1;
       (match exn with
       | Tcl_failure msg | Expr.Error msg ->
-        trace_error t ~command:orig.Compile.text msg;
+        trace_span t code.Vm.src span msg;
         raise (Propagate (Tcl_error, msg))
       | exn -> raise exn))
 
-and vsubst_wordsv t ws acc =
-  match ws with
-  | [] -> List.rev acc
-  | [ w ] when acc == [] -> [ vsubst_wordv t w ]
-  | w :: rest -> vsubst_wordsv t rest (vsubst_wordv t w :: acc)
+(* Words [i] onward of a command, substituted left to right. *)
+and vsubst_wordsv t (ws : frame Vm.vword array) i =
+  if i >= Array.length ws then []
+  else
+    let v = vsubst_wordv t ws.(i) in
+    v :: vsubst_wordsv t ws (i + 1)
 
 (* A substitution failure before dispatch: errorInfo starts with the
    bare message, exactly as parse_and_run's handler does. *)
@@ -1841,71 +1844,77 @@ and subst_fail t msg =
   end;
   (Tcl_error, msg)
 
-(* Dispatch a command's substituted words; an error is traced with the
-   command's source [text], all that an [Ivk] keeps of its command. *)
-and dispatch_words t want words text =
+(* One level of errorInfo for the command at [span] in [src]: its text
+   is cut out of the source only now, when an error is traced. *)
+and trace_span t src span msg = trace_error t ~command:(Vm.text src span) msg
+
+(* Dispatch a command's substituted words, tracing an error with the
+   command's text. *)
+and dispatch_words t want words src span =
   match invoke_vm t want words with
   | (Tcl_error, v) as res ->
-    trace_error t ~command:text v;
+    trace_span t src span v;
     res
   | res -> res
 
 (* An inlined opcode whose builtin is no longer canonical dispatches
-   the generic command it was lowered from, as an [Ivk] would; this is
-   why the inlined opcodes keep their [Compile.command] and an [Ivk]
-   only its text.  The words are [orig]'s literal words plus [arg], the
-   value the opcode already substituted for its one non-literal word (a
-   set/return value, an incr amount, a foreach list), so nothing is
-   substituted twice and no bracketed script is compiled again.
-   Opcodes with such a word substitute it before they test [vm_canon]:
-   the reference evaluator looks a command up only after substituting
-   its words, so a substitution that shadows the builtin must reach the
-   shadow.  The lowerer guarantees [arg] is present whenever [orig] has
-   a non-literal word. *)
-and deopt t want (orig : Compile.command) (arg : Tval.t option) =
+   the generic command it was lowered from, as an [Ivk] would.  Lowered
+   code keeps no compiled form of its commands, so the command's text
+   is compiled again for its words (counted like any compilation): its
+   literal words, plus [arg], the value the opcode already substituted
+   for its one non-literal word (a set/return value, an incr amount, a
+   foreach list), so nothing is substituted twice.  Opcodes with such a
+   word substitute it before they test [vm_canon]: the reference
+   evaluator looks a command up only after substituting its words, so a
+   substitution that shadows the builtin must reach the shadow.  The
+   lowerer guarantees [arg] is present whenever the command has a
+   non-literal word. *)
+and deopt t want src span (arg : Tval.t option) =
   t.vm.v_deopts <- t.vm.v_deopts + 1;
+  (* The text is one whole command, so it compiles to that command. *)
+  let cmd = List.hd (compile_counted t (Vm.text src span)) in
   let word = function
     | Compile.W_lit s -> Tval.of_string s
     | Compile.W_parts _ | Compile.W_fail _ -> Option.get arg
   in
-  dispatch_words t want (List.map word orig.Compile.words) orig.Compile.text
+  dispatch_words t want (List.map word cmd.Compile.words) src span
 
 (* Run an inlined structural command with the same guard delivery,
    command accounting and error tracing a dispatched command gets from
    invoke + parse_and_run. *)
-and run_inline t ~text f =
+and run_inline t src span f =
   match if t.guard_active then guard_check t ~spend:true else None with
   | Some msg ->
-    trace_error t ~command:text msg;
+    trace_span t src span msg;
     (Tcl_error, msg)
   | None -> (
     t.cmd_count <- t.cmd_count + 1;
     match f () with
     | (Tcl_error, v) as res ->
-      trace_error t ~command:text v;
+      trace_span t src span v;
       res
     | res -> res
     | exception Tcl_failure msg ->
-      trace_error t ~command:text msg;
+      trace_span t src span msg;
       (Tcl_error, msg)
     | exception Expr.Error msg ->
-      trace_error t ~command:text msg;
+      trace_span t src span msg;
       (Tcl_error, msg))
 
 (* Closure-free slice of run_inline for the hot opcodes: delivers the
    guard (spending) and counts the command; Some msg is an already
    traced refusal.  The caller must trace its own errors. *)
-and inline_gate t text =
+and inline_gate t src span =
   match if t.guard_active then guard_check t ~spend:true else None with
   | Some msg ->
-    trace_error t ~command:text msg;
+    trace_span t src span msg;
     Some msg
   | None ->
     t.cmd_count <- t.cmd_count + 1;
     None
 
-and inline_fail t text msg =
-  trace_error t ~command:text msg;
+and inline_fail t src span msg =
+  trace_span t src span msg;
   (Tcl_error, msg)
 
 and incr_bad_value (dst : frame Vm.vref) s =
@@ -1936,16 +1945,16 @@ and vm_incr_apply t want (dst : frame Vm.vref) amount =
       (Tcl_ok, v)
     | None -> incr_bad_value dst s)
 
-and vm_incr t want dst amount orig =
-  match inline_gate t orig.Compile.text with
+and vm_incr t want src span dst amount =
+  match inline_gate t src span with
   | Some msg -> (Tcl_error, msg)
   | None -> (
     match vm_incr_apply t want dst amount with
     | res -> res
-    | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg)
+    | exception Tcl_failure msg -> inline_fail t src span msg)
 
-and vm_incr_word t want dst s orig =
-  match inline_gate t orig.Compile.text with
+and vm_incr_word t want src span dst s =
+  match inline_gate t src span with
   | Some msg -> (Tcl_error, msg)
   | None -> (
     match
@@ -1955,7 +1964,7 @@ and vm_incr_word t want dst s orig =
       | None -> failf "expected integer but got \"%s\" (reading increment)" s
     with
     | res -> res
-    | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg)
+    | exception Tcl_failure msg -> inline_fail t src span msg)
 
 (* Structural loop/branch bodies, lifted out of exec_vinsn so the hot
    opcodes don't allocate a local closure per execution. *)
@@ -1982,7 +1991,7 @@ and vm_exec_block t want (code : frame Vm.code) =
     && t.depth <= t.recursionlimit
   then begin
     t.depth <- t.depth + 1;
-    match exec_vinsn t want insns.(0) with
+    match exec_vinsn t want code.Vm.src insns.(0) with
     | res ->
       t.depth <- t.depth - 1;
       res
@@ -2011,9 +2020,9 @@ and vm_for_loop t cond next body =
     | res -> res)
   else (Tcl_ok, "")
 
-and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
+and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
   match insn with
-  | Vm.Ivk { vwords = [ Vm.Wlit nametv; w1 ]; text } -> (
+  | Vm.Ivk { vwords = [| Vm.Wlit nametv; w1 |]; span } -> (
     (* One-argument call to a literal name (`cmd $x`, `fib [expr ...]`):
        dispatch without materializing the words list. *)
     match vsubst_wordv t w1 with
@@ -2022,49 +2031,49 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
     | v1 -> (
       match invoke_vm1 t want nametv v1 with
       | (Tcl_error, v) as res ->
-        trace_error t ~command:text v;
+        trace_span t src span v;
         res
       | res -> res))
-  | Vm.Ivk { vwords; text } -> (
+  | Vm.Ivk { vwords = [||]; _ } -> (Tcl_ok, "")
+  | Vm.Ivk { vwords; span } -> (
     match
       (* A literal command-name word is passed shared, not copied: the
          callee never binds the head (procs bind the tail, builtins
          take string copies), and keeping the same physical string rep
          preserves the one-entry dispatch-cache hit. *)
-      match vwords with
-      | Vm.Wlit nametv :: rest -> nametv :: vsubst_wordsv t rest []
-      | _ -> vsubst_wordsv t vwords []
+      match vwords.(0) with
+      | Vm.Wlit nametv -> nametv :: vsubst_wordsv t vwords 1
+      | _ -> vsubst_wordsv t vwords 0
     with
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
-    | [] -> (Tcl_ok, "")
-    | words -> dispatch_words t want words text)
-  | Vm.Iset { dst; value = None; orig } ->
-    if not t.vm_canon then deopt t want orig None
+    | words -> dispatch_words t want words src span)
+  | Vm.Iset { dst; value = None; span } ->
+    if not t.vm_canon then deopt t want src span None
     else (
-      match inline_gate t orig.Compile.text with
+      match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
       | None -> (
         match vref_get t dst with
         | v -> (Tcl_ok, v)
-        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg))
-  | Vm.Iset { dst; value = Some w; orig } -> (
+        | exception Tcl_failure msg -> inline_fail t src span msg))
+  | Vm.Iset { dst; value = Some w; span } -> (
     match vsubst_word t w with
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
     | v ->
-      if not t.vm_canon then deopt t want orig (Some (Tval.of_string v))
+      if not t.vm_canon then deopt t want src span (Some (Tval.of_string v))
       else (
-        match inline_gate t orig.Compile.text with
+        match inline_gate t src span with
         | Some msg -> (Tcl_error, msg)
         | None -> (
           match vref_set t dst v with
           | () -> (Tcl_ok, v)
-          | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg)))
-  | Vm.Iincr { dst; by = Vm.Aconst amount; orig } ->
-    if not t.vm_canon then deopt t want orig None
-    else vm_incr t want dst amount orig
-  | Vm.Iincr { dst; by = Vm.Aword (Vm.Wvar r as w); orig } when t.vm_canon
+          | exception Tcl_failure msg -> inline_fail t src span msg)))
+  | Vm.Iincr { dst; by = Vm.Aconst amount; span } ->
+    if not t.vm_canon then deopt t want src span None
+    else vm_incr t want src span dst amount
+  | Vm.Iincr { dst; by = Vm.Aword (Vm.Wvar r as w); span } when t.vm_canon
     -> (
     (* Pull the increment straight from the variable's cached int rep
        (a read cannot change canonicity, so testing first is safe);
@@ -2075,24 +2084,24 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
     match vref_cell t r with
     | cell -> (
       match Tval.num cell with
-      | Tval.Nint amount -> vm_incr t want dst amount orig
-      | _ -> vm_incr_word t want dst (Tval.to_string cell) orig)
+      | Tval.Nint amount -> vm_incr t want src span dst amount
+      | _ -> vm_incr_word t want src span dst (Tval.to_string cell))
     | exception Vm_unbound -> (
       match vsubst_word t w with
-      | s -> vm_incr_word t want dst s orig
+      | s -> vm_incr_word t want src span dst s
       | exception Propagate (status, v) -> (status, v)
       | exception Tcl_failure msg -> subst_fail t msg))
-  | Vm.Iincr { dst; by = Vm.Aword w; orig } -> (
+  | Vm.Iincr { dst; by = Vm.Aword w; span } -> (
     match vsubst_word t w with
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
     | s ->
-      if not t.vm_canon then deopt t want orig (Some (Tval.of_string s))
-      else vm_incr_word t want dst s orig)
-  | Vm.Iexpr { e; orig } ->
-    if not t.vm_canon then deopt t want orig None
+      if not t.vm_canon then deopt t want src span (Some (Tval.of_string s))
+      else vm_incr_word t want src span dst s)
+  | Vm.Iexpr { e; span } ->
+    if not t.vm_canon then deopt t want src span None
     else (
-      match inline_gate t orig.Compile.text with
+      match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
       | None -> (
         match eval_vexpr t e with
@@ -2110,38 +2119,38 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
               t.vm_xval <- Some v;
               (Tcl_ok, "")
             | Expr.Str _ -> (Tcl_ok, Expr.to_string v)))
-        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
-        | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
-  | Vm.Iif { arms; els; orig } ->
-    if not t.vm_canon then deopt t want orig None
+        | exception Tcl_failure msg -> inline_fail t src span msg
+        | exception Expr.Error msg -> inline_fail t src span msg))
+  | Vm.Iif { arms; els; span } ->
+    if not t.vm_canon then deopt t want src span None
     else (
-      match inline_gate t orig.Compile.text with
+      match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
       | None -> (
         match vm_if_arms t want arms els with
         | (Tcl_error, v) as res ->
-          trace_error t ~command:orig.Compile.text v;
+          trace_span t src span v;
           res
         | res -> res
-        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
-        | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
-  | Vm.Iwhile { cond; body; orig } ->
-    if not t.vm_canon then deopt t want orig None
+        | exception Tcl_failure msg -> inline_fail t src span msg
+        | exception Expr.Error msg -> inline_fail t src span msg))
+  | Vm.Iwhile { cond; body; span } ->
+    if not t.vm_canon then deopt t want src span None
     else (
-      match inline_gate t orig.Compile.text with
+      match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
       | None -> (
         match vm_while_loop t cond body with
         | (Tcl_error, v) as res ->
-          trace_error t ~command:orig.Compile.text v;
+          trace_span t src span v;
           res
         | res -> res
-        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
-        | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
-  | Vm.Ifor { init; cond; next; body; orig } ->
-    if not t.vm_canon then deopt t want orig None
+        | exception Tcl_failure msg -> inline_fail t src span msg
+        | exception Expr.Error msg -> inline_fail t src span msg))
+  | Vm.Ifor { init; cond; next; body; span } ->
+    if not t.vm_canon then deopt t want src span None
     else (
-      match inline_gate t orig.Compile.text with
+      match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
       | None -> (
         match
@@ -2150,12 +2159,12 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
           | _ -> vm_for_loop t cond next body
         with
         | (Tcl_error, v) as res ->
-          trace_error t ~command:orig.Compile.text v;
+          trace_span t src span v;
           res
         | res -> res
-        | exception Tcl_failure msg -> inline_fail t orig.Compile.text msg
-        | exception Expr.Error msg -> inline_fail t orig.Compile.text msg))
-  | Vm.Iforeach { dst; items; body; orig } -> (
+        | exception Tcl_failure msg -> inline_fail t src span msg
+        | exception Expr.Error msg -> inline_fail t src span msg))
+  | Vm.Iforeach { dst; items; body; span } -> (
     match
       match items with
       | Vm.Lconst l -> `List l
@@ -2164,10 +2173,10 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
     | `Raw s when not t.vm_canon ->
-      deopt t want orig (Some (Tval.of_string s))
-    | `List _ when not t.vm_canon -> deopt t want orig None
+      deopt t want src span (Some (Tval.of_string s))
+    | `List _ when not t.vm_canon -> deopt t want src span None
     | items ->
-      run_inline t ~text:orig.Compile.text (fun () ->
+      run_inline t src span (fun () ->
           match
             match items with
             | `List l -> Stdlib.Ok l
@@ -2185,28 +2194,28 @@ and exec_vinsn t (want : wantv) (insn : frame Vm.insn) =
                 | res -> res)
             in
             go elements))
-  | Vm.Ireturn { value = None; orig } ->
-    if not t.vm_canon then deopt t want orig None
+  | Vm.Ireturn { value = None; span } ->
+    if not t.vm_canon then deopt t want src span None
     else (
-      match inline_gate t orig.Compile.text with
+      match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
       | None -> (Tcl_return, ""))
-  | Vm.Ireturn { value = Some w; orig } -> (
+  | Vm.Ireturn { value = Some w; span } -> (
     match vsubst_word t w with
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
     | v -> (
-      if not t.vm_canon then deopt t want orig (Some (Tval.of_string v))
+      if not t.vm_canon then deopt t want src span (Some (Tval.of_string v))
       else
-        match inline_gate t orig.Compile.text with
+        match inline_gate t src span with
         | Some msg -> (Tcl_error, msg)
         | None -> (Tcl_return, v)))
-  | Vm.Ibreak { orig } ->
-    if not t.vm_canon then deopt t want orig None
-    else run_inline t ~text:orig.Compile.text (fun () -> (Tcl_break, ""))
-  | Vm.Icontinue { orig } ->
-    if not t.vm_canon then deopt t want orig None
-    else run_inline t ~text:orig.Compile.text (fun () -> (Tcl_continue, ""))
+  | Vm.Ibreak { span } ->
+    if not t.vm_canon then deopt t want src span None
+    else run_inline t src span (fun () -> (Tcl_break, ""))
+  | Vm.Icontinue { span } ->
+    if not t.vm_canon then deopt t want src span None
+    else run_inline t src span (fun () -> (Tcl_continue, ""))
 
 (* Lowered code for a procedure body, built on first VM call and cached
    on the proc record (a redefinition installs a fresh record). *)
@@ -2217,7 +2226,7 @@ and proc_vm_code t p =
     let code =
       Vm.lower_proc ~compile:(compile_counted t)
         ~formals:(List.map fst p.formals)
-        (compile_counted t p.body)
+        p.body
     in
     t.vm.v_compiled <- t.vm.v_compiled + 1;
     p.pvm <- Some code;

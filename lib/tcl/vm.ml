@@ -16,12 +16,21 @@
    actually bypass dispatch is the *executor's* decision (the
    interpreter tracks whether the ten structural builtins are still
    canonical, and otherwise dispatches the opcode's command like an
-   [Ivk], its words being [orig]'s literals plus the value of the one
-   word the opcode substitutes itself).  Multi-part words lower too, so
-   the VM is the one compiled tier: nothing in a lowered program falls
-   back to interpreting [Compile] words.  The executor lives in
-   {!Interp}; the types are parametric over the frame representation
-   ['f] to keep this module free of interpreter internals. *)
+   [Ivk]).  Multi-part words lower too, so the VM is the one compiled
+   tier: nothing in a lowered program falls back to interpreting
+   [Compile] words.
+
+   Lowered code points into its source instead of copying from it: a
+   [code] holds the string it was lowered from once, and an instruction
+   only its command's {!span} in that string.  The command's text is cut
+   out when an error trace or a guard refusal quotes it, and a deopt
+   compiles that text again for the command's words (Tcl 8 likewise
+   recompiles bytecode when a compiled builtin is redefined).  Neither
+   is on the path a running program takes: the text is read only when a
+   command fails, and a deopt happens only after a structural builtin is
+   redefined.  The executor lives in {!Interp}; the types are parametric
+   over the frame representation ['f] to keep this module free of
+   interpreter internals. *)
 
 type 'f cache = ('f * int * Tval.t) option ref
 (** One-entry inline cache for a by-name variable reference: the frame
@@ -32,43 +41,56 @@ type 'f vref =
   | Rslot of int * string  (** procedure local: slot index + name *)
   | Rname of string * 'f cache  (** by-name with inline cache *)
 
+(* A command's offset and length in its code's source, packed into one
+   immediate int (the offset above bit 31, the length below), so an
+   instruction spends one word on where its command is. *)
+type span = int
+
+let span_bits = 31
+
+let span_mask = (1 lsl span_bits) - 1
+
+let text src span = String.sub src (span lsr span_bits) (span land span_mask)
+
 type 'f code = {
   insns : 'f insn array;
   locals : string array;
       (** slot names for the frame this code runs in ([||] for nested
           and top-level code: nested code shares the enclosing frame) *)
+  src : string;
+      (** the source the instructions' spans point into: the script
+          text (a cache key), a procedure body or a braced body; a
+          bracketed script shares its enclosing code's *)
 }
 
 and 'f insn =
-  | Ivk of { vwords : 'f vword list; text : string }
-      (** substitute the words, dispatch normally; [text] is the
-          command's source, quoted by the errorInfo trace.  A generic
-          invoke never deopts, so it keeps no {!Compile.command} *)
-  | Iset of { dst : 'f vref; value : 'f vword option; orig : Compile.command }
-  | Iincr of { dst : 'f vref; by : 'f amount; orig : Compile.command }
-  | Iexpr of { e : 'f vexpr; orig : Compile.command }
+  | Ivk of { vwords : 'f vword array; span : span }
+      (** substitute the words, dispatch normally *)
+  | Iset of { dst : 'f vref; value : 'f vword option; span : span }
+  | Iincr of { dst : 'f vref; by : 'f amount; span : span }
+  | Iexpr of { e : 'f vexpr; span : span }
   | Iif of {
       arms : ('f vexpr * 'f code) list;
       els : 'f code option;
-      orig : Compile.command;
+      span : span;
     }
-  | Iwhile of { cond : 'f vexpr; body : 'f code; orig : Compile.command }
+  | Iwhile of { cond : 'f vexpr; body : 'f code; span : span }
   | Ifor of {
       init : 'f code;
       cond : 'f vexpr;
       next : 'f code;
       body : 'f code;
-      orig : Compile.command;
+      span : span;
     }
   | Iforeach of {
       dst : 'f vref;
       items : 'f items;
       body : 'f code;
-      orig : Compile.command;
+      span : span;
     }
-  | Ireturn of { value : 'f vword option; orig : Compile.command }
-  | Ibreak of { orig : Compile.command }
-  | Icontinue of { orig : Compile.command }
+  | Ireturn of { value : 'f vword option; span : span }
+  | Ibreak of { span : span }
+  | Icontinue of { span : span }
 
 and 'f amount = Aconst of int | Aword of 'f vword
 
@@ -81,10 +103,11 @@ and 'f vword =
           One lowering makes one per distinct literal string *)
   | Wvar of 'f vref
   | Wvcmd of 'f code  (** a whole-word [\[...\]] substitution *)
-  | Wexpr of { e : 'f vexpr; code : 'f code; orig : Compile.command }
+  | Wexpr of { e : 'f vexpr; code : 'f code; span : span }
       (** a whole-word [\[expr ...\]] whose script is a single canonical
-          expr command: the executor may evaluate [e] directly (typed,
-          no string round-trip), falling back to [code] on deopt *)
+          expr command, at [span] in [code]'s source: the executor may
+          evaluate [e] directly (typed, no string round-trip), falling
+          back to [code] on deopt *)
   | Wcat of 'f wpart list  (** multi-part word: concatenated parts *)
   | Wfail of 'f wpart list * string
       (** syntax error mid-word: run the parts for their side effects,
@@ -170,7 +193,11 @@ let all_lits words =
   in
   go [] words
 
-let rec lower_word st (w : Compile.word) =
+let span_of (c : Compile.command) = (c.pos lsl span_bits) lor (c.stop - c.pos)
+
+(* [src] is the source the words' command was compiled from: a bracketed
+   script inside a word is lowered into code that shares it. *)
+let rec lower_word st src (w : Compile.word) =
   match w with
   | Compile.W_lit s -> (
     match Hashtbl.find_opt st.lits s with
@@ -185,48 +212,59 @@ let rec lower_word st (w : Compile.word) =
       w)
   | Compile.W_parts [ Compile.Var name ] -> Wvar (ref_of st name)
   | Compile.W_parts [ Compile.Cmd prog ] -> (
-    let code = lower_prog st prog in
+    let code = lower_prog st src prog in
     match code.insns with
-    | [| Iexpr { e; orig } |] -> Wexpr { e; code; orig }
+    | [| Iexpr { e; span } |] -> Wexpr { e; code; span }
     | _ -> Wvcmd code)
-  | Compile.W_parts parts -> Wcat (List.map (lower_part st) parts)
-  | Compile.W_fail (parts, msg) -> Wfail (List.map (lower_part st) parts, msg)
+  | Compile.W_parts parts -> Wcat (List.map (lower_part st src) parts)
+  | Compile.W_fail (parts, msg) ->
+    Wfail (List.map (lower_part st src) parts, msg)
 
-and lower_part st (p : Compile.part) =
+and lower_part st src (p : Compile.part) =
   match p with
   | Compile.Lit s -> Plit s
   | Compile.Var name -> Pvar (ref_of st name)
-  | Compile.Var_idx (base, idx) -> Pidx (base, List.map (lower_part st) idx)
-  | Compile.Cmd prog -> Pcmd (lower_prog st prog)
+  | Compile.Var_idx (base, idx) ->
+    Pidx (base, List.map (lower_part st src) idx)
+  | Compile.Cmd prog -> Pcmd (lower_prog st src prog)
 
-and lower_prog st (prog : Compile.program) =
-  { insns = Array.of_list (List.map (lower_command st) prog); locals = [||] }
+and lower_prog st src (prog : Compile.program) =
+  {
+    insns = Array.of_list (List.map (lower_command st src) prog);
+    locals = [||];
+    src;
+  }
 
-and lower_body st src = lower_prog st (st.compile src)
+and lower_body st body = lower_prog st body (st.compile body)
 
-and lower_command st (c : Compile.command) =
+and lower_command st src (c : Compile.command) =
   match c.words with
-  | Compile.W_lit name :: rest -> lower_named st c name rest
-  | _ -> lower_ivk st c
+  | Compile.W_lit name :: rest -> lower_named st src c name rest
+  | _ -> lower_ivk st src c
 
-and lower_ivk st (c : Compile.command) =
-  Ivk { vwords = List.map (lower_word st) c.words; text = c.text }
+and lower_ivk st src (c : Compile.command) =
+  Ivk
+    {
+      vwords = Array.of_list (List.map (lower_word st src) c.words);
+      span = span_of c;
+    }
 
-and lower_named st c name rest =
-  let ivk () = lower_ivk st c in
+and lower_named st src c name rest =
+  let ivk () = lower_ivk st src c in
+  let span = span_of c in
   match (name, rest) with
   | "set", [ n ] -> (
     match lit n with
-    | Some n -> Iset { dst = ref_of st n; value = None; orig = c }
+    | Some n -> Iset { dst = ref_of st n; value = None; span }
     | None -> ivk ())
   | "set", [ n; v ] -> (
     match lit n with
     | Some n ->
-      Iset { dst = ref_of st n; value = Some (lower_word st v); orig = c }
+      Iset { dst = ref_of st n; value = Some (lower_word st src v); span }
     | None -> ivk ())
   | "incr", [ n ] -> (
     match lit n with
-    | Some n -> Iincr { dst = ref_of st n; by = Aconst 1; orig = c }
+    | Some n -> Iincr { dst = ref_of st n; by = Aconst 1; span }
     | None -> ivk ())
   | "incr", [ n; b ] -> (
     match lit n with
@@ -239,27 +277,27 @@ and lower_named st c name rest =
              executor reports the runtime parse error verbatim. *)
           match int_of_string_opt (String.trim s) with
           | Some i -> Aconst i
-          | None -> Aword (lower_word st b))
-        | None -> Aword (lower_word st b)
+          | None -> Aword (lower_word st src b))
+        | None -> Aword (lower_word st src b)
       in
-      Iincr { dst = ref_of st n; by; orig = c })
+      Iincr { dst = ref_of st n; by; span })
   | "expr", _ :: _ -> (
     match all_lits rest with
     | Some args -> (
       match Expr.parse (String.concat " " args) with
-      | Stdlib.Ok ast -> Iexpr { e = lower_ast st ast; orig = c }
+      | Stdlib.Ok ast -> Iexpr { e = lower_ast st ast; span }
       | Stdlib.Error _ -> ivk ())
     | None -> ivk ())
   | "if", _ -> (
     match all_lits rest with
-    | Some ws -> lower_if st c ws ivk
+    | Some ws -> lower_if st span ws ivk
     | None -> ivk ())
   | "while", [ cond; body ] -> (
     match (lit cond, lit body) with
     | Some cond, Some body -> (
       match Expr.parse cond with
       | Stdlib.Ok ast ->
-        Iwhile { cond = lower_ast st ast; body = lower_body st body; orig = c }
+        Iwhile { cond = lower_ast st ast; body = lower_body st body; span }
       | Stdlib.Error _ -> ivk ())
     | _ -> ivk ())
   | "for", [ init; cond; next; body ] -> (
@@ -273,7 +311,7 @@ and lower_named st c name rest =
             cond = lower_ast st ast;
             next = lower_body st next;
             body = lower_body st body;
-            orig = c;
+            span;
           }
       | Stdlib.Error _ -> ivk ())
     | _ -> ivk ())
@@ -288,23 +326,23 @@ and lower_named st c name rest =
           match Tcl_list.parse s with
           | Stdlib.Ok l -> Some (Lconst l)
           | Stdlib.Error _ -> None)
-        | None -> Some (Lword (lower_word st lst))
+        | None -> Some (Lword (lower_word st src lst))
       in
       match items with
       | Some items ->
-        Iforeach { dst = ref_of st var; items; body = lower_body st body; orig = c }
+        Iforeach { dst = ref_of st var; items; body = lower_body st body; span }
       | None -> ivk ())
     | _ -> ivk ())
-  | "return", [] -> Ireturn { value = None; orig = c }
-  | "return", [ v ] -> Ireturn { value = Some (lower_word st v); orig = c }
-  | "break", [] -> Ibreak { orig = c }
-  | "continue", [] -> Icontinue { orig = c }
+  | "return", [] -> Ireturn { value = None; span }
+  | "return", [ v ] -> Ireturn { value = Some (lower_word st src v); span }
+  | "break", [] -> Ibreak { span }
+  | "continue", [] -> Icontinue { span }
   | _ -> ivk ()
 
 (* Mirror cmd_if's clause/tail grammar statically; any irregularity
    (missing body, unparseable condition, trailing words) falls back to
    the dispatched command, which reproduces the runtime error. *)
-and lower_if st c ws ivk =
+and lower_if st span ws ivk =
   let rec clause ws acc =
     match ws with
     | cond :: rest -> (
@@ -325,21 +363,21 @@ and lower_if st c ws ivk =
     | _ -> None
   in
   match clause ws [] with
-  | Some (arms, els) -> Iif { arms; els; orig = c }
+  | Some (arms, els) -> Iif { arms; els; span }
   | None -> ivk ()
 
 and lower_ast st (a : Expr.ast) =
   match a with
   | Expr.A_const v -> Xconst v
   | Expr.A_var name -> Xvar (ref_of st name)
-  | Expr.A_cmd script -> Xcmd (lower_prog st (st.compile script))
+  | Expr.A_cmd script -> Xcmd (lower_prog st script (st.compile script))
   | Expr.A_quoted parts ->
     Xquoted
       (List.map
          (function
            | Expr.Q_lit s -> Ql s
            | Expr.Q_var n -> Qv n
-           | Expr.Q_cmd s -> Qc (lower_prog st (st.compile s)))
+           | Expr.Q_cmd s -> Qc (lower_prog st s (st.compile s)))
          parts)
   | Expr.A_unop (op, x) -> Xunop (op, lower_ast st x)
   | Expr.A_binop (op, x, y) -> Xbinop (op, lower_ast st x, lower_ast st y)
@@ -351,9 +389,19 @@ and lower_ast st (a : Expr.ast) =
 let lstate ~compile ~alloc =
   { compile; alloc; names = []; count = 0; lits = Hashtbl.create 16 }
 
-let lower ~compile prog = lower_prog (lstate ~compile ~alloc:false) prog
+(* Every span fits when the outermost source does: the sources nested in
+   it (braced bodies, expression scripts) are no longer than their
+   command.  Tcl 8 caps a value at the same 2^31 - 1 bytes. *)
+let check_length src =
+  if String.length src > span_mask then
+    invalid_arg "Vm.lower: source longer than 2^31 - 1 bytes"
 
-let lower_proc ~compile ~formals prog =
+let lower ~compile src =
+  check_length src;
+  lower_prog (lstate ~compile ~alloc:false) src (compile src)
+
+let lower_proc ~compile ~formals body =
+  check_length body;
   let st = lstate ~compile ~alloc:true in
   List.iter
     (fun f ->
@@ -363,5 +411,5 @@ let lower_proc ~compile ~formals prog =
         && st.count < max_slots
       then ignore (add_slot st f))
     formals;
-  let code = lower_prog st prog in
+  let code = lower_prog st body (compile body) in
   { code with locals = Array.of_list (List.rev st.names) }

@@ -10,9 +10,15 @@
     stale; whether the inlined structural opcodes may bypass command
     dispatch is decided at execution time by the interpreter. When
     [set]/[if]/[while]/... have been redefined, renamed or hidden, an
-    inlined opcode deopts: it dispatches its command like an [Ivk],
-    with words taken from the stored {!Compile.command}'s literals plus
-    the value of the one word the opcode substitutes itself.
+    inlined opcode deopts: it dispatches its command like an [Ivk].
+
+    Lowered code points into its source rather than copying from it.
+    Each {!code} holds the string it was lowered from, and each
+    instruction only the {!span} of its command in that string. The
+    command's text is cut out of the source when it is needed: when an
+    error trace or a guard refusal quotes it, and when a deopt compiles
+    it again to get the command's words (literals, plus the value of the
+    one word the opcode substitutes itself).
 
     All types are parametric over the frame representation ['f]: the
     executor lives in {!Interp}, which instantiates ['f] with its
@@ -25,45 +31,55 @@ type 'f vref =
   | Rslot of int * string  (** procedure local: slot index + name *)
   | Rname of string * 'f cache  (** by-name lookup with inline cache *)
 
+type span = private int
+(** Where a command's text lies in its code's source: its offset and
+    length, packed into one immediate int. *)
+
+val text : string -> span -> string
+(** [text src span] cuts the command's text, terminator included, out
+    of [src]: what the errorInfo trace quotes and what a deopt compiles
+    again. *)
+
 type 'f code = {
   insns : 'f insn array;
   locals : string array;
       (** slot names for the frame this code runs in ([||] for nested
           and top-level code, which share the enclosing frame) *)
+  src : string;
+      (** the source every instruction's span points into: for a
+          top-level script the script itself (the cache's key), for a
+          procedure its body, for a loop or branch its braced body; a
+          bracketed script shares its enclosing code's *)
 }
 
 and 'f insn =
-  | Ivk of { vwords : 'f vword list; text : string }
-      (** generic invoke: substitute the words, dispatch the command.
-          It never deopts, so it keeps only the command's source [text]
-          for the errorInfo trace, not its {!Compile.command}; the
-          inlined opcodes below keep [orig] because a deopt rebuilds
-          their words from it *)
-  | Iset of { dst : 'f vref; value : 'f vword option; orig : Compile.command }
-  | Iincr of { dst : 'f vref; by : 'f amount; orig : Compile.command }
-  | Iexpr of { e : 'f vexpr; orig : Compile.command }
+  | Ivk of { vwords : 'f vword array; span : span }
+      (** generic invoke: substitute the words, dispatch the command *)
+  | Iset of { dst : 'f vref; value : 'f vword option; span : span }
+  | Iincr of { dst : 'f vref; by : 'f amount; span : span }
+  | Iexpr of { e : 'f vexpr; span : span }
   | Iif of {
       arms : ('f vexpr * 'f code) list;
       els : 'f code option;
-      orig : Compile.command;
+      span : span;
     }
-  | Iwhile of { cond : 'f vexpr; body : 'f code; orig : Compile.command }
+  | Iwhile of { cond : 'f vexpr; body : 'f code; span : span }
   | Ifor of {
       init : 'f code;
       cond : 'f vexpr;
       next : 'f code;
       body : 'f code;
-      orig : Compile.command;
+      span : span;
     }
   | Iforeach of {
       dst : 'f vref;
       items : 'f items;
       body : 'f code;
-      orig : Compile.command;
+      span : span;
     }
-  | Ireturn of { value : 'f vword option; orig : Compile.command }
-  | Ibreak of { orig : Compile.command }
-  | Icontinue of { orig : Compile.command }
+  | Ireturn of { value : 'f vword option; span : span }
+  | Ibreak of { span : span }
+  | Icontinue of { span : span }
 
 and 'f amount = Aconst of int | Aword of 'f vword
 
@@ -78,9 +94,10 @@ and 'f vword =
           value, only fills its rep caches, and binds a copy *)
   | Wvar of 'f vref
   | Wvcmd of 'f code
-  | Wexpr of { e : 'f vexpr; code : 'f code; orig : Compile.command }
+  | Wexpr of { e : 'f vexpr; code : 'f code; span : span }
       (** whole-word [\[expr ...\]] with a single canonical expr
-          command: evaluated typed, deopting to [code] *)
+          command, at [span] in [code]'s source: evaluated typed,
+          deopting to [code] *)
   | Wcat of 'f wpart list  (** multi-part word: concatenated parts *)
   | Wfail of 'f wpart list * string
       (** syntax error mid-word: run the parts, then fail with the
@@ -104,19 +121,21 @@ and 'f vexpr =
   | Xternary of 'f vexpr * 'f vexpr * 'f vexpr
   | Xfunc of string * 'f vexpr list
 
-val lower : compile:(string -> Compile.program) -> Compile.program -> 'f code
-(** Lower a top-level script. All variable references resolve by name
-    (with inline caches); [locals] is [[||]]. [compile] is used for
+val lower : compile:(string -> Compile.program) -> string -> 'f code
+(** Compile and lower a top-level script; the code's [src] is the
+    script. All variable references resolve by name (with inline
+    caches); [locals] is [[||]]. [compile] compiles the script and the
     braced loop/condition bodies and bracketed scripts inside
-    expressions. *)
+    expressions. Raises [Invalid_argument] for a script of 2{^31}
+    bytes or more, whose spans would not fit. *)
 
 val lower_proc :
   compile:(string -> Compile.program) ->
   formals:string list ->
-  Compile.program ->
+  string ->
   'f code
-(** Lower a procedure body. Formals claim the first local slots, and
-    literal [set]/[incr]/[foreach] targets (and [$x] reads, including
-    those inside multi-part words) claim further ones as they appear, up
-    to a small bound; the executor builds the call frame from
-    [locals]. *)
+(** Compile and lower a procedure body, as {!lower}. Formals claim the
+    first local slots, and literal [set]/[incr]/[foreach] targets (and
+    [$x] reads, including those inside multi-part words) claim further
+    ones as they appear, up to a small bound; the executor builds the
+    call frame from [locals]. *)

@@ -535,24 +535,40 @@ let rec apply_item_options s it = function
 (* ------------------------------------------------------------------ *)
 (* Create *)
 
-let split_coords_options args =
-  let rec go coords = function
+(* A fresh coordinate array for [kind], given [n] coordinate words: the
+   count is checked before any word is parsed, as Tk does. *)
+let new_coords kind n =
+  let expected = coord_arity kind in
+  if n <> expected then
+    failf "wrong # coordinates: expected %d, got %d" expected n;
+  Array.make n 0
+
+(* Parse the leading words straight into [coords] from slot [i] on;
+   returns the words after the last coordinate. *)
+let rec fill_coords coords i words =
+  match words with
+  | v :: rest when i < Array.length coords ->
+    coords.(i) <- parse_int v;
+    fill_coords coords (i + 1) rest
+  | _ -> words
+
+(* [create]'s coordinates run up to the first word that reads as an
+   option: a '-' not followed by a digit. *)
+let split_coords_options kind args =
+  let rec count n = function
     | v :: rest
       when v <> ""
            && (v.[0] <> '-'
               || (String.length v > 1 && Tcl.Chars.is_digit v.[1])) ->
-      go (parse_int v :: coords) rest
-    | rest -> (Array.of_list (List.rev coords), rest)
+      count (n + 1) rest
+    | _ -> n
   in
-  go [] args
+  let coords = new_coords kind (count 0 args) in
+  (coords, fill_coords coords 0 args)
 
 let create_item w kind args =
   let s = data w in
-  let coords, options = split_coords_options args in
-  let expected = coord_arity kind in
-  if Array.length coords <> expected then
-    failf "wrong # coordinates: expected %d, got %d" expected
-      (Array.length coords);
+  let coords, options = split_coords_options kind args in
   let zserial = s.next_top in
   s.next_top <- s.next_top + 1;
   let it =
@@ -700,17 +716,14 @@ let rec subcommands w words =
     ok
       (Tcl.Tcl_list.format
          (Array.to_list (Array.map string_of_int it.coords)))
-  | _ :: "coords" :: spec :: (_ :: _ as new_coords) ->
+  | _ :: "coords" :: spec :: (_ :: _ as words) ->
     let it = find_item s spec in
-    (* Satellite fix: replacement coordinates must match the item kind's
-       arity (formerly any count was accepted, silently corrupting later
-       rendering). *)
-    let expected = coord_arity it.kind in
-    if List.length new_coords <> expected then
-      failf "wrong # coordinates: expected %d, got %d" expected
-        (List.length new_coords);
+    (* Replacement coordinates must match the item kind's arity, and a
+       word that does not parse leaves the item as it was. *)
+    let coords = new_coords it.kind (List.length words) in
+    ignore (fill_coords coords 0 words);
     let old_bbox = it.bbox in
-    it.coords <- Array.of_list (List.map parse_int new_coords);
+    it.coords <- coords;
     item_changed w s it ~old_bbox;
     ok ""
   | [ _; "itemconfigure"; spec ] ->

@@ -144,6 +144,9 @@ let surface_tests =
 
 let seed = 0x5eed
 
+(* More streams for the same comparison; a failure names its seed. *)
+let seeds = List.init 16 (fun i -> i + 1)
+
 let tag_pool = [| "a"; "b"; "hot"; "grid" |]
 
 let color_pool = [| "black"; "red"; "gray50"; "" |]
@@ -162,7 +165,7 @@ let random_op rng ids next_id =
     Printf.sprintf "%d %d %d %d" (rint rng (-60) 340) (rint rng (-40) 240)
       (rint rng (-60) 340) (rint rng (-40) 240)
   in
-  let choice = if !ids = [] then 0 else Random.State.int rng 10 in
+  let choice = if !ids = [] then 0 else Random.State.int rng 11 in
   match choice with
   | 0 | 1 | 2 -> (
     let id = !next_id in
@@ -204,6 +207,12 @@ let random_op rng ids next_id =
       (rint rng (-20) 20) (rint rng (-20) 20)
       (0.5 +. Random.State.float rng 1.5)
       (0.5 +. Random.State.float rng 1.5)
+  | 10 ->
+    (* Replace an item's coordinates with as many new ones as it has. *)
+    let id = pick_id () in
+    Printf.sprintf
+      "eval .c coords %d [lrange {%s} 0 [expr {[llength [.c coords %d]] - 1}]]"
+      id (coords4 ()) id
   | _ ->
     (* Relative restack: distinct ids only (self-reference is an error). *)
     let a = pick_id () and b = pick_id () in
@@ -239,12 +248,21 @@ let canvas_widget app = Tk.Core.lookup_exn app ".c"
    a full redraw on the indexed app and require the raster output to be
    byte-identical to what the damage path left. Returns a transcript for
    the two-run identity check. *)
-let differential_run () =
+let differential_run seed =
   let rng = Random.State.make [| seed |] in
   let server_i, app_i = canvas_app ~indexed:true ~name:"cv-index" () in
   let _server_l, app_l = canvas_app ~indexed:false ~name:"cv-linear" () in
   let ids = ref [] and next_id = ref 1 in
   let transcript = Buffer.create 4096 in
+  let label what = Printf.sprintf "seed %d: %s" seed what in
+  let run app script =
+    match Tcl.Interp.eval_value app.Tk.Core.interp script with
+    | Ok v -> v
+    | Error msg ->
+      Alcotest.failf "seed %d: script %S failed: %s" seed script msg
+  in
+  let check_string what = check_string (label what) in
+  let check_bool what = check_bool (label what) in
   for round = 1 to 25 do
     for _ = 1 to 8 do
       let op = random_op rng ids next_id in
@@ -357,12 +375,14 @@ let differential_tests =
         Tk.Core.update app;
         check_ops_match_full server app "after delete" );
     ( "randomized stream: index = linear oracle, damage raster = full",
-      fun () -> ignore (differential_run ()) );
+      fun () -> ignore (differential_run seed) );
     ( "two runs on the fixed seed are identical",
       fun () ->
-        let t1 = differential_run () in
-        let t2 = differential_run () in
+        let t1 = differential_run seed in
+        let t2 = differential_run seed in
         check_string "transcripts equal" t1 t2 );
+    ( "16 more seeds: index = linear oracle, damage raster = full",
+      fun () -> List.iter (fun s -> ignore (differential_run s)) seeds );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -396,6 +416,31 @@ let counter_tests =
           (Printf.sprintf "considered %d of 401 items" considered)
           true
           (considered < 20) );
+    ( "a create with a full redraw pending allocates at most 80 minor words",
+      fun () ->
+        (* A set-up script's creates, before the first repaint: the
+           coordinates go from the words straight into the item's array
+           (99 minor words per create when they went through a list). *)
+        let _, app = canvas_app () in
+        Tk.Core.schedule_redraw (canvas_widget app);
+        let n = 1000 in
+        let creates =
+          Array.init n (fun k ->
+              let x = k mod 100 * 24 and y = k / 100 * 24 in
+              List.map string_of_int [ x; y; x + 6; y + 4 ]
+              |> List.append [ ".c"; "create"; "rectangle" ])
+        in
+        let before = Gc.minor_words () in
+        Array.iter
+          (fun words ->
+            match Tcl.Interp.eval_words app.Tk.Core.interp words with
+            | Tcl.Interp.Tcl_ok, _ -> ()
+            | _, msg -> Alcotest.failf "create failed: %s" msg)
+          creates;
+        let per_create = (Gc.minor_words () -. before) /. float n in
+        check_bool
+          (Printf.sprintf "%.1f minor words per create" per_create)
+          true (per_create <= 80.0) );
     ( "damage covering the widget deopts to a full redraw",
       fun () ->
         let _, app = canvas_app () in

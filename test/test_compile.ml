@@ -460,12 +460,13 @@ let first_run_tests =
         check_bool
           (Printf.sprintf "%.0f minor words per command" per_command)
           true (per_command <= 250.0) );
-    ( "a cached generic command holds at most 45 words",
+    ( "a cached generic command holds at most 16 words",
       fun () ->
         (* A set-up script like a canvas app's: distinct lines over a
            lattice of coordinates, each a generic invoke.  What the cache
-           releases is what the script's entry holds: its commands' texts,
-           word lists and literal values, not the source, which is kept. *)
+           releases is what the script's entry holds: its commands' word
+           arrays and spans and its literal values, not the source, which
+           is kept. *)
         let lines = 1000 in
         let src =
           String.concat ""
@@ -489,7 +490,35 @@ let first_run_tests =
         check_int "commands run" (lines + 1) (Tcl.Interp.command_count tcl);
         check_bool
           (Printf.sprintf "%.1f cached words per command" per_command)
-          true (per_command <= 45.0) );
+          true (per_command <= 16.0) );
+    ( "a cached send script holds at most 85 words",
+      fun () ->
+        (* What a sent script leaves in the receiver's cache: many short
+           texts that each run once.  The texts are kept alive, so what
+           the cache releases is its entries: table and queue cells,
+           lowered code and literal values. *)
+        let scripts = 512 in
+        let texts =
+          List.init scripts (fun k ->
+              Printf.sprintf ".l configure -text {v %d}; incr counter" k)
+        in
+        let tcl = new_interp ~compile:true () in
+        ignore (run tcl "proc .l args {}; set counter 0");
+        Tcl.Interp.clear_compile_caches tcl;
+        List.iter (fun text -> ignore (run tcl text)) texts;
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        let cached = live () in
+        Tcl.Interp.clear_compile_caches tcl;
+        let per_script = float (cached - live ()) /. float scripts in
+        ignore (Sys.opaque_identity texts);
+        check_string "every script ran" (string_of_int scripts)
+          (run tcl "set counter");
+        check_bool
+          (Printf.sprintf "%.1f cached words per script" per_script)
+          true (per_script <= 85.0) );
   ]
 
 let tc name f = Alcotest.test_case name `Quick f

@@ -142,6 +142,20 @@ let differential_scripts =
     "incr missingvar nonint";
     "proc f {a} {return $a}; f";
     "proc f {a} {return $a}; f 1 2";
+    (* ... cut from the source of the code the command sits in: a braced
+       loop body inside a proc, a bracket inside a quoted word, a command
+       past the trace's 150-character cut with blanks before its ';', an
+       inlined incr of a non-integer *)
+    "proc p {n} {set i 0; while {$i < $n} {incr i; if {$i == 2} {set r \
+     [nosuch $i]}}; set i}; p 4";
+    "set y 1; set x \"a [set y] [nosuch $y  ] b\"";
+    "proc q {} {return \"<[string length abc][error {in quotes}]>\"}; q";
+    "nosuch " ^ String.make 160 'a' ^ " b   ; set z 1";
+    "set i 0; while {$i < 3} {incr i; set pad " ^ String.make 150 'p'
+    ^ "; if {$i == 2} {error boom}}  ; set i";
+    "set v abc; incr v";
+    "proc p {} {set v 1.5; incr v 2}; p";
+    "set a x; set n 1; incr n $a";
     (* PR 7: per-interp recursion limits *)
     "interp recursionlimit 30; proc loop {} {loop}; loop";
     "interp recursionlimit 30; proc loop {} {loop}; list [catch loop m] $m";
