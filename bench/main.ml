@@ -1267,7 +1267,7 @@ let emit_json ~path ~smoke =
     J_obj
       [
         ("benchmark", J_string "tk-repro");
-        ("pr", J_int 21);
+        ("pr", J_int 22);
         ("mode", J_string (if smoke then "smoke" else "full"));
         ( "table2",
           J_obj

@@ -292,22 +292,33 @@ and compile_command src n pos0 ~bracket =
   let ws, wps, next, failed = words pos0 [] [] in
   ({ words = ws; pos = pos0; stop = min next n; wpos = wps }, next, failed)
 
-(* Mirrors Interp.eval_loop's scan over commands. *)
-and compile_script src n pos ~bracket acc =
+(* Mirrors Interp.eval_loop's scan over commands: the one scanner.  It
+   hands each command to [f] as soon as the command is compiled, so a
+   consumer that keeps only what it makes of a command never holds the
+   compiled form of more than one. *)
+and scan :
+      'a. string -> int -> int -> bracket:bool -> ('a -> command -> 'a) ->
+      'a -> 'a * int * bool =
+ fun src n pos ~bracket f acc ->
   let pos = Chars.skip_separators src n pos in
-  if pos >= n then (List.rev acc, pos, false)
-  else if bracket && src.[pos] = ']' then (List.rev acc, pos + 1, false)
+  if pos >= n then (acc, pos, false)
+  else if bracket && src.[pos] = ']' then (acc, pos + 1, false)
   else if src.[pos] = '#' then
-    compile_script src n (Chars.skip_comment src n pos) ~bracket acc
+    scan src n (Chars.skip_comment src n pos) ~bracket f acc
   else
     let cmd, next, failed = compile_command src n pos ~bracket in
-    if failed then (List.rev (cmd :: acc), n, true)
-    else compile_script src n next ~bracket (cmd :: acc)
+    let acc = f acc cmd in
+    if failed then (acc, n, true) else scan src n next ~bracket f acc
 
 (* A bracketed sub-program: commands up to the unmatched ']'. *)
 and compile_block src n pos =
-  compile_script src n pos ~bracket:true []
+  let rev, next, failed =
+    scan src n pos ~bracket:true (fun acc c -> c :: acc) []
+  in
+  (List.rev rev, next, failed)
 
-let compile src =
-  let prog, _, _ = compile_script src (String.length src) 0 ~bracket:false [] in
-  prog
+let fold f init src =
+  let acc, _, _ = scan src (String.length src) 0 ~bracket:false f init in
+  acc
+
+let compile src = List.rev (fold (fun acc c -> c :: acc) [] src)

@@ -41,6 +41,13 @@ and command = {
 
 and program = command list
 
+val fold : ('a -> command -> 'a) -> 'a -> string -> 'a
+(** [fold f init src] scans [src] once and hands each top-level command
+    to [f] as soon as it is compiled, in source order: a consumer that
+    keeps only what it makes of each command never holds the compiled
+    form of the whole script. Never raises: structural errors are
+    embedded as [W_fail] words at the position execution would discover
+    them, and the scan stops after the command that holds one. *)
+
 val compile : string -> program
-(** Compile a whole script. Never raises: structural errors are embedded
-    as [W_fail] words at the position execution would discover them. *)
+(** Compile a whole script: {!fold} building the list of its commands. *)

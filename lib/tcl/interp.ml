@@ -284,6 +284,8 @@ and proc_def = {
   mutable pvm : frame Vm.code option;
       (* compiled and lowered on first VM call; always derived from
          [body], so redefinition replaces it atomically *)
+  mutable plocals : string array;
+      (* the slot names of [pvm]'s frame, set with it *)
   mutable pframes : frame list;
       (* pool of call frames for reuse, bounded by recursion depth: only
          frames that never spilled into their hashtable (fgen = 0, so no
@@ -669,7 +671,7 @@ let lint_stats t =
 
 let define_proc t name formals body =
   Hashtbl.replace t.commands name
-    (Proc { formals; body; pvm = None; pframes = [] });
+    (Proc { formals; body; pvm = None; plocals = [||]; pframes = [] });
   refresh_canon t
 
 let proc_info t name =
@@ -783,10 +785,14 @@ let add_channel t c =
 
 let cache_limit = 512
 
+(* Count one parse pass over a script. *)
+let count_pass t () =
+  t.stats.script_compiles <- t.stats.script_compiles + 1;
+  t.stats.parse_passes <- t.stats.parse_passes + 1
+
 (* Compile a script, counting the pass. *)
 let compile_counted t src =
-  t.stats.script_compiles <- t.stats.script_compiles + 1;
-  t.stats.parse_passes <- t.stats.parse_passes + 1;
+  count_pass t ();
   Compile.compile src
 
 let script_code t src =
@@ -800,7 +806,7 @@ let script_code t src =
       t.stats.script_evictions <- t.stats.script_evictions + 1;
       Hashtbl.remove t.script_cache (Queue.pop t.script_order)
     end;
-    let code = Vm.lower ~compile:(compile_counted t) src in
+    let code = Vm.lower ~on_pass:(count_pass t) src in
     t.vm.v_compiled <- t.vm.v_compiled + 1;
     Hashtbl.add t.script_cache src code;
     Queue.push src t.script_order;
@@ -1363,19 +1369,22 @@ and invoke_command t name words =
   match Hashtbl.find_opt t.commands name with
   | Some (Builtin cmd) -> run_builtin t cmd words
   | Some (Proc p) -> call_proc t name p words
-  | None ->
-    if Hashtbl.mem t.hidden name then begin
-      (* A hidden command is deliberately withheld (safe slave or send
-         guard): report a denial, never fall through to [unknown]. *)
-      t.guard.g_denied <- t.guard.g_denied + 1;
-      ( Tcl_error,
-        Printf.sprintf "permission denied: command \"%s\" is hidden" name )
-    end
-    else (
-      match Hashtbl.find_opt t.commands "unknown" with
-      | Some (Builtin cmd) -> run_builtin t cmd ("unknown" :: words)
-      | Some (Proc p) -> call_proc t "unknown" p ("unknown" :: words)
-      | None -> (Tcl_error, Printf.sprintf "invalid command name \"%s\"" name))
+  | None -> invoke_missing t name words
+
+(* A name with no command: [unknown] gets the words. *)
+and invoke_missing t name words =
+  if Hashtbl.mem t.hidden name then begin
+    (* A hidden command is deliberately withheld (safe slave or send
+       guard): report a denial, never fall through to [unknown]. *)
+    t.guard.g_denied <- t.guard.g_denied + 1;
+    ( Tcl_error,
+      Printf.sprintf "permission denied: command \"%s\" is hidden" name )
+  end
+  else (
+    match Hashtbl.find_opt t.commands "unknown" with
+    | Some (Builtin cmd) -> run_builtin t cmd ("unknown" :: words)
+    | Some (Proc p) -> call_proc t "unknown" p ("unknown" :: words)
+    | None -> (Tcl_error, Printf.sprintf "invalid command name \"%s\"" name))
 
 (* Run a hidden command from the trusted side (interp invokehidden). *)
 and invoke_hidden t name words =
@@ -1459,8 +1468,8 @@ and exec_vm t (want : wantv) (code : frame Vm.code) =
       t.depth <- t.depth + 1;
       match
         let insns = code.Vm.insns in
-        if Array.length insns = 1 then exec_vinsn t want code.Vm.src insns.(0)
-        else exec_vinsns t code.Vm.src insns 0 want (Tcl_ok, "")
+        if Array.length insns = 1 then exec_vinsn t want code insns.(0)
+        else exec_vinsns t code insns 0 want (Tcl_ok, "")
       with
       | res ->
         t.depth <- t.depth - 1;
@@ -1470,12 +1479,14 @@ and exec_vm t (want : wantv) (code : frame Vm.code) =
         raise e)
   end
 
-and exec_vinsns t src insns i want last =
+and exec_vinsns t code insns i want last =
   let n = Array.length insns in
   if i >= n then last
   else
-    match exec_vinsn t (if i = n - 1 then want else Vdiscard) src insns.(i) with
-    | (Tcl_ok, _) as res -> exec_vinsns t src insns (i + 1) want res
+    match
+      exec_vinsn t (if i = n - 1 then want else Vdiscard) code insns.(i)
+    with
+    | (Tcl_ok, _) as res -> exec_vinsns t code insns (i + 1) want res
     | res -> res
 
 (* The value cell directly bound to [name] in frame [f], if any: a
@@ -1572,7 +1583,7 @@ and vexpr_cmd_operand t code =
        delivery (inactive). *)
     t.depth <- t.depth + 1;
     t.vm_xval <- None;
-    match exec_vinsn t Vtyped code.Vm.src insns.(0) with
+    match exec_vinsn t Vtyped code insns.(0) with
     | Tcl_ok, v -> (
       t.depth <- t.depth - 1;
       match t.vm_xval with
@@ -1835,6 +1846,13 @@ and vsubst_wordsv t (ws : frame Vm.vword array) i =
     let v = vsubst_wordv t ws.(i) in
     v :: vsubst_wordsv t ws (i + 1)
 
+(* The same, to strings, for a builtin. *)
+and vsubst_words t (ws : frame Vm.vword array) i =
+  if i >= Array.length ws then []
+  else
+    let v = vsubst_word t ws.(i) in
+    v :: vsubst_words t ws (i + 1)
+
 (* A substitution failure before dispatch: errorInfo starts with the
    bare message, exactly as parse_and_run's handler does. *)
 and subst_fail t msg =
@@ -1848,10 +1866,9 @@ and subst_fail t msg =
    is cut out of the source only now, when an error is traced. *)
 and trace_span t src span msg = trace_error t ~command:(Vm.text src span) msg
 
-(* Dispatch a command's substituted words, tracing an error with the
-   command's text. *)
-and dispatch_words t want words src span =
-  match invoke_vm t want words with
+(* A dispatched command's result, its error traced with the command's
+   text. *)
+and traced t src span = function
   | (Tcl_error, v) as res ->
     trace_span t src span v;
     res
@@ -1869,15 +1886,12 @@ and dispatch_words t want words src span =
    substitution that shadows the builtin must reach the shadow.  The
    lowerer guarantees [arg] is present whenever the command has a
    non-literal word. *)
-and deopt t want src span (arg : Tval.t option) =
+and deopt t want (code : frame Vm.code) span (arg : Tval.t option) =
   t.vm.v_deopts <- t.vm.v_deopts + 1;
-  (* The text is one whole command, so it compiles to that command. *)
-  let cmd = List.hd (compile_counted t (Vm.text src span)) in
-  let word = function
-    | Compile.W_lit s -> Tval.of_string s
-    | Compile.W_parts _ | Compile.W_fail _ -> Option.get arg
-  in
-  dispatch_words t want (List.map word cmd.Compile.words) src span
+  let word = function Some s -> Tval.of_string s | None -> Option.get arg in
+  traced t code.Vm.src span
+    (invoke_vm t want
+       (List.map word (Vm.deopt_words ~compile:(compile_counted t) code span)))
 
 (* Run an inlined structural command with the same guard delivery,
    command accounting and error tracing a dispatched command gets from
@@ -1991,7 +2005,7 @@ and vm_exec_block t want (code : frame Vm.code) =
     && t.depth <= t.recursionlimit
   then begin
     t.depth <- t.depth + 1;
-    match exec_vinsn t want code.Vm.src insns.(0) with
+    match exec_vinsn t want code insns.(0) with
     | res ->
       t.depth <- t.depth - 1;
       res
@@ -2020,36 +2034,43 @@ and vm_for_loop t cond next body =
     | res -> res)
   else (Tcl_ok, "")
 
-and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
+and exec_vinsn t (want : wantv) (code : frame Vm.code) (insn : frame Vm.insn) =
+  let src = code.Vm.src in
   match insn with
-  | Vm.Ivk { vwords = [| Vm.Wlit nametv; w1 |]; span } -> (
-    (* One-argument call to a literal name (`cmd $x`, `fib [expr ...]`):
-       dispatch without materializing the words list. *)
-    match vsubst_wordv t w1 with
-    | exception Propagate (status, v) -> (status, v)
-    | exception Tcl_failure msg -> subst_fail t msg
-    | v1 -> (
-      match invoke_vm1 t want nametv v1 with
-      | (Tcl_error, v) as res ->
-        trace_span t src span v;
-        res
-      | res -> res))
   | Vm.Ivk { vwords = [||]; _ } -> (Tcl_ok, "")
   | Vm.Ivk { vwords; span } -> (
-    match
-      (* A literal command-name word is passed shared, not copied: the
-         callee never binds the head (procs bind the tail, builtins
-         take string copies), and keeping the same physical string rep
-         preserves the one-entry dispatch-cache hit. *)
-      match vwords.(0) with
-      | Vm.Wlit nametv -> nametv :: vsubst_wordsv t vwords 1
-      | _ -> vsubst_wordsv t vwords 0
-    with
-    | exception Propagate (status, v) -> (status, v)
-    | exception Tcl_failure msg -> subst_fail t msg
-    | words -> dispatch_words t want words src span)
+    match vwords.(0) with
+    | Vm.Wlit nametv when vm_names_builtin t (Tval.to_string nametv) -> (
+      (* A builtin takes strings: substitute straight to them, with no
+         value copied per literal and none mapped back.  The name is
+         looked up again after the words, which may redefine it. *)
+      let name = Tval.to_string nametv in
+      match name :: vsubst_words t vwords 1 with
+      | exception Propagate (status, v) -> (status, v)
+      | exception Tcl_failure msg -> subst_fail t msg
+      | words -> traced t src span (invoke_vm_strings t want name words))
+    | Vm.Wlit nametv when Array.length vwords = 2 -> (
+      (* One-argument call to a literal name (`cmd $x`, `fib [expr ...]`):
+         dispatch without materializing the words list. *)
+      match vsubst_wordv t vwords.(1) with
+      | exception Propagate (status, v) -> (status, v)
+      | exception Tcl_failure msg -> subst_fail t msg
+      | v1 -> traced t src span (invoke_vm1 t want nametv v1))
+    | first -> (
+      match
+        (* A literal command-name word is passed shared, not copied: the
+           callee never binds the head (procs bind the tail, builtins
+           take string copies), and keeping the same physical string rep
+           preserves the one-entry dispatch-cache hit. *)
+        match first with
+        | Vm.Wlit nametv -> nametv :: vsubst_wordsv t vwords 1
+        | _ -> vsubst_wordsv t vwords 0
+      with
+      | exception Propagate (status, v) -> (status, v)
+      | exception Tcl_failure msg -> subst_fail t msg
+      | words -> traced t src span (invoke_vm t want words)))
   | Vm.Iset { dst; value = None; span } ->
-    if not t.vm_canon then deopt t want src span None
+    if not t.vm_canon then deopt t want code span None
     else (
       match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
@@ -2062,7 +2083,7 @@ and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
     | v ->
-      if not t.vm_canon then deopt t want src span (Some (Tval.of_string v))
+      if not t.vm_canon then deopt t want code span (Some (Tval.of_string v))
       else (
         match inline_gate t src span with
         | Some msg -> (Tcl_error, msg)
@@ -2071,7 +2092,7 @@ and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
           | () -> (Tcl_ok, v)
           | exception Tcl_failure msg -> inline_fail t src span msg)))
   | Vm.Iincr { dst; by = Vm.Aconst amount; span } ->
-    if not t.vm_canon then deopt t want src span None
+    if not t.vm_canon then deopt t want code span None
     else vm_incr t want src span dst amount
   | Vm.Iincr { dst; by = Vm.Aword (Vm.Wvar r as w); span } when t.vm_canon
     -> (
@@ -2096,10 +2117,10 @@ and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
     | s ->
-      if not t.vm_canon then deopt t want src span (Some (Tval.of_string s))
+      if not t.vm_canon then deopt t want code span (Some (Tval.of_string s))
       else vm_incr_word t want src span dst s)
   | Vm.Iexpr { e; span } ->
-    if not t.vm_canon then deopt t want src span None
+    if not t.vm_canon then deopt t want code span None
     else (
       match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
@@ -2122,7 +2143,7 @@ and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
         | exception Tcl_failure msg -> inline_fail t src span msg
         | exception Expr.Error msg -> inline_fail t src span msg))
   | Vm.Iif { arms; els; span } ->
-    if not t.vm_canon then deopt t want src span None
+    if not t.vm_canon then deopt t want code span None
     else (
       match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
@@ -2135,7 +2156,7 @@ and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
         | exception Tcl_failure msg -> inline_fail t src span msg
         | exception Expr.Error msg -> inline_fail t src span msg))
   | Vm.Iwhile { cond; body; span } ->
-    if not t.vm_canon then deopt t want src span None
+    if not t.vm_canon then deopt t want code span None
     else (
       match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
@@ -2148,7 +2169,7 @@ and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
         | exception Tcl_failure msg -> inline_fail t src span msg
         | exception Expr.Error msg -> inline_fail t src span msg))
   | Vm.Ifor { init; cond; next; body; span } ->
-    if not t.vm_canon then deopt t want src span None
+    if not t.vm_canon then deopt t want code span None
     else (
       match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
@@ -2173,8 +2194,8 @@ and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
     | `Raw s when not t.vm_canon ->
-      deopt t want src span (Some (Tval.of_string s))
-    | `List _ when not t.vm_canon -> deopt t want src span None
+      deopt t want code span (Some (Tval.of_string s))
+    | `List _ when not t.vm_canon -> deopt t want code span None
     | items ->
       run_inline t src span (fun () ->
           match
@@ -2195,7 +2216,7 @@ and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
             in
             go elements))
   | Vm.Ireturn { value = None; span } ->
-    if not t.vm_canon then deopt t want src span None
+    if not t.vm_canon then deopt t want code span None
     else (
       match inline_gate t src span with
       | Some msg -> (Tcl_error, msg)
@@ -2205,16 +2226,16 @@ and exec_vinsn t (want : wantv) src (insn : frame Vm.insn) =
     | exception Propagate (status, v) -> (status, v)
     | exception Tcl_failure msg -> subst_fail t msg
     | v -> (
-      if not t.vm_canon then deopt t want src span (Some (Tval.of_string v))
+      if not t.vm_canon then deopt t want code span (Some (Tval.of_string v))
       else
         match inline_gate t src span with
         | Some msg -> (Tcl_error, msg)
         | None -> (Tcl_return, v)))
   | Vm.Ibreak { span } ->
-    if not t.vm_canon then deopt t want src span None
+    if not t.vm_canon then deopt t want code span None
     else run_inline t src span (fun () -> (Tcl_break, ""))
   | Vm.Icontinue { span } ->
-    if not t.vm_canon then deopt t want src span None
+    if not t.vm_canon then deopt t want code span None
     else run_inline t src span (fun () -> (Tcl_continue, ""))
 
 (* Lowered code for a procedure body, built on first VM call and cached
@@ -2223,12 +2244,13 @@ and proc_vm_code t p =
   match p.pvm with
   | Some code -> code
   | None ->
-    let code =
-      Vm.lower_proc ~compile:(compile_counted t)
+    let code, locals =
+      Vm.lower_proc ~on_pass:(count_pass t)
         ~formals:(List.map fst p.formals)
         p.body
     in
     t.vm.v_compiled <- t.vm.v_compiled + 1;
+    p.plocals <- locals;
     p.pvm <- Some code;
     code
 
@@ -2249,14 +2271,43 @@ and invoke_vm t want (words : Tval.t list) =
     | None -> (
       t.cmd_count <- t.cmd_count + 1;
       let name = Tval.to_string nametv in
-      match t.vm_lastcmd with
-      | Some (n, d) when n == name -> dispatch_vm t want name d words
-      | _ -> (
-        match Hashtbl.find_opt t.commands name with
-        | Some d ->
-          t.vm_lastcmd <- Some (name, d);
-          dispatch_vm t want name d words
-        | None -> invoke_vm_missing t name words)))
+      match vm_lookup t name with
+      | d -> dispatch_vm t want name d words
+      | exception Not_found ->
+        invoke_missing t name (List.map Tval.to_string words)))
+
+(* The command [name] names, through the one-entry dispatch cache, which
+   a table lookup fills; [Not_found] if there is none. *)
+and vm_lookup t name =
+  match t.vm_lastcmd with
+  | Some (n, d) when n == name -> d
+  | _ ->
+    let d = Hashtbl.find t.commands name in
+    t.vm_lastcmd <- Some (name, d);
+    d
+
+(* Whether [name] calls a builtin, as far as the table says before the
+   command's words are substituted: an unknown name counts, since
+   [unknown] takes strings too.  The lookup fills the dispatch cache, so
+   the dispatch after the words hits it unless they changed the table. *)
+and vm_names_builtin t name =
+  match vm_lookup t name with
+  | Builtin _ -> true
+  | Proc _ -> false
+  | exception Not_found -> true
+
+(* invoke_vm for words substituted to strings: the same guard delivery,
+   count and lookup, and a builtin runs on the words as they are.  A
+   name the words redefined as a procedure gets them as values. *)
+and invoke_vm_strings t want name (words : string list) =
+  match if t.guard_active then guard_check t ~spend:true else None with
+  | Some msg -> (Tcl_error, msg)
+  | None -> (
+    t.cmd_count <- t.cmd_count + 1;
+    match vm_lookup t name with
+    | Builtin cmd -> run_builtin t cmd words
+    | Proc _ as d -> dispatch_vm t want name d (List.map Tval.of_string words)
+    | exception Not_found -> invoke_missing t name words)
 
 (* Single-argument dispatch: the same guard/count/cache sequence as
    invoke_vm, with the words list only materialized off the fast
@@ -2267,26 +2318,9 @@ and invoke_vm1 t want (nametv : Tval.t) (v1 : Tval.t) =
   | None -> (
     t.cmd_count <- t.cmd_count + 1;
     let name = Tval.to_string nametv in
-    match t.vm_lastcmd with
-    | Some (n, d) when n == name -> dispatch_vm1 t want name d v1
-    | _ -> (
-      match Hashtbl.find_opt t.commands name with
-      | Some d ->
-        t.vm_lastcmd <- Some (name, d);
-        dispatch_vm1 t want name d v1
-      | None -> invoke_vm_missing t name [ nametv; v1 ]))
-
-and invoke_vm_missing t name (words : Tval.t list) =
-  if Hashtbl.mem t.hidden name then begin
-    t.guard.g_denied <- t.guard.g_denied + 1;
-    (Tcl_error, Printf.sprintf "permission denied: command \"%s\" is hidden" name)
-  end
-  else (
-    let swords = List.map Tval.to_string words in
-    match Hashtbl.find_opt t.commands "unknown" with
-    | Some (Builtin cmd) -> run_builtin t cmd ("unknown" :: swords)
-    | Some (Proc p) -> call_proc t "unknown" p ("unknown" :: swords)
-    | None -> (Tcl_error, Printf.sprintf "invalid command name \"%s\"" name))
+    match vm_lookup t name with
+    | d -> dispatch_vm1 t want name d v1
+    | exception Not_found -> invoke_missing t name [ name; Tval.to_string v1 ])
 
 and dispatch_vm t want name d words =
   match d with
@@ -2330,12 +2364,12 @@ and vm_bind_formals frame name formals actuals =
       (Printf.sprintf "no value given for parameter \"%s\" to \"%s\"" formal
          name)
 
-and vm_take_frame p (code : frame Vm.code) =
+and vm_take_frame p =
   match p.pframes with
-  | f :: rest when f.lnames == code.Vm.locals ->
+  | f :: rest when f.lnames == p.plocals ->
     p.pframes <- rest;
     f
-  | _ -> vm_frame code.Vm.locals
+  | _ -> vm_frame p.plocals
 
 and run_proc_frame t want name p (code : frame Vm.code) frame =
   t.stack <- frame :: t.stack;
@@ -2356,7 +2390,7 @@ and run_proc_frame t want name p (code : frame Vm.code) frame =
 
 and call_proc_vm t want name p (actuals : Tval.t list) =
   let code = proc_vm_code t p in
-  let frame = vm_take_frame p code in
+  let frame = vm_take_frame p in
   match vm_bind_formals frame name p.formals actuals with
   | Some msg -> (Tcl_error, msg)
   | None -> run_proc_frame t want name p code frame
@@ -2367,7 +2401,7 @@ and call_proc_vm1 t want name p (v1 : Tval.t) =
   match p.formals with
   | [ (formal, _) ] when not (String.equal formal "args") ->
     let code = proc_vm_code t p in
-    let frame = vm_take_frame p code in
+    let frame = vm_take_frame p in
     vm_set_slot frame formal v1;
     run_proc_frame t want name p code frame
   | _ -> call_proc_vm t want name p [ v1 ]

@@ -1,9 +1,11 @@
 (* Register/slot bytecode for the Tcl compile layer.
 
-   [lower] translates a {!Compile.program} into an instruction array
-   with resolved variable references: procedure locals become slot
-   indices into the frame's cell array, other names carry a one-entry
-   inline cache validated by the owning frame's generation counter.
+   [lower] translates each command of a script, as {!Compile.fold}
+   hands it over, into an instruction with resolved variable
+   references, so no script's whole compiled form is ever live:
+   procedure locals become slot indices into the frame's cell array,
+   other names carry a one-entry inline cache validated by the owning
+   frame's generation counter.
    The structural commands (set, incr, expr, if, while, for, foreach,
    return, break, continue) are recognized *syntactically* — literal
    command name at the exact arity, braced bodies, parseable
@@ -23,14 +25,15 @@
    Lowered code points into its source instead of copying from it: a
    [code] holds the string it was lowered from once, and an instruction
    only its command's {!span} in that string.  The command's text is cut
-   out when an error trace or a guard refusal quotes it, and a deopt
-   compiles that text again for the command's words (Tcl 8 likewise
-   recompiles bytecode when a compiled builtin is redefined).  Neither
-   is on the path a running program takes: the text is read only when a
-   command fails, and a deopt happens only after a structural builtin is
-   redefined.  The executor lives in {!Interp}; the types are parametric
-   over the frame representation ['f] to keep this module free of
-   interpreter internals. *)
+   out when an error trace or a guard refusal quotes it, and an opcode's
+   first deopt in a code compiles that text again for the command's words
+   and keeps them on the code (Tcl 8 likewise recompiles bytecode once
+   when a compiled builtin is redefined).  Neither is on the path a
+   running program takes: the text is read only when a command fails,
+   and a deopt happens only after a structural builtin is redefined.
+   The executor lives in {!Interp}; the types are parametric over the
+   frame representation ['f] to keep this module free of interpreter
+   internals. *)
 
 type 'f cache = ('f * int * Tval.t) option ref
 (** One-entry inline cache for a by-name variable reference: the frame
@@ -54,13 +57,13 @@ let text src span = String.sub src (span lsr span_bits) (span land span_mask)
 
 type 'f code = {
   insns : 'f insn array;
-  locals : string array;
-      (** slot names for the frame this code runs in ([||] for nested
-          and top-level code: nested code shares the enclosing frame) *)
   src : string;
       (** the source the instructions' spans point into: the script
           text (a cache key), a procedure body or a braced body; a
           bracketed script shares its enclosing code's *)
+  mutable deopted : (span * string option list) list;
+      (** the words of each command here that has deopted, compiled
+          again from its text at its first deopt (see {!deopt_words}) *)
 }
 
 and 'f insn =
@@ -139,10 +142,10 @@ and 'f vexpr =
 (* Lowering *)
 
 type 'f lstate = {
-  compile : string -> Compile.program;
-      (* braced bodies and bracketed scripts are compiled through the
-         interpreter's counted compiler so the pass shows up in
-         tcl.compile.* like any other compilation *)
+  on_pass : unit -> unit;
+      (* called once per parse pass (the script, each braced body and
+         each bracketed script inside an expression), so the pass shows
+         up in tcl.compile.* like any other compilation *)
   alloc : bool;  (* procedure context: new names may claim slots *)
   mutable names : string list;  (* allocated slot names, reversed *)
   mutable count : int;
@@ -195,6 +198,17 @@ let all_lits words =
 
 let span_of (c : Compile.command) = (c.pos lsl span_bits) lor (c.stop - c.pos)
 
+let code_of src insns = { insns; src; deopted = [] }
+
+(* The array of a list built in reverse. *)
+let array_of_rev = function
+  | [] -> [||]
+  | last :: _ as rev ->
+    let n = List.length rev in
+    let a = Array.make n last in
+    List.iteri (fun i x -> a.(n - 1 - i) <- x) rev;
+    a
+
 (* [src] is the source the words' command was compiled from: a bracketed
    script inside a word is lowered into code that shares it. *)
 let rec lower_word st src (w : Compile.word) =
@@ -228,14 +242,17 @@ and lower_part st src (p : Compile.part) =
     Pidx (base, List.map (lower_part st src) idx)
   | Compile.Cmd prog -> Pcmd (lower_prog st src prog)
 
+(* A bracketed script inside a word: compiled with its command. *)
 and lower_prog st src (prog : Compile.program) =
-  {
-    insns = Array.of_list (List.map (lower_command st src) prog);
-    locals = [||];
-    src;
-  }
+  code_of src (Array.of_list (List.map (lower_command st src) prog))
 
-and lower_body st body = lower_prog st body (st.compile body)
+(* A script, body or expression script of its own: each command is
+   lowered as soon as it is compiled and then dropped, so the compiled
+   form of the whole source is never live. *)
+and lower_source st src =
+  st.on_pass ();
+  let rev = Compile.fold (fun acc c -> lower_command st src c :: acc) [] src in
+  code_of src (array_of_rev rev)
 
 and lower_command st src (c : Compile.command) =
   match c.words with
@@ -297,7 +314,7 @@ and lower_named st src c name rest =
     | Some cond, Some body -> (
       match Expr.parse cond with
       | Stdlib.Ok ast ->
-        Iwhile { cond = lower_ast st ast; body = lower_body st body; span }
+        Iwhile { cond = lower_ast st ast; body = lower_source st body; span }
       | Stdlib.Error _ -> ivk ())
     | _ -> ivk ())
   | "for", [ init; cond; next; body ] -> (
@@ -307,10 +324,10 @@ and lower_named st src c name rest =
       | Stdlib.Ok ast ->
         Ifor
           {
-            init = lower_body st init;
+            init = lower_source st init;
             cond = lower_ast st ast;
-            next = lower_body st next;
-            body = lower_body st body;
+            next = lower_source st next;
+            body = lower_source st body;
             span;
           }
       | Stdlib.Error _ -> ivk ())
@@ -330,7 +347,8 @@ and lower_named st src c name rest =
       in
       match items with
       | Some items ->
-        Iforeach { dst = ref_of st var; items; body = lower_body st body; span }
+        Iforeach
+          { dst = ref_of st var; items; body = lower_source st body; span }
       | None -> ivk ())
     | _ -> ivk ())
   | "return", [] -> Ireturn { value = None; span }
@@ -352,14 +370,14 @@ and lower_if st span ws ivk =
         match Expr.parse cond with
         | Stdlib.Error _ -> None
         | Stdlib.Ok ast ->
-          tail ((lower_ast st ast, lower_body st body) :: acc) rest)
+          tail ((lower_ast st ast, lower_source st body) :: acc) rest)
       | [] -> None)
     | [] -> None
   and tail acc = function
     | [] -> Some (List.rev acc, None)
     | "elseif" :: rest -> clause rest acc
-    | "else" :: [ body ] -> Some (List.rev acc, Some (lower_body st body))
-    | [ body ] -> Some (List.rev acc, Some (lower_body st body))
+    | "else" :: [ body ] -> Some (List.rev acc, Some (lower_source st body))
+    | [ body ] -> Some (List.rev acc, Some (lower_source st body))
     | _ -> None
   in
   match clause ws [] with
@@ -370,14 +388,14 @@ and lower_ast st (a : Expr.ast) =
   match a with
   | Expr.A_const v -> Xconst v
   | Expr.A_var name -> Xvar (ref_of st name)
-  | Expr.A_cmd script -> Xcmd (lower_prog st script (st.compile script))
+  | Expr.A_cmd script -> Xcmd (lower_source st script)
   | Expr.A_quoted parts ->
     Xquoted
       (List.map
          (function
            | Expr.Q_lit s -> Ql s
            | Expr.Q_var n -> Qv n
-           | Expr.Q_cmd s -> Qc (lower_prog st s (st.compile s)))
+           | Expr.Q_cmd s -> Qc (lower_source st s))
          parts)
   | Expr.A_unop (op, x) -> Xunop (op, lower_ast st x)
   | Expr.A_binop (op, x, y) -> Xbinop (op, lower_ast st x, lower_ast st y)
@@ -386,8 +404,8 @@ and lower_ast st (a : Expr.ast) =
   | Expr.A_func (name, args) -> Xfunc (name, List.map (lower_ast st) args)
 
 (* The literal table lives as long as one lowering. *)
-let lstate ~compile ~alloc =
-  { compile; alloc; names = []; count = 0; lits = Hashtbl.create 16 }
+let lstate ~on_pass ~alloc =
+  { on_pass; alloc; names = []; count = 0; lits = Hashtbl.create 16 }
 
 (* Every span fits when the outermost source does: the sources nested in
    it (braced bodies, expression scripts) are no longer than their
@@ -396,13 +414,13 @@ let check_length src =
   if String.length src > span_mask then
     invalid_arg "Vm.lower: source longer than 2^31 - 1 bytes"
 
-let lower ~compile src =
+let lower ~on_pass src =
   check_length src;
-  lower_prog (lstate ~compile ~alloc:false) src (compile src)
+  lower_source (lstate ~on_pass ~alloc:false) src
 
-let lower_proc ~compile ~formals body =
+let lower_proc ~on_pass ~formals body =
   check_length body;
-  let st = lstate ~compile ~alloc:true in
+  let st = lstate ~on_pass ~alloc:true in
   List.iter
     (fun f ->
       if
@@ -411,5 +429,19 @@ let lower_proc ~compile ~formals body =
         && st.count < max_slots
       then ignore (add_slot st f))
     formals;
-  let code = lower_prog st body (compile body) in
-  { code with locals = Array.of_list (List.rev st.names) }
+  let code = lower_source st body in
+  (code, Array.of_list (List.rev st.names))
+
+let deopt_words ~compile code span =
+  match List.assoc_opt span code.deopted with
+  | Some ws -> ws
+  | None ->
+    (* The text is one whole command, so it compiles to that command. *)
+    let cmd = List.hd (compile (text code.src span)) in
+    let ws =
+      List.map
+        (function Compile.W_lit s -> Some s | _ -> None)
+        cmd.Compile.words
+    in
+    code.deopted <- (span, ws) :: code.deopted;
+    ws

@@ -16,9 +16,10 @@
     Each {!code} holds the string it was lowered from, and each
     instruction only the {!span} of its command in that string. The
     command's text is cut out of the source when it is needed: when an
-    error trace or a guard refusal quotes it, and when a deopt compiles
-    it again to get the command's words (literals, plus the value of the
-    one word the opcode substitutes itself).
+    error trace or a guard refusal quotes it, and when an opcode first
+    deopts in a code, which compiles it again to get the command's words
+    (literals, plus the value of the one word the opcode substitutes
+    itself) and keeps them on the code.
 
     All types are parametric over the frame representation ['f]: the
     executor lives in {!Interp}, which instantiates ['f] with its
@@ -42,14 +43,14 @@ val text : string -> span -> string
 
 type 'f code = {
   insns : 'f insn array;
-  locals : string array;
-      (** slot names for the frame this code runs in ([||] for nested
-          and top-level code, which share the enclosing frame) *)
   src : string;
       (** the source every instruction's span points into: for a
           top-level script the script itself (the cache's key), for a
           procedure its body, for a loop or branch its braced body; a
           bracketed script shares its enclosing code's *)
+  mutable deopted : (span * string option list) list;
+      (** what {!deopt_words} has compiled for this code: [[]] until one
+          of its opcodes deopts *)
 }
 
 and 'f insn =
@@ -121,21 +122,34 @@ and 'f vexpr =
   | Xternary of 'f vexpr * 'f vexpr * 'f vexpr
   | Xfunc of string * 'f vexpr list
 
-val lower : compile:(string -> Compile.program) -> string -> 'f code
+val lower : on_pass:(unit -> unit) -> string -> 'f code
 (** Compile and lower a top-level script; the code's [src] is the
     script. All variable references resolve by name (with inline
-    caches); [locals] is [[||]]. [compile] compiles the script and the
-    braced loop/condition bodies and bracketed scripts inside
-    expressions. Raises [Invalid_argument] for a script of 2{^31}
-    bytes or more, whose spans would not fit. *)
+    caches). Each command is lowered as soon as
+    {!Compile.fold} has compiled it, so the compiled form of the whole
+    script is never live. [on_pass] is called once per parse pass: for
+    the script, and for each braced loop/condition body and each
+    bracketed script inside an expression. Raises [Invalid_argument]
+    for a script of 2{^31} bytes or more, whose spans would not fit. *)
 
 val lower_proc :
-  compile:(string -> Compile.program) ->
+  on_pass:(unit -> unit) ->
   formals:string list ->
   string ->
-  'f code
-(** Compile and lower a procedure body, as {!lower}. Formals claim the
-    first local slots, and literal [set]/[incr]/[foreach] targets (and
-    [$x] reads, including those inside multi-part words) claim further
-    ones as they appear, up to a small bound; the executor builds the
-    call frame from [locals]. *)
+  'f code * string array
+(** Compile and lower a procedure body, as {!lower}, with the names of
+    its frame's local slots. Formals claim the first slots, and literal
+    [set]/[incr]/[foreach] targets (and [$x] reads, including those
+    inside multi-part words) claim further ones as they appear, up to a
+    small bound; the executor builds the call frame from the names. *)
+
+val deopt_words :
+  compile:(string -> Compile.program) ->
+  'f code ->
+  span ->
+  string option list
+(** The words of the command at [span] in the code's source, for an
+    opcode that deopts: [Some] a literal word, [None] the one word the
+    opcode substitutes itself. The command's text is compiled with
+    [compile] at its first deopt in this code and kept on the code, so
+    an opcode that deopts on every run compiles once. *)

@@ -13,11 +13,14 @@
      serials in O(moved), and re-emitting one item's ops replaces exactly
      its old drawing (Server.clear_keyed + redraw) without touching
      anything else;
+   - a repaint draws only the items in view: the full redraw finds them
+     through the index, so it costs the view, not the store;
    - edits mark items dirty and accumulate damage (Tk.Core.schedule_damage);
      the idle-time partial repaint re-emits only dirty items inside the
-     damage clip, found through the index. Because the rasterizer paints
-     keys in ascending order, the retained op store after a partial repaint
-     is byte-identical to what a full redraw would leave.
+     damage clip, found through the index, and drops the ops of those that
+     left the view. Because the rasterizer paints keys in ascending order,
+     the retained op store after a partial repaint is byte-identical to
+     what a full redraw would leave.
 
    The [tk.canvas.*] counters in xstat expose the index hit rates and the
    considered/drawn split; `Canvas.install ~index:false` ablates one
@@ -411,7 +414,29 @@ let draw_item w gc it =
       Server.draw_text ~key conn win (gc it.fill) ~x:it.coords.(0)
         ~y:it.coords.(1) it.text
 
-let emit_item w it = draw_item w (fun color -> item_gc w color) it
+(* Each colour's GC is looked up once per repaint pass, not once per
+   item: the lookup (option reads, name normalising, a formatted cache
+   key) costs more than the draw.  A colour is looked up at the first
+   item that uses it, so the X requests are those of a lookup per item,
+   in the same order. *)
+let pass_gc w =
+  let gcs = Hashtbl.create 8 in
+  fun color ->
+    match Hashtbl.find gcs color with
+    | g -> g
+    | exception Not_found ->
+      let g = item_gc w color in
+      Hashtbl.add gcs color g;
+      g
+
+(* What a repaint draws: the items whose bounding box meets the window.
+   The window is padded by one raster cell, as damage is, since a
+   cell-quantized line or text row just outside it can paint a cell
+   inside.  Only a resize changes the view, and a resize redraws in
+   full. *)
+let view w =
+  damage_pad
+    (Geom.rect ~x:0 ~y:0 ~width:w.Tk.Core.width ~height:w.Tk.Core.height)
 
 let clear_dead_keys w s =
   let conn = w.Tk.Core.app.Tk.Core.conn in
@@ -419,7 +444,9 @@ let clear_dead_keys w s =
   s.dead_keys <- []
 
 (* Full redraw (class display hook; the core has already cleared the
-   window, which also dropped any dead keys). *)
+   window, which also dropped any dead keys).  It draws the items in
+   view, found through the index, so the retained ops are those items'
+   and nothing else. *)
 let display w =
   let s = data w in
   let m = metrics w in
@@ -435,48 +462,41 @@ let display w =
     Server.draw_relief ~key:relief_key app.Tk.Core.conn w.Tk.Core.win
       (Geom.rect ~x:0 ~y:0 ~width:w.Tk.Core.width ~height:w.Tk.Core.height)
       ~raised:(relief = Tk.Core.Raised) ~width:bw;
-  (* Each colour's GC is looked up once per pass, not once per item: the
-     lookup (option reads, name normalising, a formatted cache key) costs
-     more than the draw.  A colour is looked up at the first item that
-     uses it, so the X requests are those of a lookup per item, in the
-     same order. *)
-  let gcs = Hashtbl.create 8 in
-  let gc color =
-    match Hashtbl.find gcs color with
-    | g -> g
-    | exception Not_found ->
-      let g = item_gc w color in
-      Hashtbl.add gcs color g;
-      g
-  in
-  for i = 0 to s.len - 1 do
-    let it = get s i in
-    m.Tk.Metrics.canvas_items_considered <-
-      m.Tk.Metrics.canvas_items_considered + 1;
-    m.Tk.Metrics.canvas_items_drawn <- m.Tk.Metrics.canvas_items_drawn + 1;
-    draw_item w gc it;
-    it.dirty <- false
-  done
+  let gc = pass_gc w in
+  List.iter
+    (fun it ->
+      m.Tk.Metrics.canvas_items_considered <-
+        m.Tk.Metrics.canvas_items_considered + 1;
+      m.Tk.Metrics.canvas_items_drawn <- m.Tk.Metrics.canvas_items_drawn + 1;
+      draw_item w gc it;
+      it.dirty <- false)
+    (query_rect w s (view w))
 
 (* Partial repaint: only items inside the damage clip are even considered
-   (via the index); only the dirty ones re-emit their ops. Every dirty
-   item is inside the clip by construction — each edit adds its old∪new
-   bbox to the damage the core accumulates. *)
+   (via the index); only the dirty ones drop their old ops, and of those
+   only the ones in view draw again. Every dirty item is inside the clip
+   by construction — each edit adds its old∪new bbox to the damage the
+   core accumulates. *)
 let display_damaged w clip =
   let s = data w in
   let m = metrics w in
   m.Tk.Metrics.canvas_damage_redraws <- m.Tk.Metrics.canvas_damage_redraws + 1;
   clear_dead_keys w s;
   let conn = w.Tk.Core.app.Tk.Core.conn in
+  let view = view w in
+  let gc = pass_gc w in
   List.iter
     (fun it ->
       m.Tk.Metrics.canvas_items_considered <-
         m.Tk.Metrics.canvas_items_considered + 1;
       if it.dirty then begin
         Server.clear_keyed conn w.Tk.Core.win it.zserial;
-        emit_item w it;
-        it.dirty <- false;
-        m.Tk.Metrics.canvas_items_drawn <- m.Tk.Metrics.canvas_items_drawn + 1
+        if Geom.intersect it.bbox view <> None then begin
+          draw_item w gc it;
+          m.Tk.Metrics.canvas_items_drawn <-
+            m.Tk.Metrics.canvas_items_drawn + 1
+        end;
+        it.dirty <- false
       end)
     (query_rect w s clip)
 

@@ -374,6 +374,53 @@ let differential_tests =
         ignore (run app ".c delete off");
         Tk.Core.update app;
         check_ops_match_full server app "after delete" );
+    ( "a full redraw retains ops only for items in view",
+      fun () ->
+        (* gui_events' set-up: 9,950 items on a lattice over a plane 8x
+           the 300x200 view each way, and a 50-item cluster in view.  The
+           view shows 117 lattice items and the cluster; with background
+           and relief that is 169 ops, where drawing every item left
+           10,002. *)
+        let server, app = canvas_app () in
+        let buf = Buffer.create 400_000 in
+        for k = 0 to 9_949 do
+          let x = k mod 100 * 24 and y = k / 100 * 24 in
+          Printf.bprintf buf ".c create rectangle %d %d %d %d\n" x y (x + 6)
+            (y + 4)
+        done;
+        for k = 0 to 49 do
+          let x = 60 + (k mod 10 * 9) and y = 50 + (k / 10 * 9) in
+          Printf.bprintf buf ".c create rectangle %d %d %d %d -tags hot\n" x
+            y (x + 6) (y + 4)
+        done;
+        ignore (run app (Buffer.contents buf));
+        Tk.Core.schedule_redraw (canvas_widget app);
+        Tk.Core.update app;
+        let ops = List.length (canvas_ops server app) in
+        check_bool (Printf.sprintf "%d ops retained" ops) true (ops = 169);
+        ignore (run app ".c move hot 1 1");
+        Tk.Core.update app;
+        check_ops_match_full server app "after a drag step" );
+    ( "widening the window draws the items it uncovers",
+      fun () ->
+        let server, app = canvas_app () in
+        ignore (run app ".c create rectangle 10 10 20 20");
+        ignore (run app ".c create rectangle 400 10 410 20 -tags far");
+        Tk.Core.update app;
+        let before = List.length (canvas_ops server app) in
+        ignore (run app ".c configure -width 500");
+        Tk.Core.update app;
+        check_bool "the window grew" true
+          ((canvas_widget app).Tk.Core.width = 500);
+        let after = List.length (canvas_ops server app) in
+        check_bool
+          (Printf.sprintf "%d ops before, %d after" before after)
+          true
+          (before = 3 && after = 4);
+        check_ops_match_full server app "after widening";
+        ignore (run app ".c move far 10 0");
+        Tk.Core.update app;
+        check_ops_match_full server app "after a move in the new view" );
     ( "randomized stream: index = linear oracle, damage raster = full",
       fun () -> ignore (differential_run seed) );
     ( "two runs on the fixed seed are identical",
@@ -441,6 +488,29 @@ let counter_tests =
         check_bool
           (Printf.sprintf "%.1f minor words per create" per_create)
           true (per_create <= 80.0) );
+    ( "a damage repaint looks up one colour's GC once",
+      fun () ->
+        let _, app = canvas_app () in
+        ignore
+          (run app
+             "for {set i 0} {$i < 20} {incr i} { .c create rectangle [expr \
+              {10 + $i * 5}] 10 [expr {13 + $i * 5}] 14 -fill red -outline \
+              {} -tags hot }");
+        Tk.Core.update app;
+        ignore (run app ".c move hot 1 1");
+        Tk.Core.reset_metrics app;
+        Tk.Core.update app;
+        check_bool "one damage repaint, no full redraw" true
+          (metric app "tk.canvas.damage_redraws" = 1
+          && metric app "tk.canvas.full_redraws" = 0);
+        check_bool "20 items drawn" true
+          (metric app "tk.canvas.items_drawn" = 20);
+        let lookups =
+          metric app "rescache_hits" + metric app "rescache_misses"
+        in
+        check_bool
+          (Printf.sprintf "%d rescache lookups" lookups)
+          true (lookups = 1) );
     ( "damage covering the widget deopts to a full redraw",
       fun () ->
         let _, app = canvas_app () in

@@ -199,6 +199,27 @@ let cache_tests =
         let compiles = stat tcl "script_compiles" in
         check_int "one parse pass per compile" compiles
           (stat tcl "parse_passes") );
+    ( "a deopted opcode compiles its command once per code",
+      fun () ->
+        (* With [continue] shadowed every inlined opcode deopts.  The
+           script with no iterations makes 4 passes; a body adds 1 for
+           itself and 1 per deopted opcode in it, however many times it
+           runs. *)
+        let passes body =
+          let tcl = new_interp ~compile:true () in
+          ignore (run tcl "proc continue args {}");
+          Tcl.Interp.reset_compile_stats tcl;
+          ignore
+            (run tcl (Printf.sprintf "set i 0; while {$i < 100} {%s}" body));
+          let n = stat tcl "parse_passes" in
+          check_string body "100" (run tcl "set i");
+          n
+        in
+        let one = passes "incr i" and two = passes "incr i; set x $i" in
+        check_bool (Printf.sprintf "%d passes for incr i" one) true (one <= 6);
+        check_bool
+          (Printf.sprintf "%d passes for incr i; set x $i" two)
+          true (two <= 7) );
     ( "proc redefinition replaces the compiled body",
       fun () ->
         let tcl = new_interp ~compile:true () in
@@ -460,6 +481,57 @@ let first_run_tests =
         check_bool
           (Printf.sprintf "%.0f minor words per command" per_command)
           true (per_command <= 250.0) );
+    ( "lowering a 10,000-line script promotes at most 25 words per line",
+      fun () ->
+        (* A canvas app's set-up script.  Each command is lowered as soon
+           as it is compiled, so what a minor collection finds alive is
+           the code kept so far, not the compiled form of the script. *)
+        let lines = 10_000 in
+        let src =
+          String.concat ""
+            (List.init lines (fun k ->
+                 let x = k mod 100 * 24 and y = k / 100 * 24 in
+                 Printf.sprintf ".c create rectangle %d %d %d %d\n" x y
+                   (x + 6) (y + 4)))
+        in
+        let promoted () =
+          Gc.minor ();
+          let _, words, _ = Gc.counters () in
+          words
+        in
+        let before = promoted () in
+        let code : unit Tcl.Vm.code = Tcl.Vm.lower ~on_pass:ignore src in
+        let per_line = (promoted () -. before) /. float lines in
+        check_int "commands" lines (Array.length code.Tcl.Vm.insns);
+        check_bool
+          (Printf.sprintf "%.1f promoted words per line" per_line)
+          true (per_line <= 25.0) );
+    ( "a .c create line run again allocates at most 100 minor words",
+      fun () ->
+        (* The set-up script run a second time, with a full redraw
+           pending: a builtin gets its words substituted straight to
+           strings, not copied into values and mapped back. *)
+        let _server, app = fresh_app ~name:"createalloc" () in
+        ignore (run_app app "canvas .c -width 300 -height 200");
+        ignore (run_app app "pack append . .c {top}");
+        Tk.Core.update app;
+        let lines = 1000 in
+        let src =
+          String.concat ""
+            (List.init lines (fun k ->
+                 let x = k mod 100 * 24 and y = k / 100 * 24 in
+                 Printf.sprintf ".c create rectangle %d %d %d %d\n" x y
+                   (x + 6) (y + 4)))
+        in
+        ignore (run_app app src);
+        ignore (run_app app ".c delete all");
+        let before = Gc.minor_words () in
+        ignore (run_app app src);
+        let per_line = (Gc.minor_words () -. before) /. float lines in
+        check_string "items" (string_of_int lines) (run_app app ".c itemcount");
+        check_bool
+          (Printf.sprintf "%.1f minor words per line" per_line)
+          true (per_line <= 100.0) );
     ( "a cached generic command holds at most 16 words",
       fun () ->
         (* A set-up script like a canvas app's: distinct lines over a

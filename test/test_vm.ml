@@ -125,6 +125,12 @@ let differential_scripts =
     "proc p {} {rename foreach f0; proc foreach args {uplevel 1 [linsert \
      $args 0 f0]}; return {a b}}; set r {}; foreach e [p] {lappend r $e}; \
      set r";
+    (* a builtin's words are substituted to strings, and a word that
+       redefines the command reaches the new definition either way *)
+    "list [llength [proc llength args {return shadowed}]] [llength a b]";
+    "proc p args {return proc}; set r [p [rename p {}; rename concat p] \
+     b]; list $r [p x y]";
+    "set n 0; list [string length [incr n]$n] [lindex {a b} $n]";
     (* catch / return interactions the typed result channel must respect *)
     "proc p {} {catch {return 5}}; p";
     "proc p {} {list [catch {return 5} m] $m}; p";
