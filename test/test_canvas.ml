@@ -374,6 +374,15 @@ let differential_tests =
         ignore (run app ".c delete off");
         Tk.Core.update app;
         check_ops_match_full server app "after delete" );
+    ( "randomized stream: index = linear oracle, damage raster = full",
+      fun () -> ignore (differential_run seed) );
+    ( "two runs on the fixed seed are identical",
+      fun () ->
+        let t1 = differential_run seed in
+        let t2 = differential_run seed in
+        check_string "transcripts equal" t1 t2 );
+    ( "16 more seeds: index = linear oracle, damage raster = full",
+      fun () -> List.iter (fun s -> ignore (differential_run s)) seeds );
     ( "a full redraw retains ops only for items in view",
       fun () ->
         (* gui_events' set-up: 9,950 items on a lattice over a plane 8x
@@ -421,15 +430,6 @@ let differential_tests =
         ignore (run app ".c move far 10 0");
         Tk.Core.update app;
         check_ops_match_full server app "after a move in the new view" );
-    ( "randomized stream: index = linear oracle, damage raster = full",
-      fun () -> ignore (differential_run seed) );
-    ( "two runs on the fixed seed are identical",
-      fun () ->
-        let t1 = differential_run seed in
-        let t2 = differential_run seed in
-        check_string "transcripts equal" t1 t2 );
-    ( "16 more seeds: index = linear oracle, damage raster = full",
-      fun () -> List.iter (fun s -> ignore (differential_run s)) seeds );
   ]
 
 (* ------------------------------------------------------------------ *)
