@@ -893,7 +893,9 @@ let lint_case name files =
      mirror that environment so the sweep stays diagnostic-free. *)
   List.iter
     (fun cmd ->
-      Tcl.Interp.register_value app.Tk.Core.interp cmd (fun _ _ -> ""))
+      Tcl.Interp.register_value app.Tk.Core.interp
+        (Tcl.Interp.signature cmd 0 ~usage:cmd)
+        (fun _ _ -> ""))
     [ "screendump"; "inject"; "serverstats"; "faultstats"; "crashtest" ];
   let lines = List.fold_left (fun acc (_, s) -> acc + count_lines s) 0 files in
   let out =
@@ -1267,7 +1269,7 @@ let emit_json ~path ~smoke =
     J_obj
       [
         ("benchmark", J_string "tk-repro");
-        ("pr", J_int 22);
+        ("pr", J_int 26);
         ("mode", J_string (if smoke then "smoke" else "full"));
         ( "table2",
           J_obj

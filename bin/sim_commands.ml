@@ -1,20 +1,35 @@
 (* Simulation-only commands shared by wish and tclcheck: both binaries
-   register the same names (wish with real implementations so scripts can
-   be driven headlessly, tclcheck only needs the signatures), so a script
-   that runs under wish also lints clean under tclcheck. *)
+   register the same commands (wish runs them so scripts can be driven
+   headlessly, tclcheck reads their signatures), so a script that runs
+   under wish also lints clean under tclcheck. *)
 
 open Xsim
 
 let install app =
   let interp = app.Tk.Core.interp in
-  Tcl.Interp.register_value interp "screendump" (fun _ words ->
+  let sg = Tcl.Interp.signature and sub = Tcl.Interp.subsig in
+  Tcl.Interp.register_value interp
+    (sg "screendump" 0 ~max:1 ~usage:"screendump ?window?")
+    (fun _ words ->
       match words with
       | [ _ ] -> Raster.render app.Tk.Core.server ()
       | [ _; path ] ->
         let w = Tk.Core.lookup_exn app path in
         Raster.render app.Tk.Core.server ~window:w.Tk.Core.win ()
-      | _ -> Tcl.Interp.wrong_args "screendump ?window?");
-  Tcl.Interp.register_value interp "inject" (fun _ words ->
+      | _ -> raise Tcl.Interp.Usage);
+  Tcl.Interp.register_value interp
+    (sg "inject" 2 ~max:3
+       ~usage:"inject motion x y | button n | key keysym | string text"
+       ~subs:
+         [
+           sub "button" 1 ~max:1;
+           sub "key" 1 ~max:1;
+           sub "motion" 2 ~max:2;
+           sub "press" 1 ~max:1;
+           sub "release" 1 ~max:1;
+           sub "string" 1 ~max:1;
+         ])
+    (fun _ words ->
       let server = app.Tk.Core.server in
       let int_arg s =
         match int_of_string_opt s with
@@ -35,12 +50,13 @@ let install app =
         Server.inject_key server ~keysym ~pressed:true;
         Server.inject_key server ~keysym ~pressed:false
       | [ _; "string"; text ] -> Server.inject_string server text
-      | _ ->
-        Tcl.Interp.wrong_args
-          "inject motion x y | button n | key keysym | string text");
+      | _ -> raise Tcl.Interp.Usage);
       Tk.Core.update app;
       "");
-  Tcl.Interp.register_value interp "serverstats" (fun _ _ ->
+  Tcl.Interp.register_value interp
+    (sg "serverstats" 0 ~max:0 ~usage:"serverstats")
+    (fun _ words ->
+      if List.length words > 1 then raise Tcl.Interp.Usage;
       let s = Server.stats app.Tk.Core.conn in
       Printf.sprintf
         "requests %d round-trips %d resources %d windows %d draws %d \
@@ -48,13 +64,19 @@ let install app =
         s.Server.total_requests s.Server.round_trips s.Server.resource_allocs
         s.Server.window_requests s.Server.draw_requests
         s.Server.property_requests);
-  Tcl.Interp.register_value interp "faultstats" (fun _ _ ->
+  Tcl.Interp.register_value interp
+    (sg "faultstats" 0 ~max:0 ~usage:"faultstats")
+    (fun _ words ->
+      if List.length words > 1 then raise Tcl.Interp.Usage;
       let server = app.Tk.Core.server in
       Printf.sprintf "injected %d absorbed %d fallbacks %d"
         (Server.faults_injected server)
         (Server.faults_absorbed server)
         (Tk.Rescache.fallbacks app.Tk.Core.cache));
-  Tcl.Interp.register_value interp "crashtest" (fun _ words ->
+  Tcl.Interp.register_value interp
+    (sg "crashtest" 1 ~max:2 ~usage:"crashtest at n | kill app | status"
+       ~subs:[ sub "at" 1 ~max:1; sub "kill" 1 ~max:1; sub "status" 0 ~max:0 ])
+    (fun _ words ->
       let int_arg s =
         match int_of_string_opt s with
         | Some i -> i
@@ -85,22 +107,4 @@ let install app =
           (if Server.connection_crashed app.Tk.Core.conn then 1 else 0)
           (Server.crash_plan app.Tk.Core.conn)
           (Server.stats app.Tk.Core.conn).Server.total_requests
-      | _ -> Tcl.Interp.wrong_args "crashtest at n | kill app | status");
-  List.iter
-    (Tcl.Interp.register_signature interp)
-    Tcl.Interp.
-      [
-        signature "screendump" 0 ~max:1 ~usage:"screendump ?window?";
-        signature "inject" 2 ~max:3
-          ~usage:"inject motion x y | button n | key keysym | string text";
-        signature "serverstats" 0 ~max:0 ~usage:"serverstats";
-        signature "faultstats" 0 ~max:0 ~usage:"faultstats";
-        signature "crashtest" 1 ~max:2
-          ~usage:"crashtest at n | kill app | status"
-          ~subs:
-            [
-              subsig "at" 1 ~max:1;
-              subsig "kill" 1 ~max:1;
-              subsig "status" 0 ~max:0;
-            ];
-      ]
+      | _ -> raise Tcl.Interp.Usage)

@@ -61,7 +61,9 @@ let () =
        \  print [screendump_stub]\n\
        \  .dlg.yes invoke\n\
         }");
-  Tcl.Interp.register_value app.Tk.Core.interp "screendump_stub" (fun _ _ ->
+  Tcl.Interp.register_value app.Tk.Core.interp
+    (Tcl.Interp.signature "screendump_stub" 0 ~max:0 ~usage:"screendump_stub")
+    (fun _ _ ->
       Raster.render server ~window:(Tk.Core.main_widget app).Tk.Core.win ());
 
   print_endline "Clicking [Quit] pops the dialog and waits for an answer:";

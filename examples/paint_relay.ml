@@ -29,7 +29,9 @@ let () =
   ignore (run canvas "pack append . .area {top}");
   Tk.Core.update canvas;
   let plotted = ref 0 in
-  Tcl.Interp.register_value canvas.Tk.Core.interp "plot" (fun _ words ->
+  Tcl.Interp.register_value canvas.Tk.Core.interp
+    (Tcl.Interp.signature "plot" 2 ~max:2 ~usage:"plot x y")
+    (fun _ words ->
       match words with
       | [ _; x; y ] ->
         let area = Tk.Core.lookup_exn canvas ".area" in
@@ -41,7 +43,7 @@ let () =
           incr plotted
         | _ -> ());
         ""
-      | _ -> Tcl.Interp.wrong_args "plot x y");
+      | _ -> raise Tcl.Interp.Usage);
 
   (* --- The painter: motion events with button 1 held are forwarded. --- *)
   ignore (run painter "frame .pad -width 180 -height 90 -background gray90");

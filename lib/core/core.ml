@@ -83,6 +83,9 @@ type widget = {
 and wclass = {
   cname : string;
   specs : spec list;
+  subs : Tcl.Interp.sub_sig list;
+      (* subcommands beyond configure/cget: the widget command's usage
+         errors and the creating command's lint signature read it *)
   mutable configure_hook : widget -> unit;
   mutable display : widget -> unit;
   mutable display_damaged : (widget -> Geom.rect -> unit) option;
@@ -526,19 +529,16 @@ let widget_gc w ~fg ?font () =
 (* ------------------------------------------------------------------ *)
 (* Class helpers *)
 
-let make_class ~name ~specs () =
+let make_class ?(subs = []) ~name ~specs () =
   {
     cname = name;
     specs;
+    subs;
     configure_hook = (fun _ -> ());
     display = (fun _ -> ());
     display_damaged = None;
     handle_event = (fun _ _ -> ());
-    subcommands =
-      (fun w words ->
-        match words with
-        | _ :: sub :: _ -> failf "bad option \"%s\" for %s" sub w.path
-        | _ -> failf "wrong # args for %s" w.path);
+    subcommands = (fun _ _ -> raise Tcl.Interp.Usage);
     cleanup = (fun _ -> ());
   }
 
@@ -907,23 +907,29 @@ let run_bindings app w event ~click_count ~time =
 (* ------------------------------------------------------------------ *)
 (* Widget creation / destruction *)
 
+(* A call the class rejects gets its message from the class's table. *)
 let widget_command w : Tcl.Interp.command =
  fun _interp words ->
   if w.destroyed then failf "bad window path name \"%s\"" w.path
   else
-    match words with
-    | [ _ ] ->
-      failf "wrong # args: should be \"%s option ?arg arg ...?\"" w.path
-    | _ :: "configure" :: rest -> (
-      match rest with
-      | [] -> Tcl.Interp.ok (configure_info w None)
-      | [ switch ] -> Tcl.Interp.ok (configure_info w (Some switch))
-      | pairs ->
-        configure w pairs;
-        Tcl.Interp.ok "")
-    | [ _; "cget"; switch ] -> Tcl.Interp.ok (cget w switch)
-    | _ :: "cget" :: _ -> Tcl.Interp.wrong_args (w.path ^ " cget option")
-    | words -> w.wclass.subcommands w words
+    try
+      match words with
+      | _ :: "configure" :: rest -> (
+        match rest with
+        | [] -> Tcl.Interp.ok (configure_info w None)
+        | [ switch ] -> Tcl.Interp.ok (configure_info w (Some switch))
+        | pairs ->
+          configure w pairs;
+          Tcl.Interp.ok "")
+      | [ _; "cget"; switch ] -> Tcl.Interp.ok (cget w switch)
+      | words -> w.wclass.subcommands w words
+    with Tcl.Interp.Usage ->
+      let n = List.length words - 1 and sub = List.nth_opt words 1 in
+      let why = Tcl.Interp.widget_misuse w.wclass.subs n sub in
+      failf "%s"
+        (Tcl.Interp.widget_message w.path
+           (Option.value why
+              ~default:(Tcl.Interp.Sub_count (Option.value sub ~default:""))))
 
 let make_widget app ~path ?(data = No_data) wclass ~args =
   if not (Path.is_valid path) then failf "bad window path name \"%s\"" path;
@@ -1017,7 +1023,9 @@ let make_widget app ~path ?(data = No_data) wclass ~args =
     absorb app ~default:() (fun () -> Server.destroy_window app.conn win);
     raise e
   | None, () -> ());
-  Tcl.Interp.register app.interp path (widget_command w);
+  Tcl.Interp.register app.interp
+    (Tcl.Interp.signature path 1 ~usage:(path ^ " option ?arg arg ...?"))
+    (widget_command w);
   w
 
 (* Remove a widget from the application's tables without touching the
@@ -1297,11 +1305,10 @@ let mainloop app =
         | Some ms -> float_of_int (min ms 50) /. 1000.0
         | None -> 0.05
       in
-      (* poll_files honors the timeout even with no registered files, so
-         this is where the loop blocks between events — no busy-spin when
-         a timer is due in under a millisecond (next_deadline_ms rounds
-         up) and no separate idle nap needed. *)
-      ignore (Dispatch.poll_files app.disp ~timeout)
+      (* The loop blocks here between events — no busy-spin when a timer
+         is due in under a millisecond (next_deadline_ms rounds up) and no
+         separate idle nap needed. *)
+      Dispatch.poll_files app.disp ~timeout
     end
   done
 
@@ -1466,7 +1473,7 @@ let create_app ?(app_class = "Tk") ~server ~name () =
   let dc = clients_for server in
   dc.dc_apps <- dc.dc_apps @ [ app ];
   Hashtbl.replace dc.dc_by_comm comm_win app;
-  (* Background errors (bindings, timers, file handlers) go to a
+  (* Background errors (bindings, timers, idle callbacks) go to a
      user-redefinable Tcl procedure: [tkerror] (the paper-era name) when
      defined, else [bgerror] (its later spelling), else stderr. The event
      loop keeps running either way. *)
@@ -1482,7 +1489,7 @@ let create_app ?(app_class = "Tk") ~server ~name () =
       else if Tcl.Interp.command_exists app.interp "bgerror" then
         report "bgerror"
       else prerr_endline ("tk background error: " ^ msg));
-  (* Exceptions escaping timer/idle/file callbacks must not unwind the
+  (* Exceptions escaping timer and idle callbacks must not unwind the
      event loop: X errors are absorbed, script errors become background
      errors, anything else (e.g. the exit exception) still propagates. *)
   Dispatch.set_on_error app.disp (function

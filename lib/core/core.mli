@@ -83,6 +83,9 @@ type widget = {
 and wclass = {
   cname : string;
   specs : spec list;
+  subs : Tcl.Interp.sub_sig list;
+      (** options beyond configure/cget and their arities: the widget
+          command's usage errors and lint both read this table *)
   mutable configure_hook : widget -> unit;
       (** called after any option change and at creation *)
   mutable display : widget -> unit;  (** repaint into the X window *)
@@ -94,8 +97,8 @@ and wclass = {
   mutable handle_event : widget -> Event.t -> unit;
       (** the widget's built-in ("C code") event behaviour *)
   mutable subcommands : widget -> string list -> Tcl.Interp.result;
-      (** widget-command options beyond configure/cget; receives the full
-          word list *)
+      (** runs the options in [subs]; receives the full word list and
+          raises {!Tcl.Interp.Usage} for a call it does not accept *)
   mutable cleanup : widget -> unit;
 }
 
@@ -275,6 +278,7 @@ val children : widget -> widget list
 (** Direct children, by path structure. *)
 
 val make_class :
+  ?subs:Tcl.Interp.sub_sig list ->
   name:string ->
   specs:spec list ->
   unit ->
@@ -282,21 +286,10 @@ val make_class :
 (** A class skeleton with no-op behaviour; callers then set the mutable
     fields they need. *)
 
-val container_specs : spec list
-(** The frame option set, shared by ["."] and the frame widget. *)
-
 val container_class : name:string -> wclass
 (** A frame-like class: fills its background, draws an optional relief. *)
 
 (** {1 Configuration} *)
-
-val configure : widget -> string list -> unit
-(** Apply [-switch value] pairs: validates types (colors resolve through
-    the cache, pixel distances parse, …) and runs the class configure
-    hook. @raise Tcl.Interp.Tcl_failure on unknown switches/bad values. *)
-
-val configure_info : widget -> string option -> string
-(** The [configure] query forms: all specs, or one. *)
 
 val cget : widget -> string -> string
 (** Current (textual) value of an option. *)
@@ -352,9 +345,6 @@ val binding_script : app -> path:string -> sequence:string -> string option
 
 val bound_sequences : app -> path:string -> string list
 
-val percent_substitute : string -> widget -> Event.t -> time:int -> string
-(** Expand Figure 7's %-sequences in a binding script. *)
-
 val process_pending : app -> int
 (** Drain the X event queue: structure-cache updates, class handlers,
     binding execution, focus redirection. Returns events processed. *)
@@ -409,9 +399,6 @@ val set_focus : app -> string option -> unit
     property. Every read and write garbage-collects {e ghosts}: entries
     whose communication window no longer exists because the peer crashed
     without cleanup. *)
-
-val registry_shards : int
-(** Number of shard properties (fixed; part of the wire format). *)
 
 val registry_shard_property : int -> string
 (** Name of the [k]-th shard's root-window property. *)

@@ -16,7 +16,6 @@ type t = {
   mutable timers : timer list; (* sorted by deadline *)
   mutable next_id : int;
   mutable idle : (unit -> unit) list; (* reversed queue *)
-  mutable files : (Unix.file_descr * (unit -> unit)) list;
   mutable on_error : exn -> unit;
   mutable timers_fired : int;
   mutable idles_run : int;
@@ -35,7 +34,6 @@ let create ?clock () =
     timers = [];
     next_id = 1;
     idle = [];
-    files = [];
     on_error = raise;
     timers_fired = 0;
     idles_run = 0;
@@ -113,11 +111,6 @@ let cancel t tid =
 
 let when_idle t callback = t.idle <- callback :: t.idle
 
-let add_file_handler t fd callback = t.files <- (fd, callback) :: t.files
-
-let remove_file_handler t fd =
-  t.files <- List.filter (fun (f, _) -> f <> fd) t.files
-
 let run_due_timers t =
   let now = t.clock () in
   let due, remaining =
@@ -141,27 +134,11 @@ let run_idle t =
   note_sweep t ~t0 ~ran:n;
   n
 
+(* Through the pluggable sleep, so virtual-clock tests stay
+   deterministic, instead of returning at once and letting the caller
+   busy-spin toward the next timer deadline. *)
 let poll_files t ~timeout =
-  if t.files = [] then begin
-    (* No descriptors to select on: still honor the timeout (through the
-       pluggable sleep, so virtual-clock tests stay deterministic) instead
-       of returning immediately and letting the caller busy-spin toward
-       the next timer deadline. *)
-    sleep_ms t (int_of_float (Float.round (timeout *. 1000.0)));
-    0
-  end
-  else
-    let fds = List.map fst t.files in
-    match Unix.select fds [] [] timeout with
-    | readable, _, _ ->
-      List.iter
-        (fun fd ->
-          match List.assoc_opt fd t.files with
-          | Some callback -> protect t callback
-          | None -> ())
-        readable;
-      List.length readable
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
+  sleep_ms t (int_of_float (Float.round (timeout *. 1000.0)))
 
 let next_deadline_ms t =
   match t.timers with
@@ -170,5 +147,3 @@ let next_deadline_ms t =
     (* Round up: a timer due in 0.4 ms must yield 1, not 0 — [Some 0]
        for a not-yet-due timer makes deadline-driven poll loops spin. *)
     Some (max 0 (int_of_float (Float.ceil ((timer.deadline -. t.clock ()) *. 1000.0))))
-
-let has_work t = t.timers <> [] || t.idle <> []

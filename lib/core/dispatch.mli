@@ -1,5 +1,5 @@
-(** Non-X event sources of the Tk dispatcher (paper §3.2): timer events,
-    when-idle events and file events. X events live in the server's
+(** Non-X event sources of the Tk dispatcher (paper §3.2): timer events
+    and when-idle events. X events live in the server's
     per-connection queues; the application's [update]/[mainloop] drains
     both.
 
@@ -42,7 +42,7 @@ val use_virtual_clock : t -> (int -> unit)
     clock by a number of milliseconds directly (for driving timers). *)
 
 val set_on_error : t -> (exn -> unit) -> unit
-(** Exceptions escaping a timer, idle or file callback are passed to this
+(** Exceptions escaping a timer or idle callback are passed to this
     handler instead of unwinding the event loop (default: re-raise). The
     application installs a handler that reports background errors to the
     script level and keeps dispatching. *)
@@ -65,32 +65,21 @@ val when_idle : t -> (unit -> unit) -> unit
     scheduled from inside an idle callback runs in the next idle sweep,
     not the current one. *)
 
-val add_file_handler : t -> Unix.file_descr -> (unit -> unit) -> unit
-(** Invoke the callback when the descriptor becomes readable (checked by
-    {!poll_files}). *)
-
-val remove_file_handler : t -> Unix.file_descr -> unit
-
 val run_due_timers : t -> int
 (** Fire every timer whose deadline has passed; returns how many fired. *)
 
 val run_idle : t -> int
 (** Run the currently queued idle callbacks; returns how many ran. *)
 
-val poll_files : t -> timeout:float -> int
-(** Select on registered descriptors for at most [timeout] seconds,
-    invoking handlers for the readable ones; returns how many fired.
-    With no registered descriptors the call still passes [timeout]
-    through the pluggable sleep (deterministic under the virtual clock)
-    rather than returning immediately. *)
+val poll_files : t -> timeout:float -> unit
+(** Wait [timeout] seconds for outside events, through the pluggable
+    sleep (deterministic under the virtual clock).  The simulated
+    display delivers no events from outside, so this only sleeps. *)
 
 val next_deadline_ms : t -> int option
 (** Milliseconds until the earliest timer, if any — rounded {e up}, so a
     pending timer never reports 0 before it is actually due (0 only when
     overdue). *)
-
-val has_work : t -> bool
-(** Are there timers or idle callbacks outstanding? *)
 
 val counters : t -> counters
 

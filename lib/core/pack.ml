@@ -333,42 +333,40 @@ let info state master =
 (* The Tcl command *)
 
 (* Modern-style arguments as a convenience: pack .w -side left -expand 1. *)
-let parse_modern app = function
-  | path :: rest ->
-    let w = Core.lookup_exn app path in
-    let rec go opts = function
-      | [] -> (w, opts)
-      | "-side" :: v :: rest ->
-        let side =
-          match v with
-          | "top" -> Top
-          | "bottom" -> Bottom
-          | "left" -> Left
-          | "right" -> Right
-          | _ -> failf "bad side \"%s\"" v
-        in
-        go { opts with side } rest
-      | "-fill" :: v :: rest -> (
+let parse_modern app path rest =
+  let w = Core.lookup_exn app path in
+  let rec go opts = function
+    | [] -> (w, opts)
+    | "-side" :: v :: rest ->
+      let side =
         match v with
-        | "x" -> go { opts with fill_x = true } rest
-        | "y" -> go { opts with fill_y = true } rest
-        | "both" -> go { opts with fill_x = true; fill_y = true } rest
-        | "none" -> go { opts with fill_x = false; fill_y = false } rest
-        | _ -> failf "bad fill style \"%s\"" v)
-      | "-expand" :: v :: rest ->
-        go { opts with expand = (v <> "0" && v <> "false" && v <> "no") } rest
-      | "-padx" :: v :: rest -> (
-        match Core.parse_pixels v with
-        | Some px -> go { opts with padx = px } rest
-        | None -> failf "bad pad value \"%s\"" v)
-      | "-pady" :: v :: rest -> (
-        match Core.parse_pixels v with
-        | Some px -> go { opts with pady = px } rest
-        | None -> failf "bad pad value \"%s\"" v)
-      | bad :: _ -> failf "bad option \"%s\"" bad
-    in
-    go default_opts rest
-  | [] -> failf "wrong # args in pack command"
+        | "top" -> Top
+        | "bottom" -> Bottom
+        | "left" -> Left
+        | "right" -> Right
+        | _ -> failf "bad side \"%s\"" v
+      in
+      go { opts with side } rest
+    | "-fill" :: v :: rest -> (
+      match v with
+      | "x" -> go { opts with fill_x = true } rest
+      | "y" -> go { opts with fill_y = true } rest
+      | "both" -> go { opts with fill_x = true; fill_y = true } rest
+      | "none" -> go { opts with fill_x = false; fill_y = false } rest
+      | _ -> failf "bad fill style \"%s\"" v)
+    | "-expand" :: v :: rest ->
+      go { opts with expand = (v <> "0" && v <> "false" && v <> "no") } rest
+    | "-padx" :: v :: rest -> (
+      match Core.parse_pixels v with
+      | Some px -> go { opts with padx = px } rest
+      | None -> failf "bad pad value \"%s\"" v)
+    | "-pady" :: v :: rest -> (
+      match Core.parse_pixels v with
+      | Some px -> go { opts with pady = px } rest
+      | None -> failf "bad pad value \"%s\"" v)
+    | bad :: _ -> failf "bad option \"%s\"" bad
+  in
+  go default_opts rest
 
 let command app state : Tcl.Interp.command =
  fun _interp words ->
@@ -395,9 +393,8 @@ let command app state : Tcl.Interp.command =
          (List.map
             (fun w -> w.Core.path)
             (slaves state (Core.lookup_exn app master_path))))
-  | _ :: (first :: _ as rest)
-    when String.length first > 0 && first.[0] = '.' ->
-    let w, opts = parse_modern app rest in
+  | _ :: path :: rest when String.length path > 0 && path.[0] = '.' ->
+    let w, opts = parse_modern app path rest in
     let master_path =
       match Path.parent w.Core.path with
       | Some p -> p
@@ -405,13 +402,22 @@ let command app state : Tcl.Interp.command =
     in
     append state ~master:(Core.lookup_exn app master_path) [ (w, opts) ];
     ok ""
-  | _ ->
-    Tcl.Interp.wrong_args
-      "pack append master window options ?window options ...?"
+  | _ -> raise Tcl.Interp.Usage
 
 let install app =
   let state = { masters = Hashtbl.create 16; arranging = [] } in
-  Tcl.Interp.register app.Core.interp "pack" (command app state);
+  Tcl.Interp.register app.Core.interp
+    Tcl.Interp.(
+      signature "pack" 1
+        ~usage:"pack append master window options ?window options ...?"
+        ~subs:
+          [
+            subsig "append" 1;
+            subsig "info" 1 ~max:1;
+            subsig "slaves" 1 ~max:1;
+            subsig "unpack" 0;
+          ])
+    (command app state);
   (* Re-layout when a master is resized. *)
   app.Core.configure_hooks <-
     (fun w ->

@@ -25,12 +25,6 @@ type opts = {
       (** position within the parcel — the old syntax's [frame] option *)
 }
 
-val default_opts : opts
-
-val parse_opts : string -> opts
-(** Parse an old-style option list ([{left expand fill padx 5}]).
-    @raise Tcl.Interp.Tcl_failure on unknown options. *)
-
 val install : Core.app -> unit
 (** Register the [pack] Tcl command and the re-layout configure hook. The
     app's packing lists are made here and reachable only from the command

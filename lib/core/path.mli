@@ -13,10 +13,6 @@ val parent : string -> string option
 val basename : string -> string
 (** The last component: [".a.b" -> "b"]; ["." -> "."]. *)
 
-val components : string -> string list
-(** All name components from the root down, excluding the main window:
-    [".a.b" -> \["a"; "b"\]]; ["." -> \[\]]. *)
-
 val join : string -> string -> string
 (** [join "." "a" = ".a"], [join ".a" "b" = ".a.b"]. *)
 

@@ -131,11 +131,15 @@ let command app placements : Tcl.Interp.command =
     Hashtbl.replace placements path p;
     arrange_slave placements w;
     Tcl.Interp.ok ""
-  | _ -> Tcl.Interp.wrong_args "place window ?options? | place forget window"
+  | _ -> raise Tcl.Interp.Usage
 
 let install app =
   let placements = Hashtbl.create 8 in
-  Tcl.Interp.register app.Core.interp "place" (command app placements);
+  Tcl.Interp.register app.Core.interp
+    Tcl.Interp.(
+      signature "place" 1 ~usage:"place window ?options? | place forget window"
+        ~subs:[ subsig "forget" 1 ~max:1; subsig "info" 1 ~max:1 ])
+    (command app placements);
   (* Re-place slaves when masters resize. *)
   app.Core.configure_hooks <-
     (fun master ->

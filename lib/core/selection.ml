@@ -177,8 +177,18 @@ let command app : Tcl.Interp.command =
     if owner_path app = Some path then
       app.Core.sel.Core.sel_tcl_handler <- Some script;
     ok ""
-  | _ -> Tcl.Interp.wrong_args "selection option ?arg arg ...?"
+  | _ -> raise Tcl.Interp.Usage
 
 let install app =
   app.Core.pre_handlers <- pre_handler :: app.Core.pre_handlers;
-  Tcl.Interp.register app.Core.interp "selection" (command app)
+  Tcl.Interp.register app.Core.interp
+    Tcl.Interp.(
+      signature "selection" 1 ~usage:"selection option ?arg arg ...?"
+        ~subs:
+          [
+            subsig "clear" 0 ~max:0;
+            subsig "get" 0 ~max:0;
+            subsig "handle" 2 ~max:2;
+            subsig "own" 0 ~max:1;
+          ])
+    (command app)

@@ -15,12 +15,6 @@ val own : Core.widget -> provider:(unit -> string) -> unit
     another client asks. The previous owner is notified via
     SelectionClear. *)
 
-val disown : Core.app -> unit
-(** Give up the selection voluntarily. *)
-
-val owner_path : Core.app -> string option
-(** The owning widget within this application, if any. *)
-
 val get : ?timeout_ms:int -> Core.app -> string
 (** Retrieve the PRIMARY selection as a string, wherever its owner is.
     The wait is bounded ([timeout_ms], default 2000, on the requesting

@@ -635,10 +635,6 @@ let broadcast ?(timeout_ms = default_timeout_ms) ?pattern app script =
 (* ------------------------------------------------------------------ *)
 (* The Tcl-level [send] command *)
 
-let usage =
-  "send ?-async? ?-future? ?-retry? ?-timeout ms? ?-all? ?-glob pattern? \
-   ?--? ?appName? arg ?arg ...?"
-
 let command app : Tcl.Interp.command =
  fun _interp words ->
   let err msg = (Tcl.Interp.Tcl_error, msg) in
@@ -734,7 +730,7 @@ let command app : Tcl.Interp.command =
           opts tl
         | Some _ | None ->
           Error (Printf.sprintf "bad -timeout value \"%s\"" ms))
-      | [ ("-glob" | "-timeout") ] -> Error usage
+      | [ ("-glob" | "-timeout") ] -> raise Tcl.Interp.Usage
       | "--" :: tl -> Ok tl
       | (s :: _) as tl when String.length s > 1 && s.[0] = '-' ->
         ignore tl;
@@ -750,7 +746,7 @@ let command app : Tcl.Interp.command =
     | Ok rest ->
       if !all || !glob <> None then begin
         match rest with
-        | [] -> Tcl.Interp.wrong_args usage
+        | [] -> raise Tcl.Interp.Usage
         | script_words ->
           if !async || !future then
             err "-all/-glob cannot be combined with -async or -future"
@@ -786,12 +782,28 @@ let command app : Tcl.Interp.command =
             with
             | Ok value -> Tcl.Interp.ok value
             | Error msg -> err msg))
-        | _ -> Tcl.Interp.wrong_args usage))
-  | [] -> Tcl.Interp.wrong_args usage
+        | _ -> raise Tcl.Interp.Usage))
+  | [] -> raise Tcl.Interp.Usage
 
 let install app =
   app.Core.pre_handlers <- pre_handler :: app.Core.pre_handlers;
   app.Core.drain_hooks <-
     (fun () -> drain_mailbox app + check_futures app)
     :: app.Core.drain_hooks;
-  Tcl.Interp.register app.Core.interp "send" (command app)
+  Tcl.Interp.register app.Core.interp
+    Tcl.Interp.(
+      signature "send" 1
+        ~subs:
+          [
+            subsig "guard" 0 ~max:1;
+            subsig "limit" 1 ~max:2;
+            subsig "mailbox" 0 ~max:1;
+            subsig "result" 1 ~max:1;
+            subsig "wait" 1 ~max:1;
+          ]
+        ~open_subs:true
+        ~options:[ "-all"; "-async"; "-future"; "-glob"; "-retry"; "-timeout" ]
+        ~usage:
+          "send ?-async? ?-future? ?-retry? ?-timeout ms? ?-all? ?-glob \
+           pattern? ?--? ?appName? arg ?arg ...?")
+    (command app)

@@ -54,9 +54,6 @@ val outcome_state : outcome -> string
 (** ["ok"], ["error"], ["died"], ["timeout"], ["overflow"], ["denied"]
     or ["limited"]. *)
 
-val outcome_value : outcome -> string
-(** The result value (ok/error) or the diagnostic message. *)
-
 val send_outcome :
   ?timeout_ms:int ->
   ?retry:bool ->
@@ -108,11 +105,6 @@ val wait_future : Core.app -> string -> (string * string, string) result
 (** Block (pumping the sender and target) until the future resolves;
     [Ok (state, value)] consumes the handle. [Error] for an unknown
     handle. *)
-
-val future_result :
-  Core.app -> string -> ((string * string) option, string) result
-(** Non-blocking poll: [Ok None] while pending, [Ok (Some (state,
-    value))] (consuming the handle) once resolved. *)
 
 val pending_futures : Core.app -> int
 (** Outstanding (unresolved) futures — the crash-storm harness asserts

@@ -18,7 +18,7 @@ let cmd_bind app : Tcl.Interp.command =
     ignore (Core.lookup_exn app path);
     Core.bind_widget app ~path ~sequence ~script;
     ok ""
-  | _ -> Tcl.Interp.wrong_args "bind window ?pattern? ?command?"
+  | _ -> raise Tcl.Interp.Usage
 
 (* ------------------------------------------------------------------ *)
 (* destroy *)
@@ -34,7 +34,7 @@ let cmd_destroy app : Tcl.Interp.command =
         | Some _ | None -> ())
       paths;
     ok ""
-  | _ -> Tcl.Interp.wrong_args "destroy window ?window ...?"
+  | _ -> raise Tcl.Interp.Usage
 
 (* ------------------------------------------------------------------ *)
 (* winfo *)
@@ -49,8 +49,35 @@ let rec root_xy app w =
       (px + w.Core.x, py + w.Core.y)
     | None -> (w.Core.x, w.Core.y))
 
+(* The [winfo] subcommands that read one window. *)
+let window_info app = function
+  | "class" -> Some (fun w -> w.Core.wclass.Core.cname)
+  | "children" ->
+    Some
+      (fun w ->
+        Tcl.Tcl_list.format (List.map (fun c -> c.Core.path) (Core.children w)))
+  | "parent" ->
+    Some (fun w -> Option.value (Path.parent w.Core.path) ~default:"")
+  | "name" -> Some (fun w -> Path.basename w.Core.path)
+  | "width" -> Some (fun w -> string_of_int w.Core.width)
+  | "height" -> Some (fun w -> string_of_int w.Core.height)
+  | "x" -> Some (fun w -> string_of_int w.Core.x)
+  | "y" -> Some (fun w -> string_of_int w.Core.y)
+  | "rootx" -> Some (fun w -> string_of_int (fst (root_xy app w)))
+  | "rooty" -> Some (fun w -> string_of_int (snd (root_xy app w)))
+  | "reqwidth" -> Some (fun w -> string_of_int w.Core.req_width)
+  | "reqheight" -> Some (fun w -> string_of_int w.Core.req_height)
+  | "geometry" ->
+    Some
+      (fun w ->
+        Printf.sprintf "%dx%d+%d+%d" w.Core.width w.Core.height w.Core.x
+          w.Core.y)
+  | "ismapped" -> Some (fun w -> if w.Core.mapped then "1" else "0")
+  | "id" -> Some (fun w -> Printf.sprintf "0x%x" w.Core.win)
+  | _ -> None
+
 let cmd_winfo app : Tcl.Interp.command =
- fun interp words ->
+ fun _interp words ->
   match words with
   | [ _; "exists"; path ] -> (
     match Core.lookup app path with
@@ -78,33 +105,10 @@ let cmd_winfo app : Tcl.Interp.command =
       | None -> ok "")
     | _ -> failf "expected integer coordinates")
   | [ _; option; path ] -> (
-    let w = Core.lookup_exn app path in
-    match option with
-    | "class" -> ok w.Core.wclass.Core.cname
-    | "children" ->
-      ok
-        (Tcl.Tcl_list.format
-           (List.map (fun c -> c.Core.path) (Core.children w)))
-    | "parent" -> ok (Option.value (Path.parent path) ~default:"")
-    | "name" -> ok (Path.basename path)
-    | "width" -> ok (string_of_int w.Core.width)
-    | "height" -> ok (string_of_int w.Core.height)
-    | "x" -> ok (string_of_int w.Core.x)
-    | "y" -> ok (string_of_int w.Core.y)
-    | "rootx" -> ok (string_of_int (fst (root_xy app w)))
-    | "rooty" -> ok (string_of_int (snd (root_xy app w)))
-    | "reqwidth" -> ok (string_of_int w.Core.req_width)
-    | "reqheight" -> ok (string_of_int w.Core.req_height)
-    | "geometry" ->
-      ok (Printf.sprintf "%dx%d+%d+%d" w.Core.width w.Core.height w.Core.x w.Core.y)
-    | "ismapped" -> ok (if w.Core.mapped then "1" else "0")
-    | "id" -> ok (Printf.sprintf "0x%x" w.Core.win)
-    (* The registry supplies the subcommand list and the usage string,
-       so runtime diagnostics match what the static checker predicts. *)
-    | _ -> Tcl.Interp.bad_subcommand interp ~cmd:"winfo" option)
-  | [ _; sub ] when not (List.mem sub [ "exists"; "containing" ]) ->
-    Tcl.Interp.bad_subcommand interp ~cmd:"winfo" sub
-  | _ -> Tcl.Interp.wrong_args_for interp "winfo"
+    match window_info app option with
+    | Some info -> ok (info (Core.lookup_exn app path))
+    | None -> raise Tcl.Interp.Usage)
+  | _ -> raise Tcl.Interp.Usage
 
 (* ------------------------------------------------------------------ *)
 (* focus (paper §3.7) *)
@@ -120,7 +124,7 @@ let cmd_focus app : Tcl.Interp.command =
     ignore (Core.lookup_exn app path);
     Core.set_focus app (Some path);
     ok ""
-  | _ -> Tcl.Interp.wrong_args "focus ?window?"
+  | _ -> raise Tcl.Interp.Usage
 
 (* ------------------------------------------------------------------ *)
 (* option (paper §3.5) *)
@@ -168,7 +172,7 @@ let cmd_option app : Tcl.Interp.command =
       | Ok _ -> ok ""
       | Error msg -> failf "%s" msg)
     | exception Sys_error msg -> failf "couldn't read file \"%s\": %s" path msg)
-  | _ -> Tcl.Interp.wrong_args "option add|get|clear|readfile ..."
+  | _ -> raise Tcl.Interp.Usage
 
 (* ------------------------------------------------------------------ *)
 (* after, update, tkwait *)
@@ -218,20 +222,23 @@ let cmd_after app : Tcl.Interp.command =
       in
       ok (Printf.sprintf "after#%d" id)
     | None -> failf "expected integer but got \"%s\"" ms)
-  | _ -> Tcl.Interp.wrong_args "after ms ?command?"
+  | _ -> raise Tcl.Interp.Usage
 
 let cmd_grab app : Tcl.Interp.command =
  fun _interp words ->
+  let grab path =
+    ignore (Core.lookup_exn app path);
+    app.Core.grab_path <- Some path;
+    ok ""
+  in
   match words with
   | [ _; "current" ] -> ok (Option.value app.Core.grab_path ~default:"")
   | [ _; "release"; _path ] ->
     app.Core.grab_path <- None;
     ok ""
-  | [ _; "set"; path ] | [ _; path ] ->
-    ignore (Core.lookup_exn app path);
-    app.Core.grab_path <- Some path;
-    ok ""
-  | _ -> Tcl.Interp.wrong_args "grab set|release|current ?window?"
+  | [ _; "set"; path ] -> grab path
+  | [ _; path ] when path <> "" && path.[0] = '.' -> grab path
+  | _ -> raise Tcl.Interp.Usage
 
 let cmd_update app : Tcl.Interp.command =
  fun _interp words ->
@@ -242,7 +249,7 @@ let cmd_update app : Tcl.Interp.command =
   | [ _; "idletasks" ] ->
     ignore (Dispatch.run_idle app.Core.disp);
     ok ""
-  | _ -> Tcl.Interp.wrong_args "update ?idletasks?"
+  | _ -> raise Tcl.Interp.Usage
 
 let cmd_tkwait app : Tcl.Interp.command =
  fun _interp words ->
@@ -267,7 +274,7 @@ let cmd_tkwait app : Tcl.Interp.command =
     let initial = Tcl.Interp.get_var app.Core.interp name in
     pump (fun () -> Tcl.Interp.get_var app.Core.interp name = initial);
     ok ""
-  | _ -> Tcl.Interp.wrong_args "tkwait variable|window name"
+  | _ -> raise Tcl.Interp.Usage
 
 (* ------------------------------------------------------------------ *)
 (* xtrace / xstat: wire-traffic observability (§7's evaluation currency
@@ -298,7 +305,7 @@ let cmd_xtrace app : Tcl.Interp.command =
       (Printf.sprintf "%s %d"
          (if Xsim.Server.tracing conn then "on" else "off")
          (Xsim.Server.trace_length conn))
-  | _ -> Tcl.Interp.wrong_args "xtrace on ?capacity?|off|dump|clear|status"
+  | _ -> raise Tcl.Interp.Usage
 
 let cmd_xstat app : Tcl.Interp.command =
  fun _interp words ->
@@ -316,13 +323,13 @@ let cmd_xstat app : Tcl.Interp.command =
     match Core.metric app name with
     | Some v -> ok v
     | None -> failf "unknown counter \"%s\"" name)
-  | _ -> Tcl.Interp.wrong_args "xstat ?reset|get counter?"
+  | _ -> raise Tcl.Interp.Usage
 
 (* ------------------------------------------------------------------ *)
 (* wm: a minimal window-manager interface (we are our own WM) *)
 
 let cmd_wm app : Tcl.Interp.command =
- fun interp words ->
+ fun _interp words ->
   match words with
   | [ _; "title"; path ] ->
     ignore (Core.lookup_exn app path);
@@ -396,11 +403,7 @@ let cmd_wm app : Tcl.Interp.command =
   | [ _; "deiconify"; path ] ->
     Core.map_widget (Core.lookup_exn app path);
     ok ""
-  | _ :: sub :: _ :: _
-    when not (List.mem sub [ "title"; "geometry"; "withdraw"; "deiconify" ])
-    ->
-    Tcl.Interp.bad_subcommand interp ~cmd:"wm" sub
-  | _ -> Tcl.Interp.wrong_args_for interp "wm"
+  | _ -> raise Tcl.Interp.Usage
 
 (* ------------------------------------------------------------------ *)
 (* lint: the static checker as a Tcl command.  Analysis never executes
@@ -417,141 +420,109 @@ let cmd_lint _app : Tcl.Interp.command =
   match words with
   | [ _; "-safe"; script ] -> lint true script
   | [ _; script ] when script <> "-safe" -> lint false script
-  | _ -> Tcl.Interp.wrong_args_for interp "lint"
+  | [ _; opt; _ ] -> failf "bad option \"%s\": should be -safe" opt
+  | _ -> raise Tcl.Interp.Usage
 
 let install app =
-  let register name cmd = Tcl.Interp.register app.Core.interp name (cmd app) in
-  register "bind" cmd_bind;
-  register "destroy" cmd_destroy;
-  register "winfo" cmd_winfo;
-  register "focus" cmd_focus;
-  register "option" cmd_option;
-  register "after" cmd_after;
-  register "update" cmd_update;
-  register "tkwait" cmd_tkwait;
-  register "grab" cmd_grab;
-  register "wm" cmd_wm;
-  register "xtrace" cmd_xtrace;
-  register "xstat" cmd_xstat;
-  register "lint" cmd_lint;
+  let register s cmd = Tcl.Interp.register app.Core.interp s (cmd app) in
+  let sg = Tcl.Interp.signature and sub = Tcl.Interp.subsig in
+  (* The bind pattern validator hooks Bindpattern into Lint (which,
+     living in the tcl library, cannot see it directly). *)
+  register
+    (sg "bind" 1 ~max:3 ~usage:"bind window ?pattern? ?command?"
+       ~checks:
+         [
+           {
+             Tcl.Interp.chk_arg = 2;
+             chk =
+               (fun seq ->
+                 match Bindpattern.parse_sequence seq with
+                 | Ok _ -> None
+                 | Error msg -> Some msg);
+           };
+         ])
+    cmd_bind;
+  register (sg "destroy" 1 ~usage:"destroy window ?window ...?") cmd_destroy;
+  register
+    (sg "winfo" 1 ~max:3 ~usage:"winfo option ?arg?"
+       ~subs:
+         [
+           sub "children" 1 ~max:1;
+           sub "class" 1 ~max:1;
+           sub "containing" 2 ~max:2;
+           sub "exists" 1 ~max:1;
+           sub "geometry" 1 ~max:1;
+           sub "height" 1 ~max:1;
+           sub "id" 1 ~max:1;
+           sub "interps" 0 ~max:0;
+           sub "ismapped" 1 ~max:1;
+           sub "name" 0 ~max:1;
+           sub "parent" 1 ~max:1;
+           sub "reqheight" 1 ~max:1;
+           sub "reqwidth" 1 ~max:1;
+           sub "rootx" 1 ~max:1;
+           sub "rooty" 1 ~max:1;
+           sub "screenheight" 0 ~max:0;
+           sub "screenwidth" 0 ~max:0;
+           sub "width" 1 ~max:1;
+           sub "x" 1 ~max:1;
+           sub "y" 1 ~max:1;
+         ])
+    cmd_winfo;
+  register (sg "focus" 0 ~max:1 ~usage:"focus ?window?") cmd_focus;
+  register
+    (sg "option" 1 ~usage:"option add|get|clear|readfile ..."
+       ~subs:
+         [
+           sub "add" 2 ~max:3;
+           sub "clear" 0 ~max:0;
+           sub "get" 3 ~max:3;
+           sub "readfile" 1 ~max:1;
+         ])
+    cmd_option;
+  register (sg "after" 1 ~usage:"after ms ?command?") cmd_after;
+  register
+    (sg "update" 0 ~max:1 ~usage:"update ?idletasks?"
+       ~subs:[ sub "idletasks" 0 ~max:0 ])
+    cmd_update;
+  register
+    (sg "tkwait" 2 ~max:2 ~usage:"tkwait variable|window name"
+       ~subs:[ sub "variable" 1 ~max:1; sub "window" 1 ~max:1 ])
+    cmd_tkwait;
+  register
+    (sg "grab" 1 ~max:2 ~usage:"grab set|release|current ?window?"
+       ~subs:
+         [ sub "current" 0 ~max:0; sub "release" 1 ~max:1; sub "set" 1 ~max:1 ])
+    cmd_grab;
+  register
+    (sg "wm" 2 ~usage:"wm option window ?arg?"
+       ~subs:
+         [
+           sub "deiconify" 1 ~max:1;
+           sub "geometry" 1 ~max:2;
+           sub "title" 1 ~max:2;
+           sub "withdraw" 1 ~max:1;
+         ])
+    cmd_wm;
+  register
+    (sg "xtrace" 1 ~max:2 ~usage:"xtrace on ?capacity?|off|dump|clear|status"
+       ~subs:
+         [
+           sub "clear" 0 ~max:0;
+           sub "dump" 0 ~max:0;
+           sub "off" 0 ~max:0;
+           sub "on" 0 ~max:1;
+           sub "status" 0 ~max:0;
+         ])
+    cmd_xtrace;
+  register
+    (sg "xstat" 0 ~max:2 ~usage:"xstat ?reset|get counter?"
+       ~subs:[ sub "get" 1 ~max:1; sub "reset" 0 ~max:0 ])
+    cmd_xstat;
+  register
+    (sg "lint" 1 ~max:2 ~options:[ "-safe" ] ~usage:"lint ?-safe? script")
+    cmd_lint;
   Pack.install app;
   Place.install app;
   Selection.install app;
-  Sendcmd.install app;
-  (* Shape declarations for the static checker — same usage strings as
-     the wrong_args calls above, same subcommand tables as the pattern
-     matches.  The bind pattern validator hooks Bindpattern into Lint
-     (which, living in the tcl library, cannot see it directly). *)
-  let interp = app.Core.interp in
-  let sg = Tcl.Interp.signature and sub = Tcl.Interp.subsig in
-  List.iter
-    (Tcl.Interp.register_signature interp)
-    [
-      sg "bind" 1 ~max:3 ~usage:"bind window ?pattern? ?command?"
-        ~checks:
-          [
-            {
-              Tcl.Interp.chk_arg = 2;
-              chk =
-                (fun seq ->
-                  match Bindpattern.parse_sequence seq with
-                  | Ok _ -> None
-                  | Error msg -> Some msg);
-            };
-          ];
-      sg "destroy" 1 ~usage:"destroy window ?window ...?";
-      sg "winfo" 1 ~max:3 ~usage:"winfo option ?arg?"
-        ~subs:
-          [
-            sub "children" 1 ~max:1;
-            sub "class" 1 ~max:1;
-            sub "containing" 2 ~max:2;
-            sub "exists" 1 ~max:1;
-            sub "geometry" 1 ~max:1;
-            sub "height" 1 ~max:1;
-            sub "id" 1 ~max:1;
-            sub "interps" 0 ~max:0;
-            sub "ismapped" 1 ~max:1;
-            sub "name" 0 ~max:1;
-            sub "parent" 1 ~max:1;
-            sub "reqheight" 1 ~max:1;
-            sub "reqwidth" 1 ~max:1;
-            sub "rootx" 1 ~max:1;
-            sub "rooty" 1 ~max:1;
-            sub "screenheight" 0 ~max:0;
-            sub "screenwidth" 0 ~max:0;
-            sub "width" 1 ~max:1;
-            sub "x" 1 ~max:1;
-            sub "y" 1 ~max:1;
-          ];
-      sg "focus" 0 ~max:1 ~usage:"focus ?window?";
-      sg "option" 1 ~usage:"option add|get|clear|readfile ..."
-        ~subs:
-          [
-            sub "add" 2 ~max:3;
-            sub "clear" 0 ~max:0;
-            sub "get" 3 ~max:3;
-            sub "readfile" 1 ~max:1;
-          ];
-      sg "after" 1 ~usage:"after ms ?command?";
-      sg "update" 0 ~max:1 ~usage:"update ?idletasks?"
-        ~subs:[ sub "idletasks" 0 ~max:0 ];
-      sg "tkwait" 2 ~max:2 ~usage:"tkwait variable|window name"
-        ~subs:[ sub "variable" 1 ~max:1; sub "window" 1 ~max:1 ];
-      sg "grab" 1 ~max:2 ~usage:"grab set|release|current ?window?"
-        ~subs:
-          [ sub "current" 0 ~max:0; sub "release" 1 ~max:1; sub "set" 1 ~max:1 ];
-      sg "wm" 2 ~usage:"wm option window ?arg?"
-        ~subs:
-          [
-            sub "deiconify" 1 ~max:1;
-            sub "geometry" 1 ~max:2;
-            sub "title" 1 ~max:2;
-            sub "withdraw" 1 ~max:1;
-          ];
-      sg "xtrace" 1 ~max:2 ~usage:"xtrace on ?capacity?|off|dump|clear|status"
-        ~subs:
-          [
-            sub "clear" 0 ~max:0;
-            sub "dump" 0 ~max:0;
-            sub "off" 0 ~max:0;
-            sub "on" 0 ~max:1;
-            sub "status" 0 ~max:0;
-          ];
-      sg "xstat" 0 ~max:2 ~usage:"xstat ?reset|get counter?"
-        ~subs:[ sub "get" 1 ~max:1; sub "reset" 0 ~max:0 ];
-      sg "lint" 1 ~max:2 ~options:[ "-safe" ]
-        ~usage:"lint ?-safe? script";
-      sg "pack" 1
-        ~usage:"pack append master window options ?window options ...?"
-        ~subs:
-          [
-            sub "append" 1;
-            sub "info" 1 ~max:1;
-            sub "slaves" 1 ~max:1;
-            sub "unpack" 0;
-          ];
-      sg "place" 1 ~usage:"place window ?options? | place forget window";
-      sg "selection" 1 ~usage:"selection option ?arg arg ...?"
-        ~subs:
-          [
-            sub "clear" 0 ~max:0;
-            sub "get" 0 ~max:0;
-            sub "handle" 2 ~max:2;
-            sub "own" 0 ~max:1;
-          ];
-      sg "send" 1
-        ~subs:
-          [
-            sub "guard" 0 ~max:1;
-            sub "limit" 1 ~max:2;
-            sub "mailbox" 0 ~max:1;
-            sub "result" 1 ~max:1;
-            sub "wait" 1 ~max:1;
-          ]
-        ~open_subs:true
-        ~options:[ "-all"; "-async"; "-future"; "-glob"; "-retry"; "-timeout" ]
-        ~usage:
-          "send ?-async? ?-future? ?-retry? ?-timeout ms? ?-all? ?-glob \
-           pattern? ?--? ?appName? arg ?arg ...?";
-    ]
+  Sendcmd.install app

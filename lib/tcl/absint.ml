@@ -224,12 +224,3 @@ let eval_quiet lookup ast =
   match eval (quiet_hooks lookup) ~soft:false ast with
   | v -> v
   | exception Guaranteed _ -> Vtop
-
-let to_string = function
-  | Vbot -> "bot"
-  | Vconst c -> Printf.sprintf "const %S" c
-  | Vint -> "int"
-  | Vfloat -> "float"
-  | Vnum -> "number"
-  | Vlist -> "list"
-  | Vtop -> "top"

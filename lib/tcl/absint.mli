@@ -17,9 +17,6 @@ type v = Vbot | Vconst of string | Vint | Vfloat | Vnum | Vlist | Vtop
 exception Guaranteed of string
 (** The expression always fails at run time with this message. *)
 
-val widen : v -> v
-(** Drop constancy, keeping the kind ([Vconst "7"] → [Vint]). *)
-
 val join : v -> v -> v
 (** Least upper bound. *)
 
@@ -42,5 +39,3 @@ val eval_ast : hooks -> Expr.ast -> v
 
 val eval_quiet : (string -> v) -> Expr.ast -> v
 (** {!eval_ast} with silent hooks and failures widened to [Vtop]. *)
-
-val to_string : v -> string

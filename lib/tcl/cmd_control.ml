@@ -10,7 +10,7 @@ let cmd_set t = function
   | [ _; name; value ] ->
     set_var t name value;
     value
-  | _ -> wrong_args "set varName ?newValue?"
+  | _ -> raise Usage
 
 let cmd_unset t = function
   | _ :: (_ :: _ as names) ->
@@ -20,7 +20,7 @@ let cmd_unset t = function
           failf "can't unset \"%s\": no such variable" name)
       names;
     ""
-  | _ -> wrong_args "unset varName ?varName ...?"
+  | _ -> raise Usage
 
 let parse_int what s =
   match int_of_string_opt (String.trim s) with
@@ -43,7 +43,7 @@ let cmd_incr t = function
     let v = string_of_int (current + amount) in
     set_var t name v;
     v
-  | _ -> wrong_args "incr varName ?increment?"
+  | _ -> raise Usage
 
 let cmd_append t = function
   | _ :: name :: values ->
@@ -51,7 +51,7 @@ let cmd_append t = function
     let v = current ^ String.concat "" values in
     set_var t name v;
     v
-  | _ -> wrong_args "append varName ?value value ...?"
+  | _ -> raise Usage
 
 let cmd_global t = function
   | _ :: (_ :: _ as names) ->
@@ -59,7 +59,7 @@ let cmd_global t = function
       (fun name -> link_var t ~target_level:0 ~target:name ~local:name)
       names;
     ""
-  | _ -> wrong_args "global varName ?varName ...?"
+  | _ -> raise Usage
 
 (* upvar ?level? otherVar myVar ?otherVar myVar ...? *)
 let cmd_upvar t words =
@@ -67,8 +67,8 @@ let cmd_upvar t words =
     match words with
     | _ :: first :: rest when parse_level t first <> None && List.length rest >= 2 ->
       (first, rest)
-    | _ :: rest -> ("1", rest)
-    | [] -> wrong_args "upvar ?level? otherVar localVar ?otherVar localVar ...?"
+    | _ :: (_ :: _ :: _ as rest) -> ("1", rest)
+    | _ -> raise Usage
   in
   match parse_level t level_spec with
   | None -> failf "bad level \"%s\"" level_spec
@@ -79,7 +79,7 @@ let cmd_upvar t words =
         link_var t ~target_level:level ~target:other ~local;
         bind rest
       | [ _ ] ->
-        wrong_args "upvar ?level? otherVar localVar ?otherVar localVar ...?"
+        raise Usage
     in
     bind pairs
 
@@ -94,7 +94,7 @@ let cmd_uplevel t words =
     | Some level -> run level rest
     | None -> run (max 0 (current_level t - 1)) (first :: rest))
   | [ _; script ] -> run (max 0 (current_level t - 1)) [ script ]
-  | _ -> wrong_args "uplevel ?level? command ?arg ...?"
+  | _ -> raise Usage
 
 (* ------------------------------------------------------------------ *)
 (* Procedures *)
@@ -113,20 +113,20 @@ let cmd_proc t = function
     | Stdlib.Ok fs ->
       define_proc t name (List.map parse_formal fs) body;
       "")
-  | _ -> wrong_args "proc name args body"
+  | _ -> raise Usage
 
 let cmd_return _t = function
   | [ _ ] -> (Tcl_return, "")
   | [ _; value ] -> (Tcl_return, value)
-  | _ -> wrong_args "return ?value?"
+  | _ -> raise Usage
 
 let cmd_break _t = function
   | [ _ ] -> (Tcl_break, "")
-  | _ -> wrong_args "break"
+  | _ -> raise Usage
 
 let cmd_continue _t = function
   | [ _ ] -> (Tcl_continue, "")
-  | _ -> wrong_args "continue"
+  | _ -> raise Usage
 
 (* ------------------------------------------------------------------ *)
 (* Control flow *)
@@ -140,8 +140,8 @@ let cmd_if t words =
       | body :: rest ->
         if eval_expr_bool t cond then eval t body
         else tail rest
-      | [] -> wrong_args "if condition ?then? body ?else body?")
-    | [] -> wrong_args "if condition ?then? body ?else body?"
+      | [] -> raise Usage)
+    | [] -> raise Usage
   and tail = function
     | [] -> ok ""
     | "elseif" :: rest -> clause rest
@@ -169,7 +169,7 @@ let cmd_while t = function
       else ok ""
     in
     loop ()
-  | _ -> wrong_args "while test command"
+  | _ -> raise Usage
 
 let cmd_for t = function
   | [ _; init; cond; next; body ] -> (
@@ -187,7 +187,7 @@ let cmd_for t = function
         else ok ""
       in
       loop ())
-  | _ -> wrong_args "for start test next command"
+  | _ -> raise Usage
 
 let cmd_foreach t = function
   | [ _; var; list; body ] -> (
@@ -203,14 +203,14 @@ let cmd_foreach t = function
           | `Stop r -> r)
       in
       loop elements)
-  | _ -> wrong_args "foreach varName list command"
+  | _ -> raise Usage
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation *)
 
 let cmd_eval t = function
   | _ :: (_ :: _ as args) -> eval t (String.concat " " args)
-  | _ -> wrong_args "eval arg ?arg ...?"
+  | _ -> raise Usage
 
 let status_code = function
   | Tcl_ok -> 0
@@ -238,16 +238,16 @@ let cmd_catch t = function
       set_var t var v;
       ok (string_of_int (status_code status))
     end
-  | _ -> wrong_args "catch command ?varName?"
+  | _ -> raise Usage
 
 let cmd_error _t = function
   | [ _; msg ] | [ _; msg; _ ] | [ _; msg; _; _ ] -> (Tcl_error, msg)
-  | _ -> wrong_args "error message ?errorInfo? ?errorCode?"
+  | _ -> raise Usage
 
 let cmd_expr t = function
   | _ :: (_ :: _ as args) ->
     eval_expr_string t (String.concat " " args)
-  | _ -> wrong_args "expr arg ?arg ...?"
+  | _ -> raise Usage
 
 let cmd_source t = function
   | [ _; path ] -> (
@@ -255,7 +255,7 @@ let cmd_source t = function
     | contents -> eval t contents
     | exception Sys_error msg ->
       (Tcl_error, Printf.sprintf "couldn't read file \"%s\": %s" path msg))
-  | _ -> wrong_args "source fileName"
+  | _ -> raise Usage
 
 let cmd_time t = function
   | [ _; body ] | [ _; body; _ ] as words ->
@@ -288,14 +288,14 @@ let cmd_time t = function
         let micros = elapsed *. 1e6 /. float_of_int count in
         ok (Printf.sprintf "%.0f microseconds per iteration" micros)
     end
-  | _ -> wrong_args "time command ?count?"
+  | _ -> raise Usage
 
 let cmd_rename t = function
   | [ _; old_name; new_name ] -> (
     match rename_command t old_name new_name with
     | Stdlib.Ok () -> ok ""
     | Stdlib.Error msg -> (Tcl_error, msg))
-  | _ -> wrong_args "rename oldName newName"
+  | _ -> raise Usage
 
 (* ------------------------------------------------------------------ *)
 (* Output and process control *)
@@ -304,82 +304,73 @@ let cmd_print t = function
   | _ :: (_ :: _ as args) ->
     output t (String.concat " " args);
     ""
-  | _ -> wrong_args "print string ?string ...?"
-
-let cmd_puts t = function
-  | [ _; s ] ->
-    output t (s ^ "\n");
-    ""
-  | [ _; "-nonewline"; s ] ->
-    output t s;
-    ""
-  | _ -> wrong_args "puts ?-nonewline? string"
+  | _ -> raise Usage
 
 let cmd_exit _t = function
   | [ _ ] -> raise (Exit_program 0)
   | [ _; code ] ->
     raise (Exit_program (parse_int " (reading exit return code)" code))
-  | _ -> wrong_args "exit ?returnCode?"
+  | _ -> raise Usage
 
 let install t =
-  register_value t "set" cmd_set;
-  register_value t "unset" cmd_unset;
-  register_value t "incr" cmd_incr;
-  register_value t "append" cmd_append;
-  register_value t "global" cmd_global;
-  register_value t "upvar" cmd_upvar;
-  register t "uplevel" cmd_uplevel;
-  register_value t "proc" cmd_proc;
-  register t "return" cmd_return;
-  register t "break" cmd_break;
-  register t "continue" cmd_continue;
-  register t "if" cmd_if;
-  register t "while" cmd_while;
-  register t "for" cmd_for;
-  register t "foreach" cmd_foreach;
-  register t "eval" cmd_eval;
-  register t "catch" cmd_catch;
-  register t "error" cmd_error;
-  register_value t "expr" cmd_expr;
-  register t "source" cmd_source;
-  register t "time" cmd_time;
-  register t "rename" cmd_rename;
-  register_value t "print" cmd_print;
-  register_value t "puts" cmd_puts;
-  register_value t "exit" cmd_exit;
-  (* Signatures for the static checker: the usage strings are the same
-     ones the wrong_args calls above raise, the arity bounds the same
-     ones the pattern matches accept.  [scripts] marks argument
-     positions holding scripts so the checker descends into them (the
-     control commands additionally get structural handling in Lint). *)
-  List.iter (register_signature t)
-    [
-      signature "set" 1 ~max:2 ~usage:"set varName ?newValue?";
-      signature "unset" 1 ~usage:"unset varName ?varName ...?";
-      signature "incr" 1 ~max:2 ~usage:"incr varName ?increment?";
-      signature "append" 1 ~usage:"append varName ?value value ...?";
-      signature "global" 1 ~usage:"global varName ?varName ...?";
-      signature "upvar" 2
-        ~usage:"upvar ?level? otherVar localVar ?otherVar localVar ...?";
-      signature "uplevel" 1 ~usage:"uplevel ?level? command ?arg ...?";
-      signature "proc" 3 ~max:3 ~scripts:[ 3 ] ~usage:"proc name args body";
-      signature "return" 0 ~max:1 ~usage:"return ?value?";
-      signature "break" 0 ~max:0 ~usage:"break";
-      signature "continue" 0 ~max:0 ~usage:"continue";
-      signature "if" 2 ~usage:"if condition ?then? body ?else body?";
-      signature "while" 2 ~max:2 ~scripts:[ 2 ] ~usage:"while test command";
-      signature "for" 4 ~max:4 ~scripts:[ 1; 3; 4 ]
-        ~usage:"for start test next command";
-      signature "foreach" 3 ~max:3 ~scripts:[ 3 ]
-        ~usage:"foreach varName list command";
-      signature "eval" 1 ~scripts:[ 1 ] ~usage:"eval arg ?arg ...?";
-      signature "catch" 1 ~max:2 ~scripts:[ 1 ]
-        ~usage:"catch command ?varName?";
-      signature "error" 1 ~max:3 ~usage:"error message ?errorInfo? ?errorCode?";
-      signature "expr" 1 ~usage:"expr arg ?arg ...?";
-      signature "source" 1 ~max:1 ~usage:"source fileName";
-      signature "time" 1 ~max:2 ~scripts:[ 1 ] ~usage:"time command ?count?";
-      signature "rename" 2 ~max:2 ~usage:"rename oldName newName";
-      signature "print" 1 ~usage:"print string ?string ...?";
-      signature "exit" 0 ~max:1 ~usage:"exit ?returnCode?";
-    ]
+  (* [scripts] marks argument positions holding scripts so the checker
+     descends into them (the control commands additionally get
+     structural handling in Lint). *)
+  register_value t (signature "set" 1 ~max:2 ~usage:"set varName ?newValue?")
+    cmd_set;
+  register_value t (signature "unset" 1 ~usage:"unset varName ?varName ...?")
+    cmd_unset;
+  register_value t (signature "incr" 1 ~max:2 ~usage:"incr varName ?increment?")
+    cmd_incr;
+  register_value t
+    (signature "append" 1 ~usage:"append varName ?value value ...?")
+    cmd_append;
+  register_value t
+    (signature "global" 1 ~usage:"global varName ?varName ...?")
+    cmd_global;
+  register_value t
+    (signature "upvar" 2
+       ~usage:"upvar ?level? otherVar localVar ?otherVar localVar ...?")
+    cmd_upvar;
+  register t
+    (signature "uplevel" 1 ~usage:"uplevel ?level? command ?arg ...?")
+    cmd_uplevel;
+  register_value t
+    (signature "proc" 3 ~max:3 ~scripts:[ 3 ] ~usage:"proc name args body")
+    cmd_proc;
+  register t (signature "return" 0 ~max:1 ~usage:"return ?value?") cmd_return;
+  register t (signature "break" 0 ~max:0 ~usage:"break") cmd_break;
+  register t (signature "continue" 0 ~max:0 ~usage:"continue") cmd_continue;
+  register t
+    (signature "if" 2 ~usage:"if condition ?then? body ?else body?")
+    cmd_if;
+  register t
+    (signature "while" 2 ~max:2 ~scripts:[ 2 ] ~usage:"while test command")
+    cmd_while;
+  register t
+    (signature "for" 4 ~max:4 ~scripts:[ 1; 3; 4 ]
+       ~usage:"for start test next command")
+    cmd_for;
+  register t
+    (signature "foreach" 3 ~max:3 ~scripts:[ 3 ]
+       ~usage:"foreach varName list command")
+    cmd_foreach;
+  register t (signature "eval" 1 ~scripts:[ 1 ] ~usage:"eval arg ?arg ...?")
+    cmd_eval;
+  register t
+    (signature "catch" 1 ~max:2 ~scripts:[ 1 ] ~usage:"catch command ?varName?")
+    cmd_catch;
+  register t
+    (signature "error" 1 ~max:3 ~usage:"error message ?errorInfo? ?errorCode?")
+    cmd_error;
+  register_value t (signature "expr" 1 ~usage:"expr arg ?arg ...?") cmd_expr;
+  register t (signature "source" 1 ~max:1 ~usage:"source fileName") cmd_source;
+  register t
+    (signature "time" 1 ~max:2 ~scripts:[ 1 ] ~usage:"time command ?count?")
+    cmd_time;
+  register t (signature "rename" 2 ~max:2 ~usage:"rename oldName newName")
+    cmd_rename;
+  register_value t (signature "print" 1 ~usage:"print string ?string ...?")
+    cmd_print;
+  register_value t (signature "exit" 0 ~max:1 ~usage:"exit ?returnCode?")
+    cmd_exit

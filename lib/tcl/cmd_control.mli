@@ -2,7 +2,8 @@
     [global], [upvar], [uplevel]), control flow ([if], [while], [for],
     [foreach], [break], [continue]), procedures ([proc], [return]),
     evaluation ([eval], [catch], [error], [expr], [source], [time]),
-    command management ([rename]) and output ([print], [puts]). *)
+    command management ([rename]) and output ([print]; [puts] is
+    {!Cmd_file}'s). *)
 
 exception Exit_program of int
 (** Raised by the [exit] command; the hosting application decides what to

@@ -43,7 +43,7 @@ let cmd_file _t = function
     if List.mem a known_options then apply_file_option a b
     else if List.mem b known_options then apply_file_option b a
     else failf "bad file option \"%s\"" a
-  | _ -> wrong_args "file option name"
+  | _ -> raise Usage
 
 let cmd_glob _t words =
   let no_complain, patterns =
@@ -52,7 +52,7 @@ let cmd_glob _t words =
     | _ :: rest -> (false, rest)
     | [] -> assert false
   in
-  if patterns = [] then wrong_args "glob ?-nocomplain? pattern ?pattern ...?"
+  if patterns = [] then raise Usage
   else begin
     let expand pattern =
       let dir = Filename.dirname pattern in
@@ -85,14 +85,14 @@ let cmd_glob _t words =
 
 let cmd_pwd _t = function
   | [ _ ] -> Sys.getcwd ()
-  | _ -> wrong_args "pwd"
+  | _ -> raise Usage
 
 let cmd_cd _t = function
   | [ _; dir ] -> (
     match Sys.chdir dir with
     | () -> ""
     | exception Sys_error msg -> failf "couldn't change directory: %s" msg)
-  | _ -> wrong_args "cd dirName"
+  | _ -> raise Usage
 
 (* Run a command, capturing stdout. Uses a shell via Sys.command with
    output redirected to a temporary file, so no extra library is needed. *)
@@ -103,6 +103,8 @@ let cmd_exec _t = function
       | "&" :: rest -> (true, List.rev rest)
       | _ -> (false, argv)
     in
+    (* [exec &] names no program. *)
+    if argv = [] then raise Usage;
     let command = Filename.quote_command (List.hd argv) (List.tl argv) in
     if background then begin
       ignore (Sys.command (command ^ " &"));
@@ -130,7 +132,7 @@ let cmd_exec _t = function
               (List.hd argv) status out
           else out)
     end
-  | _ -> wrong_args "exec arg ?arg ...?"
+  | _ -> raise Usage
 
 (* ------------------------------------------------------------------ *)
 (* File channels (Tcl's open/close/gets/read/eof/flush, plus puts to a
@@ -180,7 +182,7 @@ let cmd_open t = function
       match open_out_gen flags 0o644 path with
       | oc -> add_channel t (Chan_out oc)
       | exception Sys_error msg -> failf "couldn't open \"%s\": %s" path msg))
-  | _ -> wrong_args "open fileName ?access?"
+  | _ -> raise Usage
 
 let cmd_close t = function
   | [ _; id ] ->
@@ -189,7 +191,7 @@ let cmd_close t = function
     | Chan_out oc -> close_out oc);
     Hashtbl.remove (channels t) id;
     ""
-  | _ -> wrong_args "close fileId"
+  | _ -> raise Usage
 
 let cmd_gets t = function
   | [ _; id ] -> (
@@ -204,7 +206,7 @@ let cmd_gets t = function
     | None ->
       set_var t var "";
       "-1")
-  | _ -> wrong_args "gets fileId ?varName?"
+  | _ -> raise Usage
 
 let cmd_read t = function
   | [ _; id ] -> In_channel.input_all (in_channel_exn t id)
@@ -216,7 +218,7 @@ let cmd_read t = function
       let got = input ic buf 0 n in
       Bytes.sub_string buf 0 got
     | None -> failf "expected integer but got \"%s\"" count)
-  | _ -> wrong_args "read fileId ?numBytes?"
+  | _ -> raise Usage
 
 let cmd_eof t = function
   | [ _; id ] -> (
@@ -224,13 +226,13 @@ let cmd_eof t = function
     match In_channel.pos ic >= In_channel.length ic with
     | b -> if b then "1" else "0"
     | exception Sys_error _ -> "1")
-  | _ -> wrong_args "eof fileId"
+  | _ -> raise Usage
 
 let cmd_flush t = function
   | [ _; id ] ->
     flush (out_channel_exn t id);
     ""
-  | _ -> wrong_args "flush fileId"
+  | _ -> raise Usage
 
 (* puts with channel support: [puts ?-nonewline? ?fileId? string]. The
    default destination is the interpreter's output hook, so tests and
@@ -258,35 +260,26 @@ let cmd_puts t words =
       (* Not a channel: treat both words as one message, as old Tcl's
          two-argument puts to stdout did not exist — error clearly. *)
       failf "file \"%s\" isn't open" id)
-  | _ -> wrong_args "puts ?-nonewline? ?fileId? string"
+  | _ -> raise Usage
 
 let install t =
-  register_value t "file" cmd_file;
-  register_value t "glob" cmd_glob;
-  register_value t "pwd" cmd_pwd;
-  register_value t "cd" cmd_cd;
-  register_value t "exec" cmd_exec;
-  register_value t "open" cmd_open;
-  register_value t "close" cmd_close;
-  register_value t "gets" cmd_gets;
-  register_value t "read" cmd_read;
-  register_value t "eof" cmd_eof;
-  register_value t "flush" cmd_flush;
-  (* Replaces the basic puts from Cmd_control with the channel-aware
-     version (Builtins installs Cmd_control first). *)
-  register_value t "puts" cmd_puts;
-  List.iter (register_signature t)
-    [
-      signature "file" 2 ~max:2 ~usage:"file option name";
-      signature "glob" 1 ~usage:"glob ?-nocomplain? pattern ?pattern ...?";
-      signature "pwd" 0 ~max:0 ~usage:"pwd";
-      signature "cd" 1 ~max:1 ~usage:"cd dirName";
-      signature "exec" 1 ~usage:"exec arg ?arg ...?";
-      signature "open" 1 ~max:2 ~usage:"open fileName ?access?";
-      signature "close" 1 ~max:1 ~usage:"close fileId";
-      signature "gets" 1 ~max:2 ~usage:"gets fileId ?varName?";
-      signature "read" 1 ~max:2 ~usage:"read fileId ?numBytes?";
-      signature "eof" 1 ~max:1 ~usage:"eof fileId";
-      signature "flush" 1 ~max:1 ~usage:"flush fileId";
-      signature "puts" 1 ~max:3 ~usage:"puts ?-nonewline? ?fileId? string";
-    ]
+  register_value t (signature "file" 2 ~max:2 ~usage:"file option name")
+    cmd_file;
+  register_value t
+    (signature "glob" 1 ~usage:"glob ?-nocomplain? pattern ?pattern ...?")
+    cmd_glob;
+  register_value t (signature "pwd" 0 ~max:0 ~usage:"pwd") cmd_pwd;
+  register_value t (signature "cd" 1 ~max:1 ~usage:"cd dirName") cmd_cd;
+  register_value t (signature "exec" 1 ~usage:"exec arg ?arg ...?") cmd_exec;
+  register_value t (signature "open" 1 ~max:2 ~usage:"open fileName ?access?")
+    cmd_open;
+  register_value t (signature "close" 1 ~max:1 ~usage:"close fileId") cmd_close;
+  register_value t (signature "gets" 1 ~max:2 ~usage:"gets fileId ?varName?")
+    cmd_gets;
+  register_value t (signature "read" 1 ~max:2 ~usage:"read fileId ?numBytes?")
+    cmd_read;
+  register_value t (signature "eof" 1 ~max:1 ~usage:"eof fileId") cmd_eof;
+  register_value t (signature "flush" 1 ~max:1 ~usage:"flush fileId") cmd_flush;
+  register_value t
+    (signature "puts" 1 ~max:3 ~usage:"puts ?-nonewline? ?fileId? string")
+    cmd_puts

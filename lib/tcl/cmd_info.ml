@@ -9,10 +9,10 @@ let cmd_info t words =
   match words with
   | [ _; "exists"; name ] -> if get_var t name <> None then "1" else "0"
   | [ _; "complete"; script ] -> if Lint.complete script then "1" else "0"
-  | _ :: "commands" :: rest ->
+  | _ :: "commands" :: ([] | [ _ ] as rest) ->
     let pattern = match rest with [ p ] -> Some p | _ -> None in
     Tcl_list.format (filter_glob pattern (command_names t))
-  | _ :: "procs" :: rest ->
+  | _ :: "procs" :: ([] | [ _ ] as rest) ->
     let pattern = match rest with [ p ] -> Some p | _ -> None in
     Tcl_list.format (filter_glob pattern (proc_names t))
   | [ _; "body"; name ] -> (
@@ -36,14 +36,14 @@ let cmd_info t words =
       | Some (Some default) ->
         set_var t var default;
         "1"))
-  | _ :: "vars" :: rest ->
+  | _ :: "vars" :: ([] | [ _ ] as rest) ->
     let pattern = match rest with [ p ] -> Some p | _ -> None in
     Tcl_list.format
       (filter_glob pattern (var_names t ~local:true ~global:(current_level t = 0)))
-  | _ :: "globals" :: rest ->
+  | _ :: "globals" :: ([] | [ _ ] as rest) ->
     let pattern = match rest with [ p ] -> Some p | _ -> None in
     Tcl_list.format (filter_glob pattern (var_names t ~local:false ~global:true))
-  | _ :: "locals" :: rest ->
+  | _ :: "locals" :: ([] | [ _ ] as rest) ->
     let pattern = match rest with [ p ] -> Some p | _ -> None in
     if current_level t = 0 then ""
     else
@@ -56,17 +56,10 @@ let cmd_info t words =
   | [ _; "level" ] -> string_of_int (current_level t)
   | [ _; "cmdcount" ] -> string_of_int (command_count t)
   | [ _; "tclversion" ] -> "6.0"
-  | _ :: sub :: _ ->
-    failf
-      "bad option \"%s\": should be args, body, cmdcount, commands, \
-       complete, default, errorinfo, exists, globals, level, locals, \
-       procs, tclversion, or vars"
-      sub
-  | _ -> wrong_args "info option ?arg arg ...?"
+  | _ -> raise Usage
 
 let install t =
-  register_value t "info" cmd_info;
-  register_signature t
+  register_value t
     (signature "info" 1 ~usage:"info option ?arg arg ...?"
        ~subs:
          [
@@ -85,3 +78,4 @@ let install t =
            subsig "tclversion" 0 ~max:0;
            subsig "vars" 0 ~max:1;
          ])
+    cmd_info

@@ -21,11 +21,11 @@ let cmd_lindex _t = function
     let i = parse_index (List.length elements) idx in
     if i < 0 then ""
     else (match List.nth_opt elements i with Some e -> e | None -> "")
-  | _ -> wrong_args "lindex list index"
+  | _ -> raise Usage
 
 let cmd_llength _t = function
   | [ _; l ] -> string_of_int (List.length (parse_list_exn l))
-  | _ -> wrong_args "llength list"
+  | _ -> raise Usage
 
 let cmd_lrange _t = function
   | [ _; l; first; last ] ->
@@ -37,7 +37,7 @@ let cmd_lrange _t = function
     else
       Tcl_list.format
         (List.filteri (fun i _ -> i >= first && i <= last) elements)
-  | _ -> wrong_args "lrange list first last"
+  | _ -> raise Usage
 
 (* [lappend x] with no values returns the variable unchanged (creating
    it empty if unset, as Tcl does); a whitespace-only current value is
@@ -55,7 +55,7 @@ let cmd_lappend t = function
     in
     set_var t name v;
     v
-  | _ -> wrong_args "lappend varName ?value value ...?"
+  | _ -> raise Usage
 
 let cmd_linsert _t = function
   | _ :: l :: idx :: (_ :: _ as values) ->
@@ -65,7 +65,7 @@ let cmd_linsert _t = function
     let before = List.filteri (fun j _ -> j < i) elements in
     let after = List.filteri (fun j _ -> j >= i) elements in
     Tcl_list.format (before @ values @ after)
-  | _ -> wrong_args "linsert list index element ?element ...?"
+  | _ -> raise Usage
 
 let cmd_lreplace _t = function
   | _ :: l :: first :: last :: values ->
@@ -76,7 +76,7 @@ let cmd_lreplace _t = function
     let before = List.filteri (fun j _ -> j < first) elements in
     let after = List.filteri (fun j _ -> j > last && j >= first) elements in
     Tcl_list.format (before @ values @ after)
-  | _ -> wrong_args "lreplace list first last ?element element ...?"
+  | _ -> raise Usage
 
 let cmd_lsearch _t words =
   let mode, l, pattern =
@@ -84,7 +84,9 @@ let cmd_lsearch _t words =
     | [ _; l; pattern ] -> (`Glob, l, pattern)
     | [ _; "-exact"; l; pattern ] -> (`Exact, l, pattern)
     | [ _; "-glob"; l; pattern ] -> (`Glob, l, pattern)
-    | _ -> wrong_args "lsearch ?-exact|-glob? list pattern"
+    | [ _; mode; _; _ ] ->
+      failf "bad search mode \"%s\": must be -exact or -glob" mode
+    | _ -> raise Usage
   in
   let matches e =
     match mode with
@@ -131,7 +133,12 @@ let cmd_lsort _t words =
     | "-ascii" :: rest -> parse_opts `Ascii direction rest
     | "-increasing" :: rest -> parse_opts mode `Incr rest
     | "-decreasing" :: rest -> parse_opts mode `Decr rest
-    | _ -> wrong_args "lsort ?-ascii|-integer|-real? ?-increasing|-decreasing? list"
+    | opt :: _ :: _ ->
+      failf
+        "bad switch \"%s\": must be -ascii, -integer, -real, -increasing, or \
+         -decreasing"
+        opt
+    | [] -> raise Usage
   in
   parse_opts `Ascii `Incr (List.tl words)
 
@@ -164,30 +171,14 @@ let cmd_split _t words =
   match words with
   | [ _; s ] -> Tcl_list.format (split_on_chars " \t\n\r" s)
   | [ _; s; chars ] -> Tcl_list.format (split_on_chars chars s)
-  | _ -> wrong_args "split string ?splitChars?"
+  | _ -> raise Usage
 
 let cmd_join _t = function
   | [ _; l ] -> String.concat " " (parse_list_exn l)
   | [ _; l; sep ] -> String.concat sep (parse_list_exn l)
-  | _ -> wrong_args "join list ?joinString?"
+  | _ -> raise Usage
 
 let install t =
-  register_value t "list" cmd_list;
-  register_value t "lindex" cmd_lindex;
-  register_value t "llength" cmd_llength;
-  register_value t "lrange" cmd_lrange;
-  register_value t "lappend" cmd_lappend;
-  register_value t "linsert" cmd_linsert;
-  register_value t "lreplace" cmd_lreplace;
-  register_value t "lsearch" cmd_lsearch;
-  register_value t "lsort" cmd_lsort;
-  register_value t "concat" cmd_concat;
-  register_value t "split" cmd_split;
-  register_value t "join" cmd_join;
-  (* Tcl-1990 aliases used by the paper's scripts. *)
-  register_value t "index" cmd_lindex;
-  register_value t "range" cmd_lrange;
-  register_value t "length" cmd_llength;
   (* Static index validator for the lint pass: the same grammar as the
      runtime's Tcl_list.parse_index, applied to literal arguments (the
      length does not matter for malformed-ness). *)
@@ -201,29 +192,43 @@ let install t =
           | Stdlib.Error msg -> Some msg);
     }
   in
-  List.iter (register_signature t)
-    [
-      signature "list" 0 ~usage:"list ?arg arg ...?";
-      signature "lindex" 2 ~max:2 ~usage:"lindex list index"
-        ~checks:[ chk_index 2 ];
-      signature "llength" 1 ~max:1 ~usage:"llength list";
-      signature "lrange" 3 ~max:3 ~usage:"lrange list first last"
-        ~checks:[ chk_index 2; chk_index 3 ];
-      signature "lappend" 1 ~usage:"lappend varName ?value value ...?";
-      signature "linsert" 3 ~usage:"linsert list index element ?element ...?"
-        ~checks:[ chk_index 2 ];
-      signature "lreplace" 3
-        ~usage:"lreplace list first last ?element element ...?"
-        ~checks:[ chk_index 2; chk_index 3 ];
-      signature "lsearch" 2 ~max:3 ~usage:"lsearch ?-exact|-glob? list pattern";
-      signature "lsort" 1
-        ~usage:"lsort ?-ascii|-integer|-real? ?-increasing|-decreasing? list";
-      signature "concat" 0 ~usage:"concat ?arg arg ...?";
-      signature "split" 1 ~max:2 ~usage:"split string ?splitChars?";
-      signature "join" 1 ~max:2 ~usage:"join list ?joinString?";
-      signature "index" 2 ~max:2 ~usage:"lindex list index"
-        ~checks:[ chk_index 2 ];
-      signature "range" 3 ~max:3 ~usage:"lrange list first last"
-        ~checks:[ chk_index 2; chk_index 3 ];
-      signature "length" 1 ~max:1 ~usage:"llength list";
-    ]
+  let lindex name =
+    signature name 2 ~max:2 ~usage:"lindex list index" ~checks:[ chk_index 2 ]
+  and lrange name =
+    signature name 3 ~max:3 ~usage:"lrange list first last"
+      ~checks:[ chk_index 2; chk_index 3 ]
+  and llength name = signature name 1 ~max:1 ~usage:"llength list" in
+  register_value t (signature "list" 0 ~usage:"list ?arg arg ...?") cmd_list;
+  register_value t (lindex "lindex") cmd_lindex;
+  register_value t (llength "llength") cmd_llength;
+  register_value t (lrange "lrange") cmd_lrange;
+  register_value t
+    (signature "lappend" 1 ~usage:"lappend varName ?value value ...?")
+    cmd_lappend;
+  register_value t
+    (signature "linsert" 3 ~usage:"linsert list index element ?element ...?"
+       ~checks:[ chk_index 2 ])
+    cmd_linsert;
+  register_value t
+    (signature "lreplace" 3
+       ~usage:"lreplace list first last ?element element ...?"
+       ~checks:[ chk_index 2; chk_index 3 ])
+    cmd_lreplace;
+  register_value t
+    (signature "lsearch" 2 ~max:3 ~usage:"lsearch ?-exact|-glob? list pattern")
+    cmd_lsearch;
+  register_value t
+    (signature "lsort" 1
+       ~usage:"lsort ?-ascii|-integer|-real? ?-increasing|-decreasing? list")
+    cmd_lsort;
+  register_value t (signature "concat" 0 ~usage:"concat ?arg arg ...?")
+    cmd_concat;
+  register_value t
+    (signature "split" 1 ~max:2 ~usage:"split string ?splitChars?")
+    cmd_split;
+  register_value t (signature "join" 1 ~max:2 ~usage:"join list ?joinString?")
+    cmd_join;
+  (* Tcl-1990 aliases used by the paper's scripts. *)
+  register_value t (lindex "index") cmd_lindex;
+  register_value t (lrange "range") cmd_lrange;
+  register_value t (llength "length") cmd_llength

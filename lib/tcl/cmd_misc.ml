@@ -6,8 +6,8 @@ let cmd_case t words =
   let value, rest =
     match List.tl words with
     | value :: "in" :: rest -> (value, rest)
-    | value :: rest -> (value, rest)
-    | [] -> wrong_args "case string ?in? patList body ?patList body ...?"
+    | value :: (_ :: _ as rest) -> (value, rest)
+    | _ -> raise Usage
   in
   let pairs =
     match rest with
@@ -54,9 +54,7 @@ let cmd_array t = function
     match array_names t name with
     | None -> failf "\"%s\" isn't an array" name
     | Some names -> ok (string_of_int (List.length names)))
-  | _ :: sub :: _ ->
-    failf "bad option \"%s\": should be exists, names, or size" sub
-  | _ -> wrong_args "array option arrayName ?arg ...?"
+  | _ -> raise Usage
 
 (* history ?option ?arg?? — the recording itself is driven by the host
    application (wish records each interactive command). *)
@@ -107,30 +105,28 @@ let cmd_history t = function
     match script with
     | Some script -> eval t script
     | None -> failf "no event to redo")
-  | _ :: sub :: _ ->
-    failf "bad history option \"%s\": should be event, nextid, or redo" sub
-  | _ -> wrong_args "history ?option? ?arg?"
+  | _ -> raise Usage
 
 let install t =
-  register t "case" cmd_case;
-  register t "array" cmd_array;
-  register t "history" cmd_history;
-  List.iter (register_signature t)
-    [
-      signature "case" 2
-        ~usage:"case string ?in? patList body ?patList body ...?";
-      signature "array" 2 ~max:3 ~usage:"array option arrayName ?arg ...?"
-        ~subs:
-          [
-            subsig "exists" 1 ~max:1;
-            subsig "names" 1 ~max:2;
-            subsig "size" 1 ~max:1;
-          ];
-      signature "history" 0 ~max:2 ~usage:"history ?option? ?arg?"
-        ~subs:
-          [
-            subsig "event" 0 ~max:1;
-            subsig "nextid" 0 ~max:0;
-            subsig "redo" 0 ~max:1;
-          ];
-    ]
+  register t
+    (signature "case" 2
+       ~usage:"case string ?in? patList body ?patList body ...?")
+    cmd_case;
+  register t
+    (signature "array" 2 ~max:3 ~usage:"array option arrayName ?arg ...?"
+       ~subs:
+         [
+           subsig "exists" 1 ~max:1;
+           subsig "names" 1 ~max:2;
+           subsig "size" 1 ~max:1;
+         ])
+    cmd_array;
+  register t
+    (signature "history" 0 ~max:2 ~usage:"history ?option? ?arg?"
+       ~subs:
+         [
+           subsig "event" 0 ~max:1;
+           subsig "nextid" 0 ~max:0;
+           subsig "redo" 0 ~max:1;
+         ])
+    cmd_history

@@ -36,8 +36,7 @@ let cmd_regexp t words =
           set_var t var value)
         vars;
       "1")
-  | _ ->
-    wrong_args "regexp ?-nocase? ?-indices? exp string ?matchVar? ?subVar ...?"
+  | _ -> raise Usage
 
 let cmd_regsub t words =
   let nocase, _indices, all, rest = split_flags false false false (List.tl words) in
@@ -116,15 +115,16 @@ let cmd_regsub t words =
       set_var t var result;
       string_of_int count
     end
-  | _ -> wrong_args "regsub ?-all? ?-nocase? exp string subSpec varName"
+  | word :: _ :: _ :: _ :: _ :: _ when List.length words <= 7 ->
+    failf "bad switch \"%s\": must be -all or -nocase" word
+  | _ -> raise Usage
 
 let install t =
-  register_value t "regexp" cmd_regexp;
-  register_value t "regsub" cmd_regsub;
-  List.iter (register_signature t)
-    [
-      signature "regexp" 2
-        ~usage:"regexp ?-nocase? ?-indices? exp string ?matchVar? ?subVar ...?";
-      signature "regsub" 4
-        ~usage:"regsub ?-all? ?-nocase? exp string subSpec varName";
-    ]
+  register_value t
+    (signature "regexp" 2
+       ~usage:"regexp ?-nocase? ?-indices? exp string ?matchVar? ?subVar ...?")
+    cmd_regexp;
+  register_value t
+    (signature "regsub" 4 ~max:6
+       ~usage:"regsub ?-all? ?-nocase? exp string subSpec varName")
+    cmd_regsub

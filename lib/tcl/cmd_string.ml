@@ -347,16 +347,11 @@ let cmd_string _t words =
     string_of_int (find_substring ~last:false haystack needle)
   | _ :: "last" :: [ needle; haystack ] ->
     string_of_int (find_substring ~last:true haystack needle)
-  | _ :: sub :: _ ->
-    failf
-      "bad option \"%s\": should be compare, first, index, last, length, \
-       match, range, tolower, toupper, trim, trimleft, or trimright"
-      sub
-  | _ -> wrong_args "string option arg ?arg ...?"
+  | _ -> raise Usage
 
 let cmd_format _t = function
   | _ :: spec :: args -> format_string spec args
-  | _ -> wrong_args "format formatString ?arg arg ...?"
+  | _ -> raise Usage
 
 let cmd_scan t = function
   | _ :: input :: fmt :: (_ :: _ as vars) -> (
@@ -373,30 +368,30 @@ let cmd_scan t = function
           | None -> ())
         fields;
       string_of_int !count)
-  | _ -> wrong_args "scan string format varName ?varName ...?"
+  | _ -> raise Usage
 
 let install t =
-  register_value t "string" cmd_string;
-  register_value t "format" cmd_format;
-  register_value t "scan" cmd_scan;
-  List.iter (register_signature t)
-    [
-      signature "string" 2 ~usage:"string option arg ?arg ...?"
-        ~subs:
-          [
-            subsig "compare" 2 ~max:2;
-            subsig "first" 2 ~max:2;
-            subsig "index" 2 ~max:2;
-            subsig "last" 2 ~max:2;
-            subsig "length" 1 ~max:1;
-            subsig "match" 2 ~max:2;
-            subsig "range" 3 ~max:3;
-            subsig "tolower" 1 ~max:1;
-            subsig "toupper" 1 ~max:1;
-            subsig "trim" 1 ~max:2;
-            subsig "trimleft" 1 ~max:2;
-            subsig "trimright" 1 ~max:2;
-          ];
-      signature "format" 1 ~usage:"format formatString ?arg arg ...?";
-      signature "scan" 3 ~usage:"scan string format varName ?varName ...?";
-    ]
+  register_value t
+    (signature "string" 2 ~usage:"string option arg ?arg ...?"
+       ~subs:
+         [
+           subsig "compare" 2 ~max:2;
+           subsig "first" 2 ~max:2;
+           subsig "index" 2 ~max:2;
+           subsig "last" 2 ~max:2;
+           subsig "length" 1 ~max:1;
+           subsig "match" 2 ~max:2;
+           subsig "range" 3 ~max:3;
+           subsig "tolower" 1 ~max:1;
+           subsig "toupper" 1 ~max:1;
+           subsig "trim" 1 ~max:2;
+           subsig "trimleft" 1 ~max:2;
+           subsig "trimright" 1 ~max:2;
+         ])
+    cmd_string;
+  register_value t
+    (signature "format" 1 ~usage:"format formatString ?arg arg ...?")
+    cmd_format;
+  register_value t
+    (signature "scan" 3 ~usage:"scan string format varName ?varName ...?")
+    cmd_scan

@@ -3,11 +3,3 @@
     its inverse [scan]. *)
 
 val install : Interp.t -> unit
-
-val format_string : string -> string list -> string
-(** [format_string spec args] implements Tcl's [format]; exposed for tests.
-    @raise Interp.Tcl_failure on bad specifiers or missing arguments. *)
-
-val scan_string : string -> string -> (string list, string) result
-(** [scan_string input fmt] implements the matching part of [scan]:
-    returns the converted fields in order. *)

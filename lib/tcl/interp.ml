@@ -24,7 +24,9 @@ let add_exn_translator f = exn_translators := f :: !exn_translators
 
 let translate_exn e = List.find_map (fun f -> f e) !exn_translators
 
-let wrong_args usage = failf "wrong # args: should be \"%s\"" usage
+(* A command procedure raises this for a call its signature rejects;
+   [run_builtin] renders the message from the command's signature. *)
+exception Usage
 
 let ok v = (Tcl_ok, v)
 
@@ -68,14 +70,13 @@ let fresh_stats () =
 (* ------------------------------------------------------------------ *)
 (* Command signatures.
 
-   A command may declare, alongside its implementation, what shape of
-   call it accepts: arity bounds, a usage string (the same one its
-   [wrong_args] raises, so lint and runtime share one source of truth),
-   a subcommand table, recognized [-option] switches, which argument
-   positions hold scripts, per-argument literal validators, and — for
-   widget-creating commands — the widget class's own option and
-   subcommand tables.  The registry is purely descriptive: dispatch
-   never consults it.  The static checker ([Lint]) is its consumer. *)
+   Every built-in command is registered with the shape of call it
+   accepts: arity bounds, a usage string, a subcommand table, [-option]
+   switches, script argument positions, literal validators, and — for
+   widget-creating commands — the class's option and subcommand tables.
+   It is the command's only declaration of that shape: a body rejects a
+   call by raising [Usage], and [run_builtin] renders the message with
+   the classification ([misuse]) the static checker ([Lint]) applies. *)
 
 type sub_sig = {
   sub_name : string;
@@ -140,6 +141,63 @@ let alternatives names =
     in
     go names
 
+(* How a call of [n] arguments misses a shape.  [first] is the first
+   argument when it is known (lint passes only literals). *)
+type misuse =
+  | Count  (* outside the command's own arity bounds *)
+  | Unknown_sub of string  (* first argument outside the table *)
+  | Sub_count of string  (* a known subcommand, too few or many arguments *)
+
+let outside lo hi n = n < lo || (hi >= 0 && n > hi)
+
+let sub_misuse subs n sub =
+  match List.find_opt (fun x -> x.sub_name = sub) subs with
+  | None -> Some (Unknown_sub sub)
+  | Some x when outside x.sub_min x.sub_max (n - 1) -> Some (Sub_count sub)
+  | Some _ -> None
+
+(* A window path, a switch or an empty word is never read as a
+   subcommand: commands such as [pack] and [grab] take one there. *)
+let misuse s n first =
+  match first with
+  | _ when outside s.sig_min s.sig_max n -> Some Count
+  | Some w when s.sig_subs <> [] && w <> "" && w.[0] <> '.' && w.[0] <> '-' ->
+    sub_misuse s.sig_subs n w
+  | _ -> None
+
+let sub_names subs =
+  List.sort String.compare (List.map (fun x -> x.sub_name) subs)
+
+let usage_message s = function
+  | Unknown_sub sub when not s.sig_open_subs ->
+    Printf.sprintf "bad option \"%s\": should be %s" sub
+      (alternatives (sub_names s.sig_subs))
+  | _ -> Printf.sprintf "wrong # args: should be \"%s\"" s.sig_usage
+
+(* A widget command answers [cget] and [configure] ahead of its class's
+   table, and words its errors after the widget path. *)
+let widget_subs subs = subsig "cget" 1 ~max:1 :: subsig "configure" 0 :: subs
+
+let widget_misuse subs n first =
+  if n = 0 then Some Count
+  else Option.bind first (sub_misuse (widget_subs subs) n)
+
+let widget_message path = function
+  | Count ->
+    Printf.sprintf "wrong # args: should be \"%s option ?arg arg ...?\"" path
+  | Sub_count "cget" ->
+    Printf.sprintf "wrong # args: should be \"%s cget option\"" path
+  | Sub_count sub -> Printf.sprintf "wrong # args for \"%s %s\"" path sub
+  | Unknown_sub sub -> Printf.sprintf "bad option \"%s\" for %s" sub path
+
+(* A shape that looks fine (the body rejected a combination the table
+   cannot express) gets a plain [wrong # args]. *)
+let usage_error s words =
+  let args = List.tl words in
+  usage_message s
+    (Option.value ~default:Count
+       (misuse s (List.length args) (List.nth_opt args 0)))
+
 type lint_stats = {
   mutable lint_runs : int;
   mutable lint_errors : int;
@@ -202,7 +260,6 @@ type vm_stats = {
 
 type t = {
   commands : (string, cmd_def) Hashtbl.t;
-  signatures : (string, signature) Hashtbl.t;
   lint : lint_stats;
   global_frame : frame;
   mutable stack : frame list; (* non-global frames, innermost first *)
@@ -275,7 +332,7 @@ and command = t -> string list -> result
 and chan = Chan_in of in_channel | Chan_out of out_channel
 
 and cmd_def =
-  | Builtin of command
+  | Builtin of command * signature
   | Proc of proc_def
 
 and proc_def = {
@@ -335,7 +392,6 @@ let local_slot f name =
 let create () =
   {
     commands = Hashtbl.create 64;
-    signatures = Hashtbl.create 64;
     lint = { lint_runs = 0; lint_errors = 0; lint_warnings = 0 };
     global_frame = new_frame ();
     stack = [];
@@ -622,35 +678,16 @@ let mark_canonical t =
       vm_inline_names;
   refresh_canon t
 
-let register t name cmd =
-  Hashtbl.replace t.commands name (Builtin cmd);
+let register t s cmd =
+  Hashtbl.replace t.commands s.sig_name (Builtin (cmd, s));
   refresh_canon t
 
-let register_value t name f =
-  register t name (fun t words -> ok (f t words))
+let register_value t s f = register t s (fun t words -> ok (f t words))
 
-let register_signature t s = Hashtbl.replace t.signatures s.sig_name s
-
-let signature_of t name = Hashtbl.find_opt t.signatures name
-
-let usage_of t name =
-  Option.map (fun s -> s.sig_usage) (signature_of t name)
-
-(* Registry-driven replacements for ad-hoc arity/option failures, so the
-   runtime raises the exact message lint predicts. *)
-let wrong_args_for t name =
-  match usage_of t name with
-  | Some usage -> wrong_args usage
-  | None -> failf "wrong # args for \"%s\"" name
-
-let bad_subcommand t ~cmd sub =
-  match signature_of t cmd with
-  | Some s when s.sig_subs <> [] ->
-    let names =
-      List.sort String.compare (List.map (fun x -> x.sub_name) s.sig_subs)
-    in
-    failf "bad option \"%s\": should be %s" sub (alternatives names)
-  | _ -> failf "bad option \"%s\" to %s" sub cmd
+let signature_of t name =
+  match Hashtbl.find_opt t.commands name with
+  | Some (Builtin (_, s)) -> Some s
+  | _ -> None
 
 let note_lint t ~errors ~warnings =
   t.lint.lint_runs <- t.lint.lint_runs + 1;
@@ -813,8 +850,6 @@ let script_code t src =
     code
 
 let set_compile_enabled t flag = t.compile_enabled <- flag
-
-let compile_enabled t = t.compile_enabled
 
 let reset_vm_stats t =
   t.vm.v_compiled <- 0;
@@ -1356,9 +1391,10 @@ and invoke t words =
       t.cmd_count <- t.cmd_count + 1;
       invoke_command t name words)
 
-and run_builtin t cmd words =
+and run_builtin t cmd s words =
   try cmd t words with
   | Tcl_failure msg -> (Tcl_error, msg)
+  | Usage -> (Tcl_error, usage_error s words)
   | Expr.Error msg -> (Tcl_error, msg)
   | e -> (
     match translate_exn e with
@@ -1367,7 +1403,7 @@ and run_builtin t cmd words =
 
 and invoke_command t name words =
   match Hashtbl.find_opt t.commands name with
-  | Some (Builtin cmd) -> run_builtin t cmd words
+  | Some (Builtin (cmd, s)) -> run_builtin t cmd s words
   | Some (Proc p) -> call_proc t name p words
   | None -> invoke_missing t name words
 
@@ -1382,7 +1418,7 @@ and invoke_missing t name words =
   end
   else (
     match Hashtbl.find_opt t.commands "unknown" with
-    | Some (Builtin cmd) -> run_builtin t cmd ("unknown" :: words)
+    | Some (Builtin (cmd, s)) -> run_builtin t cmd s ("unknown" :: words)
     | Some (Proc p) -> call_proc t "unknown" p ("unknown" :: words)
     | None -> (Tcl_error, Printf.sprintf "invalid command name \"%s\"" name))
 
@@ -1392,7 +1428,7 @@ and invoke_hidden t name words =
   | None ->
     ( Tcl_error,
       Printf.sprintf "unknown hidden command \"%s\"" name )
-  | Some (Builtin cmd) -> run_builtin t cmd words
+  | Some (Builtin (cmd, s)) -> run_builtin t cmd s words
   | Some (Proc p) -> call_proc t name p words
 
 and call_proc t name p words =
@@ -2305,7 +2341,7 @@ and invoke_vm_strings t want name (words : string list) =
   | None -> (
     t.cmd_count <- t.cmd_count + 1;
     match vm_lookup t name with
-    | Builtin cmd -> run_builtin t cmd words
+    | Builtin (cmd, s) -> run_builtin t cmd s words
     | Proc _ as d -> dispatch_vm t want name d (List.map Tval.of_string words)
     | exception Not_found -> invoke_missing t name words)
 
@@ -2324,7 +2360,7 @@ and invoke_vm1 t want (nametv : Tval.t) (v1 : Tval.t) =
 
 and dispatch_vm t want name d words =
   match d with
-  | Builtin cmd -> run_builtin t cmd (List.map Tval.to_string words)
+  | Builtin (cmd, s) -> run_builtin t cmd s (List.map Tval.to_string words)
   | Proc p ->
     if t.compile_enabled then call_proc_vm t want name p (List.tl words)
     else call_proc_ref t name p (List.map Tval.to_string words)
@@ -2332,7 +2368,7 @@ and dispatch_vm t want name d words =
 and dispatch_vm1 t want name d (v1 : Tval.t) =
   match d with
   | Proc p when t.compile_enabled -> call_proc_vm1 t want name p v1
-  | Builtin cmd -> run_builtin t cmd [ name; Tval.to_string v1 ]
+  | Builtin (cmd, s) -> run_builtin t cmd s [ name; Tval.to_string v1 ]
   | Proc p -> call_proc_ref t name p [ name; Tval.to_string v1 ]
 
 (* Formals usually have slots; one that missed (paren name, slot

@@ -34,9 +34,9 @@ exception Tcl_failure of string
 val failf : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Tcl_failure} with a formatted message. *)
 
-val wrong_args : string -> 'a
-(** [wrong_args usage] raises the standard
-    ["wrong # args: should be \"usage\""] error. *)
+exception Usage
+(** A command procedure raises this for a call its signature rejects;
+    the evaluator renders the message from the signature ({!misuse}). *)
 
 val add_exn_translator : (exn -> string option) -> unit
 (** Register a (global) hook that translates a foreign exception raised
@@ -64,15 +64,6 @@ val eval_value : t -> string -> (string, string) Stdlib.result
 val eval_words : t -> string list -> result
 (** Invoke a single command from already-substituted words. *)
 
-val expr_env : t -> Expr.env
-(** The variable/command hooks that connect {!Expr} to this interpreter. *)
-
-val eval_expr : t -> string -> Expr.value
-(** Evaluate an expression string with the reference evaluator
-    {!Expr.eval}. The VM lowers every literal expression that parses, so
-    this serves expressions built at run time, unparseable ones and
-    deopted opcodes. @raise Expr.Error on expression errors. *)
-
 val eval_expr_string : t -> string -> string
 (** {!eval_expr} rendered back to Tcl's string form (for [expr]). *)
 
@@ -98,8 +89,6 @@ val set_compile_enabled : t -> bool -> unit
     character-at-a-time evaluator — the [-no-compile-cache] ablation
     and the differential tests' oracle. These are the only two
     execution tiers. *)
-
-val compile_enabled : t -> bool
 
 val clear_compile_caches : t -> unit
 (** Drop all cached scripts (counters are kept). *)
@@ -151,9 +140,6 @@ val set_limit_clock : t -> (unit -> int) option -> unit
 (** Millisecond clock used for time limits; [None] falls back to the
     {!set_time_source} clock. *)
 
-val limit_now : t -> int
-(** Current reading of the limit clock, in milliseconds. *)
-
 val limit_clock : t -> (unit -> int) option
 (** The clock installed by {!set_limit_clock} (slaves inherit their
     master's on creation). *)
@@ -166,19 +152,11 @@ val set_time_limit : ?granularity:int -> t -> int -> unit
 val set_command_limit : t -> int -> unit
 (** Arm (or with 0 disarm) a budget of [n] command dispatches. *)
 
-val rearm_limits : t -> unit
-(** Clear a tripped limit and restart every configured budget (the time
-    deadline restarts from now; the command budget refills). *)
-
 val time_limit : t -> int
 val command_limit : t -> int
 
 val limit_tripped : t -> limit_kind option
 (** The limit currently tripped, if any (sticky until {!rearm_limits}). *)
-
-val limit_message : limit_kind -> string
-(** ["time limit exceeded"] / ["command count limit exceeded"] — the
-    exact error message evaluation aborts with. *)
 
 val cancel : ?unwind:bool -> ?message:string -> t -> unit
 (** Request asynchronous cancellation: the next evaluation boundary
@@ -233,11 +211,6 @@ val slave_names : t -> string list
 
 val delete_slave : t -> string -> bool
 (** Delete a direct slave and, recursively, its whole subtree. *)
-
-val count_slaves : t -> int
-(** Total slaves in the tree below [t]. *)
-
-val count_safe_slaves : t -> int
 
 (** {1 Hidden commands}
 
@@ -298,40 +271,17 @@ val link_var : t -> target_level:int -> target:string -> local:string -> unit
 (** Make variable [local] in the current frame an alias for [target] in the
     frame at absolute [target_level] ([upvar]/[global]). *)
 
-(** {1 Commands} *)
-
-val register : t -> string -> command -> unit
-(** Define (or replace) a built-in command. *)
-
-val register_value : t -> string -> (t -> string list -> string) -> unit
-(** Convenience wrapper: the function returns the result value directly and
-    signals errors by raising {!Tcl_failure}. *)
-
-val define_proc :
-  t -> string -> (string * string option) list -> string -> unit
-(** Define a Tcl procedure: formal parameters (with optional defaults; a
-    trailing ["args"] collects the remainder) and a body script. *)
-
-val proc_info : t -> string -> ((string * string option) list * string) option
-(** Formals and body of a procedure, for [info args]/[info body]. *)
-
-val delete_command : t -> string -> bool
-val rename_command : t -> string -> string -> (unit, string) Stdlib.result
-val command_exists : t -> string -> bool
-val command_names : t -> string list
-val proc_names : t -> string list
-
 (** {1 Command signatures}
 
-    A command may declare, alongside its implementation, the shape of
-    call it accepts: arity bounds, the exact usage string its
-    {!wrong_args} raises, a subcommand table, recognized [-option]
-    switches, which argument positions hold scripts, per-argument
-    literal validators, and — for widget-creating commands — the widget
-    class's option and subcommand tables.  The registry is purely
-    descriptive (dispatch never consults it); the static checker
-    {!Lint} is its consumer, and {!wrong_args_for}/{!bad_subcommand}
-    let the runtime raise the same messages lint predicts. *)
+    Every built-in command is registered with the shape of call it
+    accepts: arity bounds, its usage string, a subcommand table,
+    recognized [-option] switches, which argument positions hold
+    scripts, per-argument literal validators, and — for widget-creating
+    commands — the widget class's option and subcommand tables.  The
+    signature is the command's only declaration of that shape.  Dispatch
+    never consults it: it is read on the failure path, when a body
+    raises {!Usage}, and by the static checker {!Lint}, and both render
+    the same message from it. *)
 
 type sub_sig = {
   sub_name : string;
@@ -383,18 +333,60 @@ val signature :
 (** [signature ~usage name min] builds a signature record;
     [max] defaults to unbounded (-1). *)
 
-val register_signature : t -> signature -> unit
+(** {1 Commands} *)
+
+val register : t -> signature -> command -> unit
+(** Define (or replace) the built-in command [sig_name] with its
+    signature, which travels with the command through [rename] and
+    [interp hide]. *)
+
+val register_value : t -> signature -> (t -> string list -> string) -> unit
+(** Convenience wrapper: the function returns the result value directly and
+    signals errors by raising {!Tcl_failure} or {!Usage}. *)
+
+val define_proc :
+  t -> string -> (string * string option) list -> string -> unit
+(** Define a Tcl procedure: formal parameters (with optional defaults; a
+    trailing ["args"] collects the remainder) and a body script. *)
+
+val proc_info : t -> string -> ((string * string option) list * string) option
+(** Formals and body of a procedure, for [info args]/[info body]. *)
+
+val delete_command : t -> string -> bool
+val rename_command : t -> string -> string -> (unit, string) Stdlib.result
+val command_exists : t -> string -> bool
+val command_names : t -> string list
+val proc_names : t -> string list
+
 val signature_of : t -> string -> signature option
+(** [None] for a procedure or an unknown name. *)
 
-val usage_of : t -> string -> string option
-(** The registered usage string, if any. *)
+(** {2 Usage errors}
 
-val wrong_args_for : t -> string -> 'a
-(** {!wrong_args} with the registry's usage string for the command. *)
+    One classification of a call's shape serves the runtime, which
+    renders a body's {!Usage} with it, and {!Lint}. *)
 
-val bad_subcommand : t -> cmd:string -> string -> 'a
-(** Raise the standard ["bad option \"x\": should be a, b, or c"]
-    message from the registry's subcommand table. *)
+type misuse =
+  | Count  (** outside the command's own arity bounds *)
+  | Unknown_sub of string  (** first argument outside the table *)
+  | Sub_count of string  (** a known subcommand, too few or many arguments *)
+
+val misuse : signature -> int -> string option -> misuse option
+(** [misuse s n first]: how [n] arguments, the first [first] if known,
+    miss [s].  A first word that is empty or starts with ["."] or ["-"]
+    is never read as a subcommand. *)
+
+val usage_message : signature -> misuse -> string
+(** ["bad option \"x\": should be a, b, or c"] for an unknown
+    subcommand of a closed table, else ["wrong # args: should be ..."]. *)
+
+val sub_names : sub_sig list -> string list
+val widget_subs : sub_sig list -> sub_sig list
+(** A class's table with the [cget] and [configure] every widget has. *)
+
+val widget_misuse : sub_sig list -> int -> string option -> misuse option
+val widget_message : string -> misuse -> string
+(** [widget_message path m], e.g. ["bad option \"x\" for .w"]. *)
 
 val alternatives : string list -> string
 (** Render a list Tcl-style: ["a"], ["a or b"], ["a, b, or c"]. *)
@@ -451,10 +443,6 @@ val add_channel : t -> chan -> string
 val mark_error_handled : t -> unit
 (** Tell the interpreter the current error has been caught ([catch] calls
     this), so the next error starts a fresh [errorInfo]. *)
-
-val trace_error : t -> command:string -> string -> unit
-(** Append one level of error context (used by the evaluator; exposed for
-    host applications that run callbacks, like Tk's binding engine). *)
 
 val get_error_info : t -> string
 (** The accumulated stack trace of the most recent error (the value of

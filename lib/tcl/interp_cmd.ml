@@ -125,7 +125,7 @@ let cmd_create ~sub_interp t args =
     match args with
     | [] -> auto_name t
     | [ p ] -> p
-    | _ -> wrong_args_for t "interp"
+    | word :: _ -> failf "bad option \"%s\": should be -safe or --" word
   in
   let parent, leaf = resolve_parent t path in
   match create_slave ~sub_interp ~master:parent ~safe leaf with
@@ -150,7 +150,7 @@ let cmd_alias t = function
     (* The target path is resolved relative to the invoking interpreter;
        "" names the invoker itself (the common master-side case). *)
     let target_interp = resolve t target_path in
-    register s src (fun slave words ->
+    register s (signature src 0 ~usage:(src ^ " ?arg ...?")) (fun slave words ->
         count_alias_call slave;
         (* Marshal into the target interpreter: target command + bound
            words + the slave's call arguments, evaluated with the
@@ -158,7 +158,7 @@ let cmd_alias t = function
         eval_words target_interp ((target :: bound) @ List.tl words));
     note_alias s src target;
     (Tcl_ok, src)
-  | _ -> wrong_args_for t "interp"
+  | _ -> raise Usage
 
 (* ------------------------------------------------------------------ *)
 (* Limits *)
@@ -214,14 +214,15 @@ let cmd_limit t args =
       | Limit_commands, None -> failf "no -value given for limit");
       (Tcl_ok, "")
     end
-  | _ -> wrong_args_for t "interp"
+  | _ -> raise Usage
 
 (* ------------------------------------------------------------------ *)
 (* The command *)
 
 let cmd_interp ~sub_interp t words =
   match words with
-  | _ :: "create" :: args -> cmd_create ~sub_interp t args
+  | _ :: "create" :: args when List.length args <= 3 ->
+    cmd_create ~sub_interp t args
   | [ _; "delete" ] -> (Tcl_ok, "")
   | _ :: "delete" :: paths ->
     (try
@@ -264,7 +265,7 @@ let cmd_interp ~sub_interp t words =
   | [ _; "issafe" ] -> (Tcl_ok, if is_safe t then "1" else "0")
   | [ _; "issafe"; path ] ->
     (Tcl_ok, if is_safe (resolve t path) then "1" else "0")
-  | _ :: "limit" :: args -> cmd_limit t args
+  | _ :: "limit" :: args when List.length args <= 6 -> cmd_limit t args
   | [ _; "recursionlimit" ] -> (Tcl_ok, string_of_int (recursion_limit t))
   | [ _; "recursionlimit"; arg ] -> (
     (* One argument: an integer sets this interpreter's limit, anything
@@ -281,7 +282,7 @@ let cmd_interp ~sub_interp t words =
       set_recursion_limit s limit;
       (Tcl_ok, string_of_int limit)
     | None -> failf "expected integer but got \"%s\"" n)
-  | _ :: "cancel" :: args -> (
+  | _ :: "cancel" :: args when List.length args <= 2 -> (
     let unwind, args =
       match args with
       | "-unwind" :: rest -> (true, rest)
@@ -294,15 +295,11 @@ let cmd_interp ~sub_interp t words =
     | [ path ] ->
       cancel ~unwind (resolve t path);
       (Tcl_ok, "")
-    | _ -> wrong_args_for t "interp")
-  | _ :: sub :: _ -> bad_subcommand t ~cmd:"interp" sub
-  | _ -> wrong_args_for t "interp"
+    | word :: _ -> failf "bad option \"%s\": should be -unwind" word)
+  | _ -> raise Usage
 
 let install ~sub_interp t =
-  register t "interp" (fun t words ->
-      try cmd_interp ~sub_interp t words
-      with Tcl_failure msg -> (Tcl_error, msg));
-  register_signature t
+  register t
     (signature "interp" 1 ~options:[ "-safe"; "-unwind" ]
        ~subs:
          [
@@ -323,3 +320,4 @@ let install ~sub_interp t =
            subsig "cancel" 0 ~max:2;
          ]
        ~usage:"interp option ?arg arg ...?")
+    (cmd_interp ~sub_interp)

@@ -16,10 +16,6 @@ val unsafe_commands : string list
 (** The commands a [-safe] slave has hidden (when present): process
     control, file system, the interp machinery, simulator test hooks. *)
 
-val make_safe : Interp.t -> unit
-(** Mark the interpreter safe and hide every {!unsafe_commands} entry it
-    has. *)
-
 val create_slave :
   sub_interp:(unit -> Interp.t) ->
   master:Interp.t ->

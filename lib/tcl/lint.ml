@@ -227,6 +227,13 @@ let lit_arg (cmd : Compile.command) i =
   | Some (Compile.W_lit s) -> Some s
   | _ -> None
 
+(* A literal argument the shape checks can read: a word with a [%] is a
+   binding substitution, filled in before the command runs. *)
+let literal_word cmd i =
+  match lit_arg cmd i with
+  | Some w when not (String.contains w '%') -> Some w
+  | _ -> None
+
 let word_off (cmd : Compile.command) i =
   match List.nth_opt cmd.wpos i with Some p -> p | None -> cmd.pos
 
@@ -381,7 +388,6 @@ let kind_set wc name v =
 
 let known_command ctx name =
   Interp.command_exists ctx.interp name
-  || Interp.signature_of ctx.interp name <> None
   || Hashtbl.mem ctx.procs name
   || Hashtbl.mem ctx.created name
   || Hashtbl.mem ctx.extra name
@@ -691,7 +697,7 @@ and walk_command ctx usrc origin wc (cmd : Compile.command) : wres =
         if name <> "" && name.[0] = '$' then ctx.has_dynamic <- true;
         nores
       | Some name when starts_with "." name ->
-        walk_widget_call ctx usrc origin wc cmd name;
+        walk_widget_call ctx origin cmd name;
         nores
       | Some name ->
         let off = origin + cmd.pos in
@@ -894,47 +900,30 @@ and apply_signature ctx usrc origin wc cmd name (s : Interp.signature) : wres
     =
   let n = nargs cmd in
   let off = origin + cmd.pos in
-  if n < s.Interp.sig_min || (s.Interp.sig_max >= 0 && n > s.Interp.sig_max)
-  then begin
-    report ctx off Error ~pass:"arity" "wrong # args: should be \"%s\""
-      s.Interp.sig_usage;
+  (* The runtime renders a rejected call with the same classification.
+     An open table ([sig_open_subs]) means an unmatched word is legal —
+     [send appName ...] — so only near-misses are flagged, softly. *)
+  match Interp.misuse s n (literal_word cmd 1) with
+  | Some Interp.Count ->
+    report ctx off Error ~pass:"arity" "%s"
+      (Interp.usage_message s Interp.Count);
     nores
-  end
-  else begin
-    (* Subcommand table: only a literal first argument that cannot be a
-       window path, switch or substitution artifact is checkable.  An
-       open table ([sig_open_subs]) means an unmatched word is legal —
-       [send appName ...] — so only near-misses are flagged, softly. *)
-    (match (s.Interp.sig_subs, lit_arg cmd 1) with
-    | (_ :: _ as subs), Some sub
-      when n >= 1 && sub <> ""
-           && (not (starts_with "." sub))
-           && (not (starts_with "-" sub))
-           && not (String.contains sub '%') -> (
-      match List.find_opt (fun x -> x.Interp.sub_name = sub) subs with
-      | None ->
-        let names =
-          List.sort String.compare (List.map (fun x -> x.Interp.sub_name) subs)
-        in
-        if s.Interp.sig_open_subs then begin
-          let hint = suggest sub names in
-          if hint <> "" then
-            report ctx (origin + word_off cmd 1) Warning ~pass:"subcommand"
-              "\"%s\" is not a %s subcommand%s" sub name hint
-        end
-        else
-          report ctx (origin + word_off cmd 1) Error ~pass:"subcommand"
-            "bad option \"%s\": should be %s%s" sub (Interp.alternatives names)
-            (suggest sub names)
-      | Some x ->
-        let rest = n - 1 in
-        if
-          rest < x.Interp.sub_min
-          || (x.Interp.sub_max >= 0 && rest > x.Interp.sub_max)
-        then
-          report ctx off
-            (if s.Interp.sig_open_subs then Warning else Error)
-            ~pass:"arity" "wrong # args: should be \"%s\"" s.Interp.sig_usage)
+  | m ->
+    (match m with
+    | Some (Interp.Unknown_sub sub as u) ->
+      let hint = suggest sub (Interp.sub_names s.Interp.sig_subs) in
+      if s.Interp.sig_open_subs then begin
+        if hint <> "" then
+          report ctx (origin + word_off cmd 1) Warning ~pass:"subcommand"
+            "\"%s\" is not a %s subcommand%s" sub name hint
+      end
+      else
+        report ctx (origin + word_off cmd 1) Error ~pass:"subcommand" "%s%s"
+          (Interp.usage_message s u) hint
+    | Some (Interp.Sub_count _ as c) ->
+      report ctx off
+        (if s.Interp.sig_open_subs then Warning else Error)
+        ~pass:"arity" "%s" (Interp.usage_message s c)
     | _ -> ());
     (* Leading -option switches: only literal words, only up to the
        first non-switch argument or a "--" terminator, and only when the
@@ -945,11 +934,8 @@ and apply_signature ctx usrc origin wc cmd name (s : Interp.signature) : wres
     | [] -> ()
     | options ->
       let start =
-        match (s.Interp.sig_subs, lit_arg cmd 1) with
-        | _ :: _, Some sub
-          when List.exists (fun x -> x.Interp.sub_name = sub) s.Interp.sig_subs
-          ->
-          2
+        match lit_arg cmd 1 with
+        | Some w when List.mem w (Interp.sub_names s.Interp.sig_subs) -> 2
         | _ -> 1
       in
       let sorted = List.sort String.compare options in
@@ -981,10 +967,9 @@ and apply_signature ctx usrc origin wc cmd name (s : Interp.signature) : wres
       s.Interp.sig_checks;
     (* Widget creation: path shape, parent, option/value pairs. *)
     (match s.Interp.sig_widget with
-    | Some ws -> check_widget_creation ctx usrc origin cmd ws
+    | Some ws -> check_widget_creation ctx origin cmd ws
     | None -> ());
     walk_structure ctx usrc origin wc cmd name s
-  end
 
 (* Control commands get structural recursion into their braced bodies —
    with constant conditions folded, loop-clobbered kinds havocked and
@@ -1284,7 +1269,7 @@ and walk_if ctx usrc origin wc cmd arms els =
   in
   go arms
 
-and check_widget_creation ctx usrc origin cmd (ws : Interp.widget_sig) =
+and check_widget_creation ctx origin cmd (ws : Interp.widget_sig) =
   match lit_arg cmd 1 with
   | None -> ()
   | Some path ->
@@ -1300,14 +1285,12 @@ and check_widget_creation ctx usrc origin cmd (ws : Interp.widget_sig) =
           "bad window path name \"%s\" (parent \"%s\" is never created)" path
           parent
       | _ -> ());
-      check_option_pairs ctx origin cmd ~start:2 ~what:ws.Interp.ws_class
-        ws.Interp.ws_options
-    end;
-    ignore usrc
+      check_option_pairs ctx origin cmd ~start:2 ws.Interp.ws_options
+    end
 
 (* -switch value pairs, as in widget creation and configure.  Switches
    may be abbreviated to an unambiguous prefix (Core.find_spec). *)
-and check_option_pairs ctx origin cmd ~start ~what options =
+and check_option_pairs ctx origin cmd ~start options =
   let n = nargs cmd in
   let rec go i =
     if i <= n then begin
@@ -1327,12 +1310,11 @@ and check_option_pairs ctx origin cmd ~start ~what options =
       go (i + 2)
     end
   in
-  ignore what;
   go start
 
 (* A command named by a widget path: resolve the class the script gave
    it and check subcommand, arity and configure options. *)
-and walk_widget_call ctx usrc origin wc cmd path =
+and walk_widget_call ctx origin cmd path =
   let off = origin + cmd.pos in
   let class_of =
     match Hashtbl.find_opt ctx.created path with
@@ -1352,44 +1334,19 @@ and walk_widget_call ctx usrc origin wc cmd path =
     | None -> () (* live widget of unknown class: nothing safe to say *)
     | Some ws -> (
       let n = nargs cmd in
-      if n = 0 then
-        report ctx off Error ~pass:"widget"
-          "wrong # args: should be \"%s option ?arg arg ...?\"" path
-      else
+      match Interp.widget_misuse ws.Interp.ws_subs n (literal_word cmd 1) with
+      | Some (Interp.Unknown_sub sub as m) ->
+        let subs = Interp.widget_subs ws.Interp.ws_subs in
+        report ctx (origin + word_off cmd 1) Error ~pass:"widget" "%s%s"
+          (Interp.widget_message path m)
+          (suggest sub (List.map (fun x -> x.Interp.sub_name) subs))
+      | Some m ->
+        report ctx off Error ~pass:"widget" "%s" (Interp.widget_message path m)
+      | None -> (
         match lit_arg cmd 1 with
-        | None -> ()
-        | Some "configure" ->
-          check_option_pairs ctx origin cmd ~start:2 ~what:ws.Interp.ws_class
-            ws.Interp.ws_options
-        | Some "cget" ->
-          if n <> 2 then
-            report ctx off Error ~pass:"widget"
-              "wrong # args: should be \"%s cget option\"" path
-          else
-            check_option_pairs ctx origin cmd ~start:2
-              ~what:ws.Interp.ws_class ws.Interp.ws_options
-        | Some sub when not (String.contains sub '%') -> (
-          match
-            List.find_opt (fun x -> x.Interp.sub_name = sub) ws.Interp.ws_subs
-          with
-          | None ->
-            let names =
-              "cget" :: "configure"
-              :: List.map (fun x -> x.Interp.sub_name) ws.Interp.ws_subs
-            in
-            report ctx (origin + word_off cmd 1) Error ~pass:"widget"
-              "bad option \"%s\" for %s%s" sub path (suggest sub names)
-          | Some x ->
-            let rest = n - 1 in
-            if
-              rest < x.Interp.sub_min
-              || (x.Interp.sub_max >= 0 && rest > x.Interp.sub_max)
-            then
-              report ctx off Error ~pass:"widget" "wrong # args for \"%s %s\""
-                path sub)
-        | Some _ -> ()));
-  ignore usrc;
-  ignore wc
+        | Some ("configure" | "cget") ->
+          check_option_pairs ctx origin cmd ~start:2 ws.Interp.ws_options
+        | _ -> ())))
 
 (* Variable def/use effects of the commands that touch variables, plus
    their effect on the kind table and the constant-folding checks that

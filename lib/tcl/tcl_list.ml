@@ -117,8 +117,6 @@ let quote_element e =
 
 let format elements = String.concat " " (List.map quote_element elements)
 
-let length s = Result.map List.length (parse s)
-
 (* A list index: an integer, "end", or "end-N" with N a plain
    non-negative integer.  "end-" and "end--1" are malformed ("bad
    index"), matching Tcl; every list command shares this parser so
@@ -138,24 +136,3 @@ let parse_index ~len s =
       | None -> bad ()
     else bad ()
   else match int_of_string_opt s with Some i -> Ok i | None -> bad ()
-
-let index s i =
-  match parse s with
-  | Error _ as e -> e
-  | Ok l ->
-    Ok
-      (if i < 0 then ""
-       else match List.nth_opt l i with Some e -> e | None -> "")
-
-let range s first last =
-  match parse s with
-  | Error _ as e -> e
-  | Ok l ->
-    let n = List.length l in
-    let first = max first 0 in
-    let last = if last = max_int || last >= n then n - 1 else last in
-    if first > last then Ok ""
-    else
-      Ok
-        (format
-           (List.filteri (fun i _ -> i >= first && i <= last) l))

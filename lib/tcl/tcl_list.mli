@@ -20,19 +20,9 @@ val quote_element : string -> string
 val format : string list -> string
 (** Build the string form of a list from its elements. *)
 
-val index : string -> int -> (string, string) result
-(** [index l i] is element [i] (0-based) of list [l]; out-of-range indices
-    yield the empty string, as in Tcl. *)
-
-val length : string -> (int, string) result
-
 val parse_index : len:int -> string -> (int, string) result
 (** Parse a list index: an integer, ["end"], or ["end-N"] (N a plain
     non-negative integer) relative to a list of [len] elements.
     Malformed indices — including ["end-"] and ["end--1"] — yield
     [Error "bad index ..."]. The result may be out of range; callers
     clamp or reject according to each command's semantics. *)
-
-val range : string -> int -> int -> (string, string) result
-(** [range l first last] is the sublist from [first] to [last] inclusive;
-    [last] may be the magic value [max_int] meaning "end". *)

@@ -1,6 +1,6 @@
 (* Dual-ported Tcl values, after Tcl 8.0's "shimmering" design: every
-   value has a canonical string representation plus lazily-computed
-   cached representations (integer/float, parsed list).  Reading a rep
+   value has a canonical string representation plus a lazily-computed
+   cached numeric representation (integer/float).  Reading a rep
    computes and caches it; writing through any setter invalidates the
    others.  The string rep itself is rendered lazily so hot numeric
    paths (incr/expr in the VM) never touch strings until someone asks. *)
@@ -10,7 +10,6 @@ type num = Nnone | Nmaybe | Nint of int | Ndbl of float
 type t = {
   mutable s : string; (* canonical string; [unrendered] until rendered *)
   mutable n : num; (* cached numeric rep; Nmaybe = not yet parsed *)
-  mutable l : string list option; (* cached parsed-list rep *)
 }
 
 (* A numeric value's string before it is rendered.  It is made at run
@@ -33,14 +32,14 @@ let float_to_string f =
     | Some g when g = f -> s
     | _ -> Printf.sprintf "%.17g" f
 
-let of_string s = { s; n = Nmaybe; l = None }
+let of_string s = { s; n = Nmaybe }
 
 (* Value-semantics duplicate: the reps are immutable, so sharing them is
    safe; only the containing record must be fresh (a bound variable cell
    is mutated in place by set/incr). *)
-let copy t = { s = t.s; n = t.n; l = t.l }
-let of_int i = { s = unrendered; n = Nint i; l = None }
-let of_float f = { s = unrendered; n = Ndbl f; l = None }
+let copy t = { s = t.s; n = t.n }
+let of_int i = { s = unrendered; n = Nint i }
+let of_float f = { s = unrendered; n = Ndbl f }
 
 let to_string t =
   if t.s != unrendered then t.s
@@ -114,20 +113,8 @@ let num t =
 
 let set_string t s =
   t.s <- s;
-  t.n <- Nmaybe;
-  t.l <- None
+  t.n <- Nmaybe
 
 let set_int t i =
   t.s <- unrendered;
-  t.n <- Nint i;
-  t.l <- None
-
-let list t =
-  match t.l with
-  | Some l -> Ok l
-  | None -> (
-    match Tcl_list.parse (to_string t) with
-    | Ok l ->
-      t.l <- Some l;
-      Ok l
-    | Error _ as e -> e)
+  t.n <- Nint i

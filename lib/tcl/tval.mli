@@ -1,8 +1,8 @@
 (** Dual-ported Tcl values (Tcl 8.0 "shimmering").
 
-    A value carries its canonical string representation plus cached
-    numeric and parsed-list representations, computed lazily on first
-    read and invalidated by any write.  The bytecode VM stores these in
+    A value carries its canonical string representation plus a cached
+    numeric representation, computed lazily on first read and
+    invalidated by any write.  The bytecode VM stores these in
     variable cells so hot loops ([incr i], [expr {$i < $n}]) never
     re-parse — and never even render — the string rep. *)
 
@@ -10,7 +10,7 @@ type num = Nnone | Nmaybe | Nint of int | Ndbl of float
 
 type t
 (** A mutable value cell: its string rep, kept unboxed once rendered,
-    and its cached numeric and list reps. *)
+    and its cached numeric rep. *)
 
 val of_string : string -> t
 val of_int : int -> t
@@ -25,9 +25,6 @@ val to_string : t -> string
 
 val num : t -> num
 (** The numeric rep; parses and caches on first use. Never [Nmaybe]. *)
-
-val list : t -> (string list, string) result
-(** The parsed-list rep; parses and caches on first use. *)
 
 val set_string : t -> string -> unit
 val set_int : t -> int -> unit

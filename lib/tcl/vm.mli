@@ -88,8 +88,8 @@ and 'f items = Lconst of string list | Lword of 'f vword
 
 and 'f vword =
   | Wlit of Tval.t
-      (** literal word as a shared dual-ported value (numeric/list reps
-          parsed once, persist across executions). One lowering makes
+      (** literal word as a shared dual-ported value (numeric rep
+          parsed once, persists across executions). One lowering makes
           one [Wlit] per distinct literal string and every word that
           spells it shares it: the executor never writes a literal
           value, only fills its rep caches, and binds a copy *)

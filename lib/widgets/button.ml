@@ -263,8 +263,7 @@ let subcommands w words =
     set_variable w (if selected w then "0" else "1");
     Tk.Core.schedule_redraw w;
     ok ""
-  | _ :: sub :: _ -> failf "bad option \"%s\" for %s" sub w.Tk.Core.path
-  | _ -> Tcl.Interp.wrong_args (w.Tk.Core.path ^ " option ?arg ...?")
+  | _ -> raise Tcl.Interp.Usage
 
 (* ------------------------------------------------------------------ *)
 (* Class construction *)
@@ -275,9 +274,28 @@ let class_name_of = function
   | Check -> "Checkbutton"
   | Radio -> "Radiobutton"
 
+(* What each kind answers besides configure/cget; [subcommands] checks
+   the kind again and leaves the message to this table.  Built once:
+   every widget's class shares its kind's table. *)
+let subs_for =
+  let table = List.map (fun name -> Tcl.Interp.subsig name 0 ~max:0) in
+  let label = table [ "flash"; "activate"; "deactivate" ]
+  and push = table [ "flash"; "invoke"; "activate"; "deactivate" ]
+  and check =
+    table
+      [
+        "flash"; "invoke"; "activate"; "deactivate"; "select"; "deselect";
+        "toggle";
+      ]
+  and radio =
+    table [ "flash"; "invoke"; "activate"; "deactivate"; "select"; "deselect" ]
+  in
+  function Label -> label | Push -> push | Check -> check | Radio -> radio
+
 let make_class kind =
   let cls =
-    Tk.Core.make_class ~name:(class_name_of kind) ~specs:(specs_for kind) ()
+    Tk.Core.make_class ~name:(class_name_of kind) ~specs:(specs_for kind)
+      ~subs:(subs_for kind) ()
   in
   cls.Tk.Core.configure_hook <-
     (fun w ->
@@ -293,25 +311,11 @@ let make_class kind =
   cls
 
 let creator app kind command =
-  let subs =
-    List.map
-      (fun name -> Tcl.Interp.subsig name 0 ~max:0)
-      (match kind with
-      | Label -> [ "flash"; "activate"; "deactivate" ]
-      | Push -> [ "flash"; "invoke"; "activate"; "deactivate" ]
-      | Check ->
-        [
-          "flash"; "invoke"; "activate"; "deactivate"; "select"; "deselect";
-          "toggle";
-        ]
-      | Radio ->
-        [ "flash"; "invoke"; "activate"; "deactivate"; "select"; "deselect" ])
-  in
   Wutil.standard_creator app ~command
     ~make:(fun () -> make_class kind)
     ~data:(fun () ->
       Button_data { kind; active = false; pressed = false; flashes = 0 })
-    ~subs ()
+    ()
 
 let install app =
   creator app Label "label";

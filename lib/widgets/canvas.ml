@@ -650,7 +650,7 @@ let search w s = function
       match rest with
       | [] -> 0
       | [ h ] -> max 0 (parse_int h)
-      | _ -> failf "wrong # args: should be \"closest x y ?halo?\""
+      | _ -> raise Tcl.Interp.Usage
     in
     Option.to_list
       (find_closest w s ~px:(parse_int px) ~py:(parse_int py) ~halo)
@@ -659,7 +659,7 @@ let search w s = function
       "bad search command \"%s\": must be all, withtag, overlapping, \
        enclosed, or closest"
       spec
-  | [] -> failf "wrong # args: should be \"searchCommand ?arg arg ...?\""
+  | [] -> raise Tcl.Interp.Usage
 
 (* ------------------------------------------------------------------ *)
 (* Widget command *)
@@ -672,7 +672,7 @@ let rec subcommands w words =
   let s = data w in
   let ok = Tcl.Interp.ok in
   match words with
-  | _ :: "create" :: kind :: args ->
+  | _ :: "create" :: kind :: (_ :: _ as args) ->
     let kind =
       match kind with
       | "line" -> Line
@@ -693,7 +693,7 @@ let rec subcommands w words =
     s.dead_keys <- [];
     Tk.Core.schedule_redraw w;
     ok ""
-  | _ :: "delete" :: specs ->
+  | _ :: "delete" :: (_ :: _ as specs) ->
     List.iter
       (fun spec ->
         List.iter
@@ -788,7 +788,9 @@ let rec subcommands w words =
         (Printf.sprintf "%d %d %d %d" u.Geom.rx u.Geom.ry
            (u.Geom.rx + u.Geom.rwidth)
            (u.Geom.ry + u.Geom.rheight)))
-  | _ :: "find" :: search_spec -> ids_result (search w s search_spec)
+  | _ :: "find" :: search_spec ->
+    if List.length search_spec > 5 then raise Tcl.Interp.Usage;
+    ids_result (search w s search_spec)
   | [ _; "raise"; spec ] ->
     (* Fresh top serials in relative order: O(moved), not O(items). *)
     List.iter
@@ -818,8 +820,7 @@ let rec subcommands w words =
     ok ""
   | [ _; "type"; spec ] -> ok (kind_name (find_item s spec).kind)
   | [ _; "itemcount" ] -> ok (string_of_int s.len)
-  | _ :: sub :: _ -> failf "bad option \"%s\" for %s" sub w.Tk.Core.path
-  | _ -> Tcl.Interp.wrong_args (w.Tk.Core.path ^ " option ?arg ...?")
+  | _ -> raise Tcl.Interp.Usage
 
 (* Relative raise/lower renumbers the whole display order, which strands
    every item's retained ops under stale keys — deopt to a full redraw. *)
@@ -876,8 +877,28 @@ let specs =
         Ot_relief;
     ]
 
+let subs =
+  Tcl.Interp.
+    [
+      subsig "create" 2;
+      subsig "delete" 1;
+      subsig "move" 3 ~max:3;
+      subsig "scale" 5 ~max:5;
+      subsig "coords" 1;
+      subsig "itemconfigure" 1;
+      subsig "addtag" 2;
+      subsig "dtag" 1 ~max:2;
+      subsig "gettags" 1 ~max:1;
+      subsig "find" 1 ~max:5;
+      subsig "bbox" 1;
+      subsig "raise" 1 ~max:2;
+      subsig "lower" 1 ~max:2;
+      subsig "type" 1 ~max:1;
+      subsig "itemcount" 0 ~max:0;
+    ]
+
 let make_class () =
-  let cls = Tk.Core.make_class ~name:"Canvas" ~specs () in
+  let cls = Tk.Core.make_class ~name:"Canvas" ~specs ~subs () in
   cls.Tk.Core.configure_hook <-
     (fun w ->
       Tk.Core.absorb w.Tk.Core.app ~default:() (fun () ->
@@ -893,24 +914,5 @@ let make_class () =
 
 let install ?(index = true) app =
   Wutil.standard_creator app ~command:"canvas" ~make:make_class
-    ~subs:
-      Tcl.Interp.
-        [
-          subsig "create" 2;
-          subsig "delete" 1;
-          subsig "move" 3 ~max:3;
-          subsig "scale" 5 ~max:5;
-          subsig "coords" 1;
-          subsig "itemconfigure" 1;
-          subsig "addtag" 2;
-          subsig "dtag" 1 ~max:2;
-          subsig "gettags" 1 ~max:1;
-          subsig "find" 1 ~max:5;
-          subsig "bbox" 1;
-          subsig "raise" 1 ~max:2;
-          subsig "lower" 1 ~max:2;
-          subsig "type" 1 ~max:1;
-          subsig "itemcount" 0 ~max:0;
-        ]
     ~data:(fun () -> Canvas_data (new_state ~index))
     ()

@@ -12,7 +12,6 @@ let data w =
   | _ -> failf "%s is not an entry" w.Tk.Core.path
 
 let contents w = (data w).text
-let cursor_position w = (data w).cursor
 
 let specs =
   Tk.Core.
@@ -163,11 +162,20 @@ let subcommands w words =
     Tk.Core.schedule_redraw w;
     ok ""
   | [ _; "index"; index ] -> ok (string_of_int (parse_index w index))
-  | _ :: sub :: _ -> failf "bad option \"%s\" for %s" sub w.Tk.Core.path
-  | _ -> Tcl.Interp.wrong_args (w.Tk.Core.path ^ " option ?arg ...?")
+  | _ -> raise Tcl.Interp.Usage
+
+let subs =
+  Tcl.Interp.
+    [
+      subsig "get" 0 ~max:0;
+      subsig "insert" 2 ~max:2;
+      subsig "delete" 1 ~max:2;
+      subsig "icursor" 1 ~max:1;
+      subsig "index" 1 ~max:1;
+    ]
 
 let make_class () =
-  let cls = Tk.Core.make_class ~name:"Entry" ~specs () in
+  let cls = Tk.Core.make_class ~name:"Entry" ~specs ~subs () in
   cls.Tk.Core.configure_hook <-
     (fun w ->
       Tk.Core.absorb w.Tk.Core.app ~default:() (fun () ->
@@ -184,13 +192,4 @@ let make_class () =
 let install app =
   Wutil.standard_creator app ~command:"entry" ~make:make_class
     ~data:(fun () -> Entry_data { text = ""; cursor = 0; focused = false })
-    ~subs:
-      Tcl.Interp.
-        [
-          subsig "get" 0 ~max:0;
-          subsig "insert" 2 ~max:2;
-          subsig "delete" 1 ~max:2;
-          subsig "icursor" 1 ~max:1;
-          subsig "index" 1 ~max:1;
-        ]
     ()

@@ -11,4 +11,3 @@
 val install : Tk.Core.app -> unit
 
 val contents : Tk.Core.widget -> string
-val cursor_position : Tk.Core.widget -> int

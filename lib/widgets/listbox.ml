@@ -16,8 +16,6 @@ let data w =
   | Listbox_data s -> s
   | _ -> failf "%s is not a listbox" w.Tk.Core.path
 
-let items w = Array.to_list (data w).elements
-let selection_range w = (data w).sel
 let top_index w = (data w).top
 
 let specs =
@@ -251,11 +249,23 @@ let subcommands w words =
     s.sel <- None;
     Tk.Core.schedule_redraw w;
     ok ""
-  | _ :: sub :: _ -> failf "bad option \"%s\" for %s" sub w.Tk.Core.path
-  | _ -> Tcl.Interp.wrong_args (w.Tk.Core.path ^ " option ?arg ...?")
+  | _ -> raise Tcl.Interp.Usage
+
+let subs =
+  Tcl.Interp.
+    [
+      subsig "insert" 1;
+      subsig "delete" 1 ~max:2;
+      subsig "get" 1 ~max:1;
+      subsig "size" 0 ~max:0;
+      subsig "view" 0 ~max:1;
+      subsig "yview" 0 ~max:1;
+      subsig "curselection" 0 ~max:0;
+      subsig "select" 1 ~max:2;
+    ]
 
 let make_class () =
-  let cls = Tk.Core.make_class ~name:"Listbox" ~specs () in
+  let cls = Tk.Core.make_class ~name:"Listbox" ~specs ~subs () in
   cls.Tk.Core.configure_hook <-
     (fun w ->
       Tk.Core.absorb w.Tk.Core.app ~default:() (fun () ->
@@ -274,16 +284,4 @@ let install app =
     ~data:(fun () ->
       Listbox_data { elements = [||]; top = 0; sel = None; anchor = 0 })
     ~post_create:(fun w -> update_scroll w)
-    ~subs:
-      Tcl.Interp.
-        [
-          subsig "insert" 1;
-          subsig "delete" 1 ~max:2;
-          subsig "get" 1 ~max:1;
-          subsig "size" 0 ~max:0;
-          subsig "view" 0 ~max:1;
-          subsig "yview" 0 ~max:1;
-          subsig "curselection" 0 ~max:0;
-          subsig "select" 1 ~max:2;
-        ]
     ()

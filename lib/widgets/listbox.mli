@@ -11,11 +11,5 @@
 
 val install : Tk.Core.app -> unit
 
-val items : Tk.Core.widget -> string list
-(** Current contents (exposed for tests). *)
-
-val selection_range : Tk.Core.widget -> (int * int) option
-(** Selected item range, if any. *)
-
 val top_index : Tk.Core.widget -> int
 (** Index of the first visible item. *)

@@ -19,11 +19,6 @@ let data w =
   | Menu_data s -> s
   | _ -> failf "%s is not a menu" w.Tk.Core.path
 
-let entry_labels w =
-  List.map
-    (function Command { label; _ } -> label | Separator -> "-")
-    (data w).entries
-
 let specs =
   Tk.Core.
     [
@@ -212,11 +207,22 @@ let subcommands w words =
       | Some (Command { label; _ }) -> ok label
       | Some Separator -> ok "-"
       | None -> failf "bad menu entry index \"%s\"" index)
-  | _ :: sub :: _ -> failf "bad option \"%s\" for %s" sub w.Tk.Core.path
-  | _ -> Tcl.Interp.wrong_args (w.Tk.Core.path ^ " option ?arg ...?")
+  | _ -> raise Tcl.Interp.Usage
+
+let subs =
+  Tcl.Interp.
+    [
+      subsig "add" 1;
+      subsig "delete" 1 ~max:1;
+      subsig "invoke" 1 ~max:1;
+      subsig "post" 2 ~max:2;
+      subsig "unpost" 0 ~max:0;
+      subsig "size" 0 ~max:0;
+      subsig "entrylabel" 1 ~max:1;
+    ]
 
 let make_menu_class () =
-  let cls = Tk.Core.make_class ~name:"Menu" ~specs () in
+  let cls = Tk.Core.make_class ~name:"Menu" ~specs ~subs () in
   cls.Tk.Core.configure_hook <-
     (fun w ->
       Tk.Core.absorb w.Tk.Core.app ~default:() (fun () ->
@@ -299,17 +305,6 @@ let make_menubutton_class () =
 
 let install app =
   Wutil.standard_creator app ~command:"menu" ~make:make_menu_class
-    ~subs:
-      Tcl.Interp.
-        [
-          subsig "add" 1;
-          subsig "delete" 1 ~max:1;
-          subsig "invoke" 1 ~max:1;
-          subsig "post" 2 ~max:2;
-          subsig "unpost" 0 ~max:0;
-          subsig "size" 0 ~max:0;
-          subsig "entrylabel" 1 ~max:1;
-        ]
     ~data:(fun () -> Menu_data { entries = []; active = None; posted = false })
     ~post_create:(fun w ->
       (* Menus start unmapped and never participate in packing. *)

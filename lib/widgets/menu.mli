@@ -9,6 +9,3 @@
 
 val install : Tk.Core.app -> unit
 (** Register the [menu] and [menubutton] creation commands. *)
-
-val entry_labels : Tk.Core.widget -> string list
-(** Labels of a menu's entries ("-" for separators); for tests. *)

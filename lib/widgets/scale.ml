@@ -11,8 +11,6 @@ let data w =
   | Scale_data s -> s
   | _ -> failf "%s is not a scale" w.Tk.Core.path
 
-let value w = (data w).value
-
 let specs =
   Tk.Core.
     [
@@ -140,11 +138,12 @@ let subcommands w words =
       set_value w v ~notify:false;
       ok ""
     | None -> failf "expected integer but got \"%s\"" v)
-  | _ :: sub :: _ -> failf "bad option \"%s\" for %s" sub w.Tk.Core.path
-  | _ -> Tcl.Interp.wrong_args (w.Tk.Core.path ^ " option ?arg ...?")
+  | _ -> raise Tcl.Interp.Usage
+
+let subs = Tcl.Interp.[ subsig "get" 0 ~max:0; subsig "set" 1 ~max:1 ]
 
 let make_class () =
-  let cls = Tk.Core.make_class ~name:"Scale" ~specs () in
+  let cls = Tk.Core.make_class ~name:"Scale" ~specs ~subs () in
   cls.Tk.Core.configure_hook <-
     (fun w ->
       Tk.Core.absorb w.Tk.Core.app ~default:() (fun () ->
@@ -161,5 +160,4 @@ let make_class () =
 let install app =
   Wutil.standard_creator app ~command:"scale" ~make:make_class
     ~data:(fun () -> Scale_data { value = 0 })
-    ~subs:Tcl.Interp.[ subsig "get" 0 ~max:0; subsig "set" 1 ~max:1 ]
     ()

@@ -4,5 +4,3 @@
     commands: [set value], [get]. *)
 
 val install : Tk.Core.app -> unit
-
-val value : Tk.Core.widget -> int

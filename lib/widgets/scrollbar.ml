@@ -166,11 +166,12 @@ let subcommands w words =
     ok
       (Tcl.Tcl_list.format
          (List.map string_of_int [ s.total; s.window; s.first; s.last ]))
-  | _ :: sub :: _ -> failf "bad option \"%s\" for %s" sub w.Tk.Core.path
-  | _ -> Tcl.Interp.wrong_args (w.Tk.Core.path ^ " option ?arg ...?")
+  | _ -> raise Tcl.Interp.Usage
+
+let subs = Tcl.Interp.[ subsig "set" 4 ~max:4; subsig "get" 0 ~max:0 ]
 
 let make_class () =
-  let cls = Tk.Core.make_class ~name:"Scrollbar" ~specs () in
+  let cls = Tk.Core.make_class ~name:"Scrollbar" ~specs ~subs () in
   cls.Tk.Core.configure_hook <-
     (fun w ->
       Tk.Core.absorb w.Tk.Core.app ~default:() (fun () ->
@@ -188,5 +189,4 @@ let install app =
   Wutil.standard_creator app ~command:"scrollbar" ~make:make_class
     ~data:(fun () ->
       Scrollbar_data { total = 0; window = 1; first = 0; last = 0; dragging = None })
-    ~subs:Tcl.Interp.[ subsig "set" 4 ~max:4; subsig "get" 0 ~max:0 ]
     ()

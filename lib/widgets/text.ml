@@ -369,11 +369,24 @@ let subcommands w words =
       | Some (a, b) ->
         Tcl.Tcl_list.format [ format_index a; format_index b ])
   | [ _; "lines" ] -> ok (string_of_int (Array.length s.lines))
-  | _ :: sub :: _ -> failf "bad option \"%s\" for %s" sub w.Tk.Core.path
-  | _ -> Tcl.Interp.wrong_args (w.Tk.Core.path ^ " option ?arg ...?")
+  | _ -> raise Tcl.Interp.Usage
+
+let subs =
+  Tcl.Interp.
+    [
+      subsig "insert" 2 ~max:2;
+      subsig "delete" 1 ~max:2;
+      subsig "get" 1 ~max:2;
+      subsig "index" 1 ~max:1;
+      subsig "mark" 1 ~max:3;
+      subsig "view" 0 ~max:1;
+      subsig "yview" 0 ~max:1;
+      subsig "tag" 2 ~max:4;
+      subsig "lines" 0 ~max:0;
+    ]
 
 let make_class () =
-  let cls = Tk.Core.make_class ~name:"Text" ~specs () in
+  let cls = Tk.Core.make_class ~name:"Text" ~specs ~subs () in
   cls.Tk.Core.configure_hook <-
     (fun w ->
       Tk.Core.absorb w.Tk.Core.app ~default:() (fun () ->
@@ -399,17 +412,4 @@ let install app =
           anchor = (1, 0);
           focused = false;
         })
-    ~subs:
-      Tcl.Interp.
-        [
-          subsig "insert" 2 ~max:2;
-          subsig "delete" 1 ~max:2;
-          subsig "get" 1 ~max:2;
-          subsig "index" 1 ~max:1;
-          subsig "mark" 1 ~max:3;
-          subsig "view" 0 ~max:1;
-          subsig "yview" 0 ~max:1;
-          subsig "tag" 2 ~max:4;
-          subsig "lines" 0 ~max:0;
-        ]
     ()

@@ -60,33 +60,29 @@ let draw_anchored_text w ?(fg = "-foreground") ?(font = "-font") ?(dx = 0)
       Server.draw_text app.Tk.Core.conn w.Tk.Core.win gc ~x:x0 ~y:baseline line)
     (String.split_on_char '\n' text)
 
-(* Export the class's runtime configure table (and optional widget
-   subcommand arities) into the interpreter's signature registry so the
-   lint layer shares one source of truth with execution. *)
-let declare_widget app ~command ?(subs = []) cls =
-  let options = List.map (fun s -> s.Tk.Core.switch) cls.Tk.Core.specs in
-  Tcl.Interp.register_signature app.Tk.Core.interp
-    (Tcl.Interp.signature command 1
-       ~usage:(command ^ " pathName ?options?")
-       ~widget:
-         {
-           Tcl.Interp.ws_class = cls.Tk.Core.cname;
-           ws_options = options;
-           ws_subs = subs;
-         })
+(* The creating command's signature: the class's runtime configure and
+   subcommand tables, so lint shares one source of truth with execution. *)
+let declare_widget ~command cls =
+  Tcl.Interp.signature command 1
+    ~usage:(command ^ " pathName ?options?")
+    ~widget:
+      {
+        Tcl.Interp.ws_class = cls.Tk.Core.cname;
+        ws_options = List.map (fun s -> s.Tk.Core.switch) cls.Tk.Core.specs;
+        ws_subs = cls.Tk.Core.subs;
+      }
 
-let standard_creator app ~command ~make ?data ?post_create ?(subs = []) () =
-  declare_widget app ~command ~subs (make ());
-  Tcl.Interp.register app.Tk.Core.interp command (fun _interp words ->
+let standard_creator app ~command ~make ?data ?post_create () =
+  Tcl.Interp.register app.Tk.Core.interp
+    (declare_widget ~command (make ()))
+    (fun _interp words ->
       match words with
       | _ :: path :: args ->
         let data = Option.map (fun f -> f ()) data in
         let w = Tk.Core.make_widget app ~path ?data (make ()) ~args in
         (match post_create with Some f -> f w | None -> ());
         Tcl.Interp.ok path
-      | _ ->
-        Tcl.Interp.wrong_args
-          (command ^ " pathName ?options?"))
+      | _ -> raise Tcl.Interp.Usage)
 
 let invoke_widget_script w script =
   if script <> "" then

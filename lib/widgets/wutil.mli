@@ -29,31 +29,20 @@ val draw_anchored_text :
 val text_block_size : Font.t -> string -> int * int
 (** Width/height in pixels of a multi-line string. *)
 
-val declare_widget :
-  Tk.Core.app ->
-  command:string ->
-  ?subs:Tcl.Interp.sub_sig list ->
-  Tk.Core.wclass ->
-  unit
-(** Publish a widget class into the interpreter signature registry: the
-    creation command's arity, the [-option] set taken verbatim from the
-    class's configure spec table, and per-widget subcommand arities.
-    Purely descriptive — dispatch never consults it; the lint passes do. *)
-
 val standard_creator :
   Tk.Core.app ->
   command:string ->
   make:(unit -> Tk.Core.wclass) ->
   ?data:(unit -> Tk.Core.wdata) ->
   ?post_create:(Tk.Core.widget -> unit) ->
-  ?subs:Tcl.Interp.sub_sig list ->
   unit ->
   unit
 (** Register a widget-creation Tcl command (paper §4): [command .path
     ?-option value ...?] creates the widget and returns its path name.
     [data] builds the fresh widget-private state installed before the
-    initial configuration runs. Also calls {!declare_widget} with [subs]
-    so the class is visible to the static analyzer. *)
+    initial configuration runs. The command is registered with
+    {!declare_widget}'s signature, so the class is visible to the
+    static analyzer. *)
 
 val invoke_widget_script : Tk.Core.widget -> string -> unit
 (** Run a widget action script (e.g. a button's [-command]) through the

@@ -12,7 +12,6 @@ let predefined = [ "PRIMARY"; "STRING"; "WM_NAME"; "TARGETS" ]
 let primary = 1
 let string = 2
 let wm_name = 3
-let targets = 4
 
 let table () =
   let t =

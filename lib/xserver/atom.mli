@@ -19,4 +19,3 @@ val name : table -> t -> string option
 val primary : t
 val string : t
 val wm_name : t
-val targets : t

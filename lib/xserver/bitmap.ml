@@ -26,8 +26,6 @@ let builtins =
     ("hourglass", fun () -> make_pattern "hourglass" 8 8 (fun x y -> x >= min y (7 - y) && x <= max y (7 - y)));
   ]
 
-let builtin_names () = List.map fst builtins
-
 (* Built-in pattern used when a bitmap request fails: a 50% stipple keeps
    stippled drawing visibly dithered instead of crashing. *)
 let fallback () = make_pattern "gray50" 4 4 (fun x y -> (x + y) mod 2 = 0)

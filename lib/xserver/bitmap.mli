@@ -13,8 +13,6 @@ val parse : string -> t option
 (** Resolve a bitmap specification. [@path] loads a (simplified) XBM file:
     the [#define _width/_height] lines and the 0x.. byte list. *)
 
-val builtin_names : unit -> string list
-
 val fallback : unit -> t
 (** The built-in [gray50] pattern, constructed without any lookup; what a
     degraded bitmap request falls back to. *)

@@ -209,5 +209,3 @@ let luminance c =
   +. (0.587 *. float_of_int c.green)
   +. (0.114 *. float_of_int c.blue))
   /. 255.0
-
-let names () = List.map fst database

@@ -17,8 +17,5 @@ val luminance : t -> float
 (** Perceptual luminance in [0, 1]; the rasterizer uses it to pick shading
     characters. *)
 
-val names : unit -> string list
-(** All database names (for tests). *)
-
 val black : t
 val white : t

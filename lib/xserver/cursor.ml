@@ -29,5 +29,3 @@ let parse name =
 
 (* The cursor every degraded lookup falls back to: the default X pointer. *)
 let fallback = { name = "left_ptr"; glyph = 68 }
-
-let names () = cursor_font

@@ -9,5 +9,3 @@ val parse : string -> t option
 val fallback : t
 (** The default pointer ([left_ptr]); what a degraded cursor lookup
     yields when the server request fails. *)
-
-val names : unit -> string list

@@ -4,9 +4,8 @@ type t = {
   background : Color.t;
   font : Font.t option;
   line_width : int;
-  stipple : Bitmap.t option;
 }
 
 let make ~id ?(foreground = Color.black) ?(background = Color.white) ?font
-    ?(line_width = 1) ?stipple () =
-  { gc_id = id; foreground; background; font; line_width; stipple }
+    ?(line_width = 1) () =
+  { gc_id = id; foreground; background; font; line_width }

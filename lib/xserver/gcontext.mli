@@ -8,7 +8,6 @@ type t = {
   background : Color.t;
   font : Font.t option;
   line_width : int;
-  stipple : Bitmap.t option;
 }
 
 val make :
@@ -17,6 +16,5 @@ val make :
   ?background:Color.t ->
   ?font:Font.t ->
   ?line_width:int ->
-  ?stipple:Bitmap.t ->
   unit ->
   t

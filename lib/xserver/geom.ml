@@ -36,6 +36,3 @@ let area r = if is_empty r then 0 else r.rwidth * r.rheight
 
 let inflate r ~dx ~dy =
   { rx = r.rx - dx; ry = r.ry - dy; rwidth = r.rwidth + (2 * dx); rheight = r.rheight + (2 * dy) }
-
-let pp_rect fmt r =
-  Format.fprintf fmt "%dx%d+%d+%d" r.rwidth r.rheight r.rx r.ry

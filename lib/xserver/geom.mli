@@ -30,5 +30,3 @@ val inflate : rect -> dx:int -> dy:int -> rect
 (** Grow by [dx]/[dy] pixels on every side. *)
 
 val is_empty : rect -> bool
-
-val pp_rect : Format.formatter -> rect -> unit

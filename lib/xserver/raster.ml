@@ -68,12 +68,12 @@ let outline_rect canvas ~clip rect ~corner ~horiz ~vert =
 
 let draw_text canvas ~clip ~x ~y text =
   (* [y] is a baseline; place the text in the cell row containing it. *)
-  let row, col0 = cell_of_px canvas ~x ~y:(max 0 (y - (scale_y / 2))) in
+  let y = y - (scale_y / 2) in
+  let row, col0 = cell_of_px canvas ~x ~y in
   String.iteri
     (fun i c ->
-      let px = x + (i * scale_x) in
-      let point = { Geom.x = px; y = max 0 (y - (scale_y / 2)) } in
-      if Geom.contains clip point then put canvas ~row ~col:(col0 + i) c)
+      if Geom.contains clip { Geom.x = x + (i * scale_x); y } then
+        put canvas ~row ~col:(col0 + i) c)
     text
 
 let draw_line canvas ~clip ~x1 ~y1 ~x2 ~y2 color =
@@ -100,29 +100,15 @@ let draw_line canvas ~clip ~x1 ~y1 ~x2 ~y2 color =
   end
   else begin
     (* Diagonals: mark endpoints only (enough for diagnostics). *)
-    let row, col = cell_of_px canvas ~x:x1 ~y:y1 in
-    put canvas ~row ~col '*';
-    let row, col = cell_of_px canvas ~x:x2 ~y:y2 in
-    put canvas ~row ~col '*'
-  end
-
-let stipple_rect canvas ~clip rect bitmap color =
-  match Geom.intersect rect clip with
-  | None -> ()
-  | Some r ->
-    let c = shade color in
-    let row0, col0 = cell_of_px canvas ~x:r.Geom.rx ~y:r.Geom.ry in
-    let row1, col1 =
-      cell_of_px canvas ~x:(r.Geom.rx + r.Geom.rwidth - 1)
-        ~y:(r.Geom.ry + r.Geom.rheight - 1)
+    let mark x y =
+      if Geom.contains clip { Geom.x = x; y } then begin
+        let row, col = cell_of_px canvas ~x ~y in
+        put canvas ~row ~col '*'
+      end
     in
-    for row = row0 to row1 do
-      for col = col0 to col1 do
-        let by = (row - row0) mod bitmap.Bitmap.height in
-        let bx = (col - col0) mod bitmap.Bitmap.width in
-        if bitmap.Bitmap.bits.(by).(bx) then put canvas ~row ~col c
-      done
-    done
+    mark x1 y1;
+    mark x2 y2
+  end
 
 let draw_relief canvas ~clip rect ~raised =
   if raised then outline_rect canvas ~clip rect ~corner:'+' ~horiz:'-' ~vert:'|'
@@ -195,8 +181,6 @@ let rec draw_window canvas ~clip w =
             draw_line canvas ~clip:inner_clip ~x1:(origin.Geom.x + x1)
               ~y1:(origin.Geom.y + y1) ~x2:(origin.Geom.x + x2)
               ~y2:(origin.Geom.y + y2) color
-          | Window.Stipple_rect (r, bitmap, color) ->
-            stipple_rect canvas ~clip:inner_clip (to_root r) bitmap color
           | Window.Draw_relief { rrect; raised; rwidth = _ } ->
             draw_relief canvas ~clip:inner_clip (to_root rrect) ~raised)
         (Window.ops_in_order w);

@@ -12,6 +12,3 @@ val render : Server.t -> ?window:Xid.t -> unit -> string
 (** Render the given window (default: the whole root window) and its
     viewable descendants; returns the framebuffer as newline-separated
     rows. *)
-
-val render_region : Server.t -> Geom.rect -> string
-(** Render an arbitrary root-coordinate region. *)

@@ -147,7 +147,6 @@ let root_window t = t.root_win
 let clients t = t.clients
 let set_clients t c = t.clients <- c
 let server_of conn = conn.server
-let connection_name conn = conn.cname
 let connection_id conn = conn.cid
 let stats conn = conn.cstats
 
@@ -184,10 +183,6 @@ let clear_faults t =
 
 let faults_injected t = t.faults.injected
 let faults_absorbed t = t.faults.absorbed
-
-let reset_fault_counters t =
-  t.faults.injected <- 0;
-  t.faults.absorbed <- 0
 
 let note_absorbed t (e : Xerror.info) =
   if e.Xerror.injected then begin
@@ -569,14 +564,6 @@ let set_window_background conn id color =
   request ~resource:id conn Window_op;
   (window_exn conn id).Window.background <- Some color
 
-let set_window_border conn id color =
-  request ~resource:id conn Window_op;
-  (window_exn conn id).Window.border_color <- color
-
-let set_window_cursor conn id cursor =
-  request ~resource:id conn Window_op;
-  (window_exn conn id).Window.cursor <- cursor
-
 let set_override_redirect conn id flag =
   request ~resource:id conn Window_op;
   (window_exn conn id).Window.override_redirect <- flag
@@ -588,10 +575,6 @@ let query_geometry conn id =
       Geom.rect ~x:w.Window.x ~y:w.Window.y ~width:w.Window.width
         ~height:w.Window.height)
     (lookup_window conn.server id)
-
-let query_pointer conn =
-  request ~round_trip:true conn Other;
-  conn.server.pointer
 
 (* ------------------------------------------------------------------ *)
 (* Resources *)
@@ -612,10 +595,10 @@ let alloc_bitmap conn spec =
   request ~round_trip:true conn Resource;
   Bitmap.parse spec
 
-let create_gc conn ?foreground ?background ?font ?line_width ?stipple () =
+let create_gc conn ?foreground ?background ?font ?line_width () =
   request conn Resource;
   Gcontext.make ~id:(Xid.fresh conn.server.xids) ?foreground ?background
-    ?font ?line_width ?stipple ()
+    ?font ?line_width ()
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -795,16 +778,6 @@ let draw_line ?key conn id gc ~x1 ~y1 ~x2 ~y2 =
   Window.add_draw_op ?key (window_exn conn id)
     (Window.Draw_line { x1; y1; x2; y2; color = gc.Gcontext.foreground })
 
-let stipple_rect ?key conn id gc rect =
-  request ~resource:id conn Draw;
-  match gc.Gcontext.stipple with
-  | Some bitmap ->
-    Window.add_draw_op ?key (window_exn conn id)
-      (Window.Stipple_rect (rect, bitmap, gc.Gcontext.foreground))
-  | None ->
-    Window.add_draw_op ?key (window_exn conn id)
-      (Window.Fill_rect (rect, gc.Gcontext.foreground))
-
 let draw_relief ?key conn id rect ~raised ~width =
   request ~resource:id conn Draw;
   Window.add_draw_op ?key (window_exn conn id)
@@ -826,10 +799,6 @@ let set_input_focus conn id =
     | None -> ()
   end
 
-let get_input_focus conn =
-  request ~round_trip:true conn Other;
-  conn.server.focus
-
 (* ------------------------------------------------------------------ *)
 (* Event queues *)
 
@@ -838,17 +807,8 @@ let next_event conn =
 
 let pending conn = Queue.length conn.queue
 
-let send_event conn id event =
-  request conn Other;
-  let t = conn.server in
-  match lookup_window t id with
-  | Some w -> deliver t w event
-  | None -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Input injection *)
-
-let pointer_window t = t.pointer_win
 
 let window_relative t id =
   match lookup_window t id with

@@ -74,7 +74,6 @@ val clients : t -> clients
 val set_clients : t -> clients -> unit
 
 val server_of : connection -> t
-val connection_name : connection -> string
 val connection_id : connection -> int
 val stats : connection -> stats
 val reset_stats : connection -> unit
@@ -160,8 +159,6 @@ val note_absorbed : t -> Xerror.info -> unit
     so genuine errors (e.g. a send to a dead peer) don't skew the
     injected/absorbed invariant. *)
 
-val reset_fault_counters : t -> unit
-
 (** {1 Atoms} *)
 
 val intern_atom : connection -> string -> Atom.t
@@ -208,8 +205,6 @@ val configure_window :
 val raise_window : connection -> Xid.t -> unit
 val lower_window : connection -> Xid.t -> unit
 val set_window_background : connection -> Xid.t -> Color.t -> unit
-val set_window_border : connection -> Xid.t -> Color.t -> unit
-val set_window_cursor : connection -> Xid.t -> Cursor.t option -> unit
 val set_override_redirect : connection -> Xid.t -> bool -> unit
 
 val lookup_window : t -> Xid.t -> Window.t option
@@ -221,9 +216,6 @@ val window_exists : connection -> Xid.t -> bool
 val query_geometry : connection -> Xid.t -> Geom.rect option
 (** Round trip: window geometry in parent coordinates. The Tk structure
     cache exists to avoid this call. *)
-
-val query_pointer : connection -> Geom.point
-(** Round trip: pointer position in root coordinates. *)
 
 (** {1 Resources (round trips; the targets of Tk's resource cache)} *)
 
@@ -238,7 +230,6 @@ val create_gc :
   ?background:Color.t ->
   ?font:Font.t ->
   ?line_width:int ->
-  ?stipple:Bitmap.t ->
   unit ->
   Gcontext.t
 
@@ -324,8 +315,6 @@ val draw_line :
   ?key:int ->
   connection -> Xid.t -> Gcontext.t -> x1:int -> y1:int -> x2:int -> y2:int -> unit
 
-val stipple_rect : ?key:int -> connection -> Xid.t -> Gcontext.t -> Geom.rect -> unit
-
 val draw_relief :
   ?key:int -> connection -> Xid.t -> Geom.rect -> raised:bool -> width:int -> unit
 (** Tk-style 3-D border (drawn by widgets with two GCs in real Tk; modelled
@@ -337,16 +326,10 @@ val set_input_focus : connection -> Xid.t -> unit
 (** [Focus_out]/[Focus_in] are delivered to the old and new focus
     windows. Passing {!Xid.none} reverts to pointer-root focus. *)
 
-val get_input_focus : connection -> Xid.t
-(** Round trip. *)
-
 (** {1 Event queues} *)
 
 val next_event : connection -> Event.delivery option
 val pending : connection -> int
-
-val send_event : connection -> Xid.t -> Event.t -> unit
-(** Deliver a synthetic event to a window's owner (X's XSendEvent). *)
 
 (** {1 Input injection (test/driver side — not client requests)} *)
 
@@ -364,6 +347,3 @@ val inject_key : t -> keysym:string -> pressed:bool -> unit
 
 val inject_string : t -> string -> unit
 (** Convenience: type a string, one key press/release pair per char. *)
-
-val pointer_window : t -> Xid.t
-(** The window currently containing the pointer. *)

@@ -46,10 +46,6 @@ let to_list t =
       | Some r -> r
       | None -> assert false)
 
-let last t =
-  if t.len = 0 then None
-  else t.slots.((t.head - 1 + Array.length t.slots) mod Array.length t.slots)
-
 (* Newest-first scan: flip the first injected-fault record carrying
    [serial] to absorbed. Called when a layer above catches the error, so
    the record is almost always the newest one. *)

@@ -28,9 +28,6 @@ type 'k record = {
 
 type 'k t
 
-val default_capacity : int
-(** 512 records. *)
-
 val create : ?capacity:int -> unit -> 'k t
 
 val capacity : 'k t -> int
@@ -45,8 +42,6 @@ val add : 'k t -> 'k record -> unit
 
 val to_list : 'k t -> 'k record list
 (** Oldest first. *)
-
-val last : 'k t -> 'k record option
 
 val mark_absorbed : 'k t -> serial:int -> bool
 (** Flip the newest [Injected_fault] record with this serial to

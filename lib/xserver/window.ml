@@ -3,7 +3,6 @@ type draw_op =
   | Draw_text of { tx : int; ty : int; text : string; color : Color.t; font : Font.t }
   | Draw_line of { x1 : int; y1 : int; x2 : int; y2 : int; color : Color.t }
   | Draw_rect of Geom.rect * Color.t
-  | Stipple_rect of Geom.rect * Bitmap.t * Color.t
   | Draw_relief of { rrect : Geom.rect; raised : bool; rwidth : int }
 
 type prop = { prop_type : Atom.t; prop_data : string }
@@ -131,5 +130,3 @@ let ops_in_order w =
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) w.ops [] in
   let keys = List.sort compare keys in
   List.concat_map (fun k -> List.rev (Hashtbl.find w.ops k)) keys
-
-let op_count w = Hashtbl.fold (fun _ l acc -> acc + List.length l) w.ops 0

@@ -8,7 +8,6 @@ type draw_op =
   | Draw_text of { tx : int; ty : int; text : string; color : Color.t; font : Font.t }
   | Draw_line of { x1 : int; y1 : int; x2 : int; y2 : int; color : Color.t }
   | Draw_rect of Geom.rect * Color.t (* outline only *)
-  | Stipple_rect of Geom.rect * Bitmap.t * Color.t
   | Draw_relief of { rrect : Geom.rect; raised : bool; rwidth : int }
       (** 3-D shadow: light on two sides, dark on the others. *)
 
@@ -92,5 +91,3 @@ val clear_drawing : t -> unit
 val ops_in_order : t -> draw_op list
 (** All retained ops in paint order: ascending key, insertion order within
     a key. *)
-
-val op_count : t -> int

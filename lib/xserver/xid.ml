@@ -10,5 +10,3 @@ let fresh a =
   id
 
 let none = 0
-
-let pp fmt id = Format.fprintf fmt "0x%x" id

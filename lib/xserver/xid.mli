@@ -13,5 +13,3 @@ val fresh : allocator -> t
 
 val none : t
 (** The null resource id. *)
-
-val pp : Format.formatter -> t -> unit

@@ -165,7 +165,7 @@ let random_op rng ids next_id =
     Printf.sprintf "%d %d %d %d" (rint rng (-60) 340) (rint rng (-40) 240)
       (rint rng (-60) 340) (rint rng (-40) 240)
   in
-  let choice = if !ids = [] then 0 else Random.State.int rng 11 in
+  let choice = if !ids = [] then 0 else Random.State.int rng 12 in
   match choice with
   | 0 | 1 | 2 -> (
     let id = !next_id in
@@ -207,6 +207,11 @@ let random_op rng ids next_id =
       (rint rng (-20) 20) (rint rng (-20) 20)
       (0.5 +. Random.State.float rng 1.5)
       (0.5 +. Random.State.float rng 1.5)
+  | 11 ->
+    (* Resize the window, below and above its first 300x200, so items
+       enter and leave the view without moving. *)
+    Printf.sprintf ".c configure -width %d -height %d" (rint rng 120 480)
+      (rint rng 80 320)
   | 10 ->
     (* Replace an item's coordinates with as many new ones as it has. *)
     let id = pick_id () in

@@ -282,7 +282,9 @@ let limit_stats_account () =
 let with_cancelling_slave ?unwind t =
   ignore (run t "interp create s");
   let s = slave t "s" in
-  Tcl.Interp.register s "trip_cancel" (fun _ _ ->
+  Tcl.Interp.register s
+    (Tcl.Interp.signature "trip_cancel" 0 ~max:0 ~usage:"trip_cancel")
+    (fun _ _ ->
       Tcl.Interp.cancel ?unwind s;
       (Tcl.Interp.Tcl_ok, ""));
   s

@@ -224,7 +224,9 @@ let clean_tests =
              exist; mirror that environment. *)
           List.iter
             (fun name ->
-              Tcl.Interp.register_value app.Tk.Core.interp name (fun _ _ -> ""))
+              Tcl.Interp.register_value app.Tk.Core.interp
+                (Tcl.Interp.signature name 0 ~usage:name)
+                (fun _ _ -> ""))
             [ "screendump"; "inject"; "serverstats"; "faultstats"; "crashtest" ];
           match messages (lint app script) with
           | [] -> ()
@@ -253,7 +255,9 @@ let examples_sweep () =
       let _, app = fresh_app () in
       List.iter
         (fun name ->
-          Tcl.Interp.register_value app.Tk.Core.interp name (fun _ _ -> ""))
+          Tcl.Interp.register_value app.Tk.Core.interp
+            (Tcl.Interp.signature name 0 ~usage:name)
+            (fun _ _ -> ""))
         [ "screendump"; "inject"; "serverstats"; "faultstats"; "crashtest" ];
       let src =
         In_channel.with_open_text (Filename.concat dir entry)
@@ -319,6 +323,178 @@ let non_execution_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Generated: lint's arity and subcommand verdicts hold at runtime.
+
+   Every registered signature, every subcommand of a closed table and
+   every widget class's subcommands (with cget and configure) is called
+   with 0 to max+2 arguments of "1" (min+2 when unbounded), each call in
+   a fresh application.  A count out of bounds must draw a shape error
+   from lint (arity, subcommand or widget pass), and where lint reports
+   one the runtime must fail with the same text, byte for byte, less
+   lint's "did you mean" hint; where lint is silent, the runtime must
+   not say "wrong # args".  A "1" is never a subcommand
+   name, so every call with a first argument against a closed table
+   checks the "bad option" text too. *)
+
+(* Shapes whose calls within bounds are not run: what those calls do
+   depends on the argument values, or they leave the test process. *)
+let shape_exclusions =
+  [
+    ("exit", "ends the process");
+    ("send", "open table: an application name stands where a subcommand would");
+    ("puts", "?-nonewline? and ?fileId? are told apart by value, not count");
+    ("interp alias", "with three arguments the third's value picks the form");
+    ("tkwait variable", "waits until the variable changes");
+    ("exec", "runs a process");
+    ("cd", "changes the working directory");
+    ("open", "creates files");
+    ("Listbox select", "a second option word (from, to, clear) picks the form");
+    ("Menu add", "the entry type (command, separator) picks the form");
+    ("Text mark", "a second option word (set, insert) picks the form");
+    ("Text tag", "a second option word (add, remove, ranges) picks the form");
+  ]
+
+type shape_call = {
+  sc_key : string;  (* the shape, e.g. "info exists" or "Button invoke" *)
+  sc_setup : string;  (* creates the widget for a widget call *)
+  sc_words : string list;
+  sc_in_bounds : bool;
+}
+
+let shape_calls app =
+  let interp = app.Tk.Core.interp in
+  let counts lo hi = List.init ((if hi < 0 then lo else hi) + 3) Fun.id in
+  let ones k = List.init k (fun _ -> "1") in
+  let inside lo hi k = k >= lo && (hi < 0 || k <= hi) in
+  let table ~key ~setup ~head subs =
+    List.concat_map
+      (fun (sub, lo, hi) ->
+        List.map
+          (fun k ->
+            {
+              sc_key = key ^ " " ^ sub;
+              sc_setup = setup;
+              sc_words = head @ (sub :: ones k);
+              sc_in_bounds = inside lo hi k;
+            })
+          (counts lo hi))
+      subs
+  in
+  let sub_rows subs =
+    List.map
+      (fun x -> Tcl.Interp.(x.sub_name, x.sub_min, x.sub_max))
+      subs
+  in
+  List.concat_map
+    (fun name ->
+      match Tcl.Interp.signature_of interp name with
+      | Some s when name.[0] <> '.' ->
+        let lo = s.Tcl.Interp.sig_min and hi = s.Tcl.Interp.sig_max in
+        List.map
+          (fun k ->
+            {
+              sc_key = name;
+              sc_setup = "";
+              sc_words = name :: ones k;
+              sc_in_bounds = inside lo hi k;
+            })
+          (counts lo hi)
+        @ (if s.Tcl.Interp.sig_open_subs then []
+           else
+             table ~key:name ~setup:"" ~head:[ name ]
+               (sub_rows s.Tcl.Interp.sig_subs))
+        @ (match s.Tcl.Interp.sig_widget with
+        | None -> []
+        | Some ws ->
+          let setup = name ^ " .w" and cls = ws.Tcl.Interp.ws_class in
+          {
+            sc_key = cls;
+            sc_setup = setup;
+            sc_words = [ ".w" ];
+            sc_in_bounds = false;
+          }
+          :: {
+               sc_key = cls;
+               sc_setup = setup;
+               sc_words = [ ".w"; "1" ];
+               sc_in_bounds = false;
+             }
+          :: table ~key:cls ~setup ~head:[ ".w" ]
+               ((("cget", 1, 1) :: ("configure", 0, -1) :: [])
+               @ sub_rows ws.Tcl.Interp.ws_subs))
+      | _ -> [])
+    (Tcl.Interp.command_names interp)
+
+let strip_hint msg =
+  let marker = " (did you mean" in
+  let n = String.length msg and m = String.length marker in
+  let rec find i =
+    if i + m > n then msg
+    else if String.sub msg i m = marker then String.sub msg 0 i
+    else find (i + 1)
+  in
+  find 0
+
+let starts_with prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let lint_matches_runtime () =
+  let _, probe = fresh_app () in
+  let calls = shape_calls probe in
+  let excluded c = List.mem_assoc c.sc_key shape_exclusions in
+  let failures = ref [] and checked = ref 0 in
+  List.iter
+    (fun c ->
+      if not (c.sc_in_bounds && excluded c) then begin
+        incr checked;
+        let call = String.concat " " c.sc_words in
+        let src = if c.sc_setup = "" then call else c.sc_setup ^ "\n" ^ call in
+        let line = if c.sc_setup = "" then 1 else 2 in
+        (* The call's own diagnostics sit on its first or second word;
+           a script argument's are further along. *)
+        let own col =
+          col = 1 || col = String.length (List.hd c.sc_words) + 2
+        in
+        let predicted =
+          List.filter
+            (fun d ->
+              d.Tcl.Lint.line = line && own d.Tcl.Lint.col
+              && d.Tcl.Lint.severity = Tcl.Lint.Error
+              && List.mem d.Tcl.Lint.pass [ "arity"; "subcommand"; "widget" ])
+            (lint probe src)
+        in
+        let _, app = fresh_app () in
+        let interp = app.Tk.Core.interp in
+        Tcl.Interp.set_output interp ignore;
+        if c.sc_setup <> "" then ignore (run app c.sc_setup);
+        let status, msg = Tcl.Interp.eval_words interp c.sc_words in
+        let fail fmt =
+          Printf.ksprintf
+            (fun m -> failures := (call ^ ": " ^ m) :: !failures)
+            fmt
+        in
+        match predicted with
+        | d :: _ ->
+          let expected = strip_hint d.Tcl.Lint.message in
+          if not (status = Tcl.Interp.Tcl_error && msg = expected) then
+            fail "lint %S, runtime %S" expected msg
+        | [] when not c.sc_in_bounds ->
+          fail "count out of bounds, lint silent, runtime %S" msg
+        | [] ->
+          if status = Tcl.Interp.Tcl_error && starts_with "wrong # args" msg
+          then
+            fail "lint silent, runtime %S" msg
+      end)
+    calls;
+  check_bool "some calls checked" true (!checked > 500);
+  match List.rev !failures with
+  | [] -> ()
+  | found ->
+    Alcotest.failf "%d of %d calls disagree:\n%s" (List.length found) !checked
+      (String.concat "\n" found)
+
+(* ------------------------------------------------------------------ *)
 (* Runtime and lint share one source of truth for messages. *)
 
 let shared_message_tests =
@@ -364,6 +540,8 @@ let shared_message_tests =
         | found ->
           Alcotest.failf "expected one diagnostic, got: %s"
             (String.concat " | " found) );
+    ( "every signature's arity and subcommand errors match the runtime",
+      lint_matches_runtime );
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -574,6 +574,9 @@ let file_tests =
          if Weak.check live i then incr survivors
        done;
        Alcotest.(check int) "interpreters still reachable" 0 !survivors);
+    ("exec & with no program is a usage error",
+     check_eval "catch {exec &} m; set m"
+       "wrong # args: should be \"exec arg ?arg ...?\"");
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -337,10 +337,9 @@ let eventloop_tests =
         let disp = Tk.Dispatch.create () in
         let _advance = Tk.Dispatch.use_virtual_clock disp in
         check_int "t0" 0 (Tk.Dispatch.now_ms disp);
-        let fired = Tk.Dispatch.poll_files disp ~timeout:0.02 in
-        check_int "nothing fired" 0 fired;
+        Tk.Dispatch.poll_files disp ~timeout:0.02;
         (* The virtual sleeper advanced the clock by the full timeout:
-           the no-files path slept instead of returning immediately. *)
+           the call slept instead of returning immediately. *)
         check_int "slept 20 virtual ms" 20 (Tk.Dispatch.now_ms disp) );
     ( "a widget destroyed between scheduling and the idle sweep is not drawn",
       fun () ->

@@ -37,8 +37,9 @@ let new_interp mode =
   | Vm -> ()
   | Deopt ->
     ignore (Tcl.Interp.hide_command tcl "continue");
-    Tcl.Interp.register tcl "continue" (fun t words ->
-        Tcl.Interp.invoke_hidden t "continue" words));
+    Tcl.Interp.register tcl
+      (Tcl.Interp.signature "continue" 0 ~max:0 ~usage:"continue")
+      (fun t words -> Tcl.Interp.invoke_hidden t "continue" words));
   tcl
 
 let status_name = function
@@ -205,7 +206,9 @@ let observe_time_limit mode =
 
 let observe_cancel ~unwind mode =
   let tcl = new_interp mode in
-  Tcl.Interp.register tcl "trip_cancel" (fun _ _ ->
+  Tcl.Interp.register tcl
+    (Tcl.Interp.signature "trip_cancel" 0 ~max:0 ~usage:"trip_cancel")
+    (fun _ _ ->
       Tcl.Interp.cancel ~unwind tcl;
       (Tcl.Interp.Tcl_ok, ""));
   let script =

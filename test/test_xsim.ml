@@ -570,6 +570,41 @@ let raster_tests =
           ~raised:true ~width:2;
         let dump = Raster.render server ~window:w () in
         check_bool "corner" true (contains_sub ~needle:"+--" dump) );
+    ( "a diagonal line marks no endpoint outside its window",
+      fun () ->
+        (* Two siblings side by side; the right one's line runs off its
+           left edge, over the left one. *)
+        let server, conn = make_display () in
+        let root = Server.root server in
+        let left = new_window conn ~x:0 ~y:0 ~width:198 ~height:60 root in
+        let right = new_window conn ~x:198 ~y:0 ~width:120 ~height:60 root in
+        Server.map_window conn left;
+        Server.map_window conn right;
+        let gc = Server.create_gc conn () in
+        Server.draw_line conn right gc ~x1:60 ~y1:10 ~x2:(-50) ~y2:40;
+        let lines = String.split_on_char '\n' (Raster.render server ()) in
+        let cell row col =
+          match List.nth_opt lines row with
+          | Some l when col < String.length l -> l.[col]
+          | _ -> ' '
+        in
+        (* (258, 10) is cell (0, 43); (148, 40) is cell (3, 24). *)
+        check_bool "endpoint inside" true (cell 0 43 = '*');
+        check_bool "endpoint outside" false (cell 3 24 = '*') );
+    ( "text above a window's top edge is clipped",
+      fun () ->
+        let server, conn = make_display () in
+        let w = new_window conn ~x:0 ~y:0 ~width:200 ~height:64
+                  (Server.root server) in
+        Server.map_window conn w;
+        let font = Option.get (Server.open_font conn "fixed") in
+        let gc = Server.create_gc conn ~font () in
+        (* Baseline 2: the text's cell row lies above the screen. *)
+        Server.draw_text conn w gc ~x:16 ~y:2 "ABOVE";
+        Server.draw_text conn w gc ~x:16 ~y:24 "INSIDE";
+        let dump = Raster.render server ~window:w () in
+        check_bool "inside drawn" true (contains_sub ~needle:"INSIDE" dump);
+        check_bool "above clipped" false (contains_sub ~needle:"ABOVE" dump) );
   ]
 
 (* ------------------------------------------------------------------ *)
