@@ -924,12 +924,12 @@ let widget_command w : Tcl.Interp.command =
       | [ _; "cget"; switch ] -> Tcl.Interp.ok (cget w switch)
       | words -> w.wclass.subcommands w words
     with Tcl.Interp.Usage ->
-      let n = List.length words - 1 and sub = List.nth_opt words 1 in
-      let why = Tcl.Interp.widget_misuse w.wclass.subs n sub in
+      let args = List.tl words in
       failf "%s"
         (Tcl.Interp.widget_message w.path
-           (Option.value why
-              ~default:(Tcl.Interp.Sub_count (Option.value sub ~default:""))))
+           (match Tcl.Interp.widget_misuse w.wclass.subs args with
+           | Some why -> why
+           | None -> Tcl.Interp.Count [ List.hd args ]))
 
 let make_widget app ~path ?(data = No_data) wclass ~args =
   if not (Path.is_valid path) then failf "bad window path name \"%s\"" path;

@@ -404,20 +404,21 @@ let command app state : Tcl.Interp.command =
     ok ""
   | _ -> raise Tcl.Interp.Usage
 
+let pack_signature =
+  Tcl.Interp.(
+    signature "pack" 1
+      ~usage:"pack append master window options ?window options ...?"
+      ~subs:
+        [
+          subsig "append" 1;
+          subsig "info" 1 ~max:1;
+          subsig "slaves" 1 ~max:1;
+          subsig "unpack" 0;
+        ])
+
 let install app =
   let state = { masters = Hashtbl.create 16; arranging = [] } in
-  Tcl.Interp.register app.Core.interp
-    Tcl.Interp.(
-      signature "pack" 1
-        ~usage:"pack append master window options ?window options ...?"
-        ~subs:
-          [
-            subsig "append" 1;
-            subsig "info" 1 ~max:1;
-            subsig "slaves" 1 ~max:1;
-            subsig "unpack" 0;
-          ])
-    (command app state);
+  Tcl.Interp.register app.Core.interp pack_signature (command app state);
   (* Re-layout when a master is resized. *)
   app.Core.configure_hooks <-
     (fun w ->

@@ -133,13 +133,14 @@ let command app placements : Tcl.Interp.command =
     Tcl.Interp.ok ""
   | _ -> raise Tcl.Interp.Usage
 
+let place_signature =
+  Tcl.Interp.(
+    signature "place" 1 ~usage:"place window ?options? | place forget window"
+      ~subs:[ subsig "forget" 1 ~max:1; subsig "info" 1 ~max:1 ])
+
 let install app =
   let placements = Hashtbl.create 8 in
-  Tcl.Interp.register app.Core.interp
-    Tcl.Interp.(
-      signature "place" 1 ~usage:"place window ?options? | place forget window"
-        ~subs:[ subsig "forget" 1 ~max:1; subsig "info" 1 ~max:1 ])
-    (command app placements);
+  Tcl.Interp.register app.Core.interp place_signature (command app placements);
   (* Re-place slaves when masters resize. *)
   app.Core.configure_hooks <-
     (fun master ->

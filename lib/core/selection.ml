@@ -179,16 +179,17 @@ let command app : Tcl.Interp.command =
     ok ""
   | _ -> raise Tcl.Interp.Usage
 
+let selection_signature =
+  Tcl.Interp.(
+    signature "selection" 1 ~usage:"selection option ?arg arg ...?"
+      ~subs:
+        [
+          subsig "clear" 0 ~max:0;
+          subsig "get" 0 ~max:0;
+          subsig "handle" 2 ~max:2;
+          subsig "own" 0 ~max:1;
+        ])
+
 let install app =
   app.Core.pre_handlers <- pre_handler :: app.Core.pre_handlers;
-  Tcl.Interp.register app.Core.interp
-    Tcl.Interp.(
-      signature "selection" 1 ~usage:"selection option ?arg arg ...?"
-        ~subs:
-          [
-            subsig "clear" 0 ~max:0;
-            subsig "get" 0 ~max:0;
-            subsig "handle" 2 ~max:2;
-            subsig "own" 0 ~max:1;
-          ])
-    (command app)
+  Tcl.Interp.register app.Core.interp selection_signature (command app)

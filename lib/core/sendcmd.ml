@@ -635,6 +635,32 @@ let broadcast ?(timeout_ms = default_timeout_ms) ?pattern app script =
 (* ------------------------------------------------------------------ *)
 (* The Tcl-level [send] command *)
 
+let send_signature =
+  Tcl.Interp.(
+    signature "send" 1
+      ~switches:
+        [
+          Flag "-async";
+          Flag "-future";
+          Flag "-retry";
+          Value "-timeout";
+          Flag "-all";
+          Value "-glob";
+          Flag "--";
+        ]
+      ~subs:
+        [
+          subsig "guard" 0 ~max:1;
+          subsig "limit" 1 ~max:2;
+          subsig "mailbox" 0 ~max:1;
+          subsig "result" 1 ~max:1;
+          subsig "wait" 1 ~max:1;
+        ]
+      ~open_subs:true
+      ~usage:
+        "send ?-async? ?-future? ?-retry? ?-timeout ms? ?-all? ?-glob \
+         pattern? ?--? ?appName? arg ?arg ...?")
+
 let command app : Tcl.Interp.command =
  fun _interp words ->
   let err msg = (Tcl.Interp.Tcl_error, msg) in
@@ -698,91 +724,54 @@ let command app : Tcl.Interp.command =
       Tcl.Interp.ok ""
     | Some _ | None ->
       err (Printf.sprintf "expected positive integer but got \"%s\"" limit))
-  | _ :: rest -> (
-    let async = ref false in
-    let future = ref false in
-    let retry = ref false in
-    let all = ref false in
-    let glob = ref None in
-    let timeout_ms = ref None in
-    (* Consume option flags until the first non-option word (or [--],
-       which lets an application name start with a dash). *)
-    let rec opts = function
-      | "-async" :: tl ->
-        async := true;
-        opts tl
-      | "-future" :: tl ->
-        future := true;
-        opts tl
-      | "-retry" :: tl ->
-        retry := true;
-        opts tl
-      | "-all" :: tl ->
-        all := true;
-        opts tl
-      | "-glob" :: pat :: tl ->
-        glob := Some pat;
-        opts tl
-      | "-timeout" :: ms :: tl -> (
+  | _ :: args -> (
+    let found, rest = Tcl.Interp.switches send_signature args in
+    let glob = List.assoc_opt "-glob" found in
+    let timeout_ms =
+      match List.assoc_opt "-timeout" found with
+      | None -> None
+      | Some ms -> (
         match int_of_string_opt ms with
-        | Some n when n > 0 ->
-          timeout_ms := Some n;
-          opts tl
-        | Some _ | None ->
-          Error (Printf.sprintf "bad -timeout value \"%s\"" ms))
-      | [ ("-glob" | "-timeout") ] -> raise Tcl.Interp.Usage
-      | "--" :: tl -> Ok tl
-      | (s :: _) as tl when String.length s > 1 && s.[0] = '-' ->
-        ignore tl;
-        Error
-          (Printf.sprintf
-             "bad option \"%s\": must be -async, -future, -retry, \
-              -timeout, -all, -glob or --"
-             s)
-      | tl -> Ok tl
+        | Some n when n > 0 -> Some n
+        | Some _ | None -> Tcl.Interp.failf "bad -timeout value \"%s\"" ms)
     in
-    match opts rest with
-    | Error msg -> err msg
-    | Ok rest ->
-      if !all || !glob <> None then begin
-        match rest with
-        | [] -> raise Tcl.Interp.Usage
-        | script_words ->
-          if !async || !future then
-            err "-all/-glob cannot be combined with -async or -future"
-          else
-            let script = String.concat " " script_words in
-            let results =
-              broadcast ?timeout_ms:!timeout_ms ?pattern:!glob app script
-            in
-            Tcl.Interp.ok
-              (Tcl.Tcl_list.format
-                 (List.map
-                    (fun (name, state, value) ->
-                      Tcl.Tcl_list.format [ name; state; value ])
-                    results))
-      end
-      else (
-        match rest with
-        | target :: (_ :: _ as script_words) -> (
+    let async = List.mem_assoc "-async" found
+    and future = List.mem_assoc "-future" found in
+    if List.mem_assoc "-all" found || glob <> None then begin
+      match rest with
+      | [] -> raise Tcl.Interp.Usage
+      | script_words ->
+        if async || future then
+          err "-all/-glob cannot be combined with -async or -future"
+        else
           let script = String.concat " " script_words in
-          if !async && !future then
-            err "-async and -future are mutually exclusive"
-          else if !async then (
-            match send_async app ~target script with
-            | Ok () -> Tcl.Interp.ok ""
-            | Error msg -> err msg)
-          else if !future then (
-            match send_future ?timeout_ms:!timeout_ms app ~target script with
-            | Ok handle -> Tcl.Interp.ok handle
-            | Error msg -> err msg)
-          else (
-            match
-              send ?timeout_ms:!timeout_ms ~retry:!retry app ~target script
-            with
-            | Ok value -> Tcl.Interp.ok value
-            | Error msg -> err msg))
-        | _ -> raise Tcl.Interp.Usage))
+          let results = broadcast ?timeout_ms ?pattern:glob app script in
+          Tcl.Interp.ok
+            (Tcl.Tcl_list.format
+               (List.map
+                  (fun (name, state, value) ->
+                    Tcl.Tcl_list.format [ name; state; value ])
+                  results))
+    end
+    else
+      match rest with
+      | target :: (_ :: _ as script_words) -> (
+        let script = String.concat " " script_words in
+        if async && future then err "-async and -future are mutually exclusive"
+        else if async then (
+          match send_async app ~target script with
+          | Ok () -> Tcl.Interp.ok ""
+          | Error msg -> err msg)
+        else if future then (
+          match send_future ?timeout_ms app ~target script with
+          | Ok handle -> Tcl.Interp.ok handle
+          | Error msg -> err msg)
+        else
+          let retry = List.mem_assoc "-retry" found in
+          match send ?timeout_ms ~retry app ~target script with
+          | Ok value -> Tcl.Interp.ok value
+          | Error msg -> err msg)
+      | _ -> raise Tcl.Interp.Usage)
   | [] -> raise Tcl.Interp.Usage
 
 let install app =
@@ -790,20 +779,5 @@ let install app =
   app.Core.drain_hooks <-
     (fun () -> drain_mailbox app + check_futures app)
     :: app.Core.drain_hooks;
-  Tcl.Interp.register app.Core.interp
-    Tcl.Interp.(
-      signature "send" 1
-        ~subs:
-          [
-            subsig "guard" 0 ~max:1;
-            subsig "limit" 1 ~max:2;
-            subsig "mailbox" 0 ~max:1;
-            subsig "result" 1 ~max:1;
-            subsig "wait" 1 ~max:1;
-          ]
-        ~open_subs:true
-        ~options:[ "-all"; "-async"; "-future"; "-glob"; "-retry"; "-timeout" ]
-        ~usage:
-          "send ?-async? ?-future? ?-retry? ?-timeout ms? ?-all? ?-glob \
-           pattern? ?--? ?appName? arg ?arg ...?")
+  Tcl.Interp.register app.Core.interp send_signature
     (command app)

@@ -412,116 +412,118 @@ let cmd_wm app : Tcl.Interp.command =
    additionally reports reachable uses of safe-profile hidden
    commands. *)
 
+let lint_signature =
+  Tcl.Interp.signature "lint" 1 ~max:1 ~switches:[ Tcl.Interp.Flag "-safe" ]
+    ~usage:"lint ?-safe? script"
+
 let cmd_lint _app : Tcl.Interp.command =
  fun interp words ->
-  let lint safe script =
+  match Tcl.Interp.switches lint_signature (List.tl words) with
+  | found, [ script ] ->
+    let safe = found <> [] in
     ok (Tcl.Lint.to_tcl_list (Tcl.Lint.analyze ~safe interp script))
-  in
-  match words with
-  | [ _; "-safe"; script ] -> lint true script
-  | [ _; script ] when script <> "-safe" -> lint false script
-  | [ _; opt; _ ] -> failf "bad option \"%s\": should be -safe" opt
   | _ -> raise Tcl.Interp.Usage
 
-let install app =
-  let register s cmd = Tcl.Interp.register app.Core.interp s (cmd app) in
+(* Every command this module defines, with its signature: built once,
+   so installing an application allocates no table. *)
+let commands =
   let sg = Tcl.Interp.signature and sub = Tcl.Interp.subsig in
-  (* The bind pattern validator hooks Bindpattern into Lint (which,
-     living in the tcl library, cannot see it directly). *)
-  register
-    (sg "bind" 1 ~max:3 ~usage:"bind window ?pattern? ?command?"
-       ~checks:
-         [
-           {
-             Tcl.Interp.chk_arg = 2;
-             chk =
-               (fun seq ->
-                 match Bindpattern.parse_sequence seq with
-                 | Ok _ -> None
-                 | Error msg -> Some msg);
-           };
-         ])
-    cmd_bind;
-  register (sg "destroy" 1 ~usage:"destroy window ?window ...?") cmd_destroy;
-  register
-    (sg "winfo" 1 ~max:3 ~usage:"winfo option ?arg?"
-       ~subs:
-         [
-           sub "children" 1 ~max:1;
-           sub "class" 1 ~max:1;
-           sub "containing" 2 ~max:2;
-           sub "exists" 1 ~max:1;
-           sub "geometry" 1 ~max:1;
-           sub "height" 1 ~max:1;
-           sub "id" 1 ~max:1;
-           sub "interps" 0 ~max:0;
-           sub "ismapped" 1 ~max:1;
-           sub "name" 0 ~max:1;
-           sub "parent" 1 ~max:1;
-           sub "reqheight" 1 ~max:1;
-           sub "reqwidth" 1 ~max:1;
-           sub "rootx" 1 ~max:1;
-           sub "rooty" 1 ~max:1;
-           sub "screenheight" 0 ~max:0;
-           sub "screenwidth" 0 ~max:0;
-           sub "width" 1 ~max:1;
-           sub "x" 1 ~max:1;
-           sub "y" 1 ~max:1;
-         ])
-    cmd_winfo;
-  register (sg "focus" 0 ~max:1 ~usage:"focus ?window?") cmd_focus;
-  register
-    (sg "option" 1 ~usage:"option add|get|clear|readfile ..."
-       ~subs:
-         [
-           sub "add" 2 ~max:3;
-           sub "clear" 0 ~max:0;
-           sub "get" 3 ~max:3;
-           sub "readfile" 1 ~max:1;
-         ])
-    cmd_option;
-  register (sg "after" 1 ~usage:"after ms ?command?") cmd_after;
-  register
-    (sg "update" 0 ~max:1 ~usage:"update ?idletasks?"
-       ~subs:[ sub "idletasks" 0 ~max:0 ])
-    cmd_update;
-  register
-    (sg "tkwait" 2 ~max:2 ~usage:"tkwait variable|window name"
-       ~subs:[ sub "variable" 1 ~max:1; sub "window" 1 ~max:1 ])
-    cmd_tkwait;
-  register
-    (sg "grab" 1 ~max:2 ~usage:"grab set|release|current ?window?"
-       ~subs:
-         [ sub "current" 0 ~max:0; sub "release" 1 ~max:1; sub "set" 1 ~max:1 ])
-    cmd_grab;
-  register
-    (sg "wm" 2 ~usage:"wm option window ?arg?"
-       ~subs:
-         [
-           sub "deiconify" 1 ~max:1;
-           sub "geometry" 1 ~max:2;
-           sub "title" 1 ~max:2;
-           sub "withdraw" 1 ~max:1;
-         ])
-    cmd_wm;
-  register
-    (sg "xtrace" 1 ~max:2 ~usage:"xtrace on ?capacity?|off|dump|clear|status"
-       ~subs:
-         [
-           sub "clear" 0 ~max:0;
-           sub "dump" 0 ~max:0;
-           sub "off" 0 ~max:0;
-           sub "on" 0 ~max:1;
-           sub "status" 0 ~max:0;
-         ])
-    cmd_xtrace;
-  register
-    (sg "xstat" 0 ~max:2 ~usage:"xstat ?reset|get counter?"
-       ~subs:[ sub "get" 1 ~max:1; sub "reset" 0 ~max:0 ])
-    cmd_xstat;
-  register
-    (sg "lint" 1 ~max:2 ~options:[ "-safe" ] ~usage:"lint ?-safe? script")
-    cmd_lint;
+  [
+    (* The bind pattern validator hooks Bindpattern into Lint (which,
+       living in the tcl library, cannot see it directly). *)
+    ( sg "bind" 1 ~max:3 ~usage:"bind window ?pattern? ?command?"
+        ~checks:
+          [
+            {
+              Tcl.Interp.chk_arg = 2;
+              chk =
+                (fun seq ->
+                  match Bindpattern.parse_sequence seq with
+                  | Ok _ -> None
+                  | Error msg -> Some msg);
+            };
+          ],
+      cmd_bind );
+    (sg "destroy" 1 ~usage:"destroy window ?window ...?", cmd_destroy);
+    ( sg "winfo" 1 ~max:3 ~usage:"winfo option ?arg?"
+        ~subs:
+          [
+            sub "children" 1 ~max:1;
+            sub "class" 1 ~max:1;
+            sub "containing" 2 ~max:2;
+            sub "exists" 1 ~max:1;
+            sub "geometry" 1 ~max:1;
+            sub "height" 1 ~max:1;
+            sub "id" 1 ~max:1;
+            sub "interps" 0 ~max:0;
+            sub "ismapped" 1 ~max:1;
+            sub "name" 0 ~max:1;
+            sub "parent" 1 ~max:1;
+            sub "reqheight" 1 ~max:1;
+            sub "reqwidth" 1 ~max:1;
+            sub "rootx" 1 ~max:1;
+            sub "rooty" 1 ~max:1;
+            sub "screenheight" 0 ~max:0;
+            sub "screenwidth" 0 ~max:0;
+            sub "width" 1 ~max:1;
+            sub "x" 1 ~max:1;
+            sub "y" 1 ~max:1;
+          ],
+      cmd_winfo );
+    (sg "focus" 0 ~max:1 ~usage:"focus ?window?", cmd_focus);
+    ( sg "option" 1 ~usage:"option add|get|clear|readfile ..."
+        ~subs:
+          [
+            sub "add" 2 ~max:3;
+            sub "clear" 0 ~max:0;
+            sub "get" 3 ~max:3;
+            sub "readfile" 1 ~max:1;
+          ],
+      cmd_option );
+    (sg "after" 1 ~usage:"after ms ?command?", cmd_after);
+    ( sg "update" 0 ~max:1 ~usage:"update ?idletasks?"
+        ~subs:[ sub "idletasks" 0 ~max:0 ],
+      cmd_update );
+    ( sg "tkwait" 2 ~max:2 ~usage:"tkwait variable|window name"
+        ~subs:[ sub "variable" 1 ~max:1; sub "window" 1 ~max:1 ],
+      cmd_tkwait );
+    ( sg "grab" 1 ~max:2 ~usage:"grab set|release|current ?window?"
+        ~subs:
+          [
+            sub "current" 0 ~max:0;
+            sub "release" 1 ~max:1;
+            sub "set" 1 ~max:1;
+          ],
+      cmd_grab );
+    ( sg "wm" 2 ~usage:"wm option window ?arg?"
+        ~subs:
+          [
+            sub "deiconify" 1 ~max:1;
+            sub "geometry" 1 ~max:2;
+            sub "title" 1 ~max:2;
+            sub "withdraw" 1 ~max:1;
+          ],
+      cmd_wm );
+    ( sg "xtrace" 1 ~max:2 ~usage:"xtrace on ?capacity?|off|dump|clear|status"
+        ~subs:
+          [
+            sub "clear" 0 ~max:0;
+            sub "dump" 0 ~max:0;
+            sub "off" 0 ~max:0;
+            sub "on" 0 ~max:1;
+            sub "status" 0 ~max:0;
+          ],
+      cmd_xtrace );
+    ( sg "xstat" 0 ~max:2 ~usage:"xstat ?reset|get counter?"
+        ~subs:[ sub "get" 1 ~max:1; sub "reset" 0 ~max:0 ],
+      cmd_xstat );
+    (lint_signature, cmd_lint);
+  ]
+
+let install app =
+  List.iter
+    (fun (s, cmd) -> Tcl.Interp.register app.Core.interp s (cmd app))
+    commands;
   Pack.install app;
   Place.install app;
   Selection.install app;

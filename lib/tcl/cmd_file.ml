@@ -45,13 +45,13 @@ let cmd_file _t = function
     else failf "bad file option \"%s\"" a
   | _ -> raise Usage
 
+let glob_signature =
+  signature "glob" 1
+    ~switches:[ Flag "-nocomplain"; Flag "--" ]
+    ~usage:"glob ?-nocomplain? ?--? pattern ?pattern ...?"
+
 let cmd_glob _t words =
-  let no_complain, patterns =
-    match words with
-    | _ :: "-nocomplain" :: rest -> (true, rest)
-    | _ :: rest -> (false, rest)
-    | [] -> assert false
-  in
+  let found, patterns = switches glob_signature (List.tl words) in
   if patterns = [] then raise Usage
   else begin
     let expand pattern =
@@ -63,22 +63,20 @@ let cmd_glob _t words =
         | exception Sys_error _ -> []
       in
       let matched =
-        List.filter (fun e -> Glob.matches ~pattern:base e) entries
-      in
-      let matched =
         (* Hidden files only match patterns that start with a dot. *)
         List.filter
           (fun e ->
             String.length e > 0
-            && (e.[0] <> '.' || (String.length base > 0 && base.[0] = '.')))
-          matched
+            && (e.[0] <> '.' || (String.length base > 0 && base.[0] = '.'))
+            && Glob.matches ~pattern:base e)
+          entries
       in
       if String.contains pattern '/' then
         List.map (fun e -> Filename.concat dir e) matched
       else matched
     in
     let results = List.concat_map expand patterns in
-    if results = [] && not no_complain then
+    if results = [] && not (List.mem_assoc "-nocomplain" found) then
       failf "no files matched glob pattern(s)"
     else Tcl_list.format (List.sort String.compare results)
   end
@@ -265,9 +263,7 @@ let cmd_puts t words =
 let install t =
   register_value t (signature "file" 2 ~max:2 ~usage:"file option name")
     cmd_file;
-  register_value t
-    (signature "glob" 1 ~usage:"glob ?-nocomplain? pattern ?pattern ...?")
-    cmd_glob;
+  register_value t glob_signature cmd_glob;
   register_value t (signature "pwd" 0 ~max:0 ~usage:"pwd") cmd_pwd;
   register_value t (signature "cd" 1 ~max:1 ~usage:"cd dirName") cmd_cd;
   register_value t (signature "exec" 1 ~usage:"exec arg ?arg ...?") cmd_exec;

@@ -58,24 +58,25 @@ let cmd_info t words =
   | [ _; "tclversion" ] -> "6.0"
   | _ -> raise Usage
 
+let info_signature =
+  signature "info" 1 ~usage:"info option ?arg arg ...?"
+    ~subs:
+      [
+        subsig "args" 1 ~max:1;
+        subsig "body" 1 ~max:1;
+        subsig "cmdcount" 0 ~max:0;
+        subsig "commands" 0 ~max:1;
+        subsig "complete" 1 ~max:1;
+        subsig "default" 3 ~max:3;
+        subsig "errorinfo" 0 ~max:0;
+        subsig "exists" 1 ~max:1;
+        subsig "globals" 0 ~max:1;
+        subsig "level" 0 ~max:0;
+        subsig "locals" 0 ~max:1;
+        subsig "procs" 0 ~max:1;
+        subsig "tclversion" 0 ~max:0;
+        subsig "vars" 0 ~max:1;
+      ]
+
 let install t =
-  register_value t
-    (signature "info" 1 ~usage:"info option ?arg arg ...?"
-       ~subs:
-         [
-           subsig "args" 1 ~max:1;
-           subsig "body" 1 ~max:1;
-           subsig "cmdcount" 0 ~max:0;
-           subsig "commands" 0 ~max:1;
-           subsig "complete" 1 ~max:1;
-           subsig "default" 3 ~max:3;
-           subsig "errorinfo" 0 ~max:0;
-           subsig "exists" 1 ~max:1;
-           subsig "globals" 0 ~max:1;
-           subsig "level" 0 ~max:0;
-           subsig "locals" 0 ~max:1;
-           subsig "procs" 0 ~max:1;
-           subsig "tclversion" 0 ~max:0;
-           subsig "vars" 0 ~max:1;
-         ])
-    cmd_info
+  register_value t info_signature cmd_info

@@ -78,69 +78,69 @@ let cmd_lreplace _t = function
     Tcl_list.format (before @ values @ after)
   | _ -> raise Usage
 
+let lsearch_signature =
+  signature "lsearch" 2 ~max:2
+    ~switches:[ Flag "-exact"; Flag "-glob" ]
+    ~usage:"lsearch ?-exact|-glob? list pattern"
+
+let rec search_list ~exact pattern i = function
+  | [] -> -1
+  | e :: _ when if exact then e = pattern else Glob.matches ~pattern e -> i
+  | _ :: rest -> search_list ~exact pattern (i + 1) rest
+
 let cmd_lsearch _t words =
-  let mode, l, pattern =
-    match words with
-    | [ _; l; pattern ] -> (`Glob, l, pattern)
-    | [ _; "-exact"; l; pattern ] -> (`Exact, l, pattern)
-    | [ _; "-glob"; l; pattern ] -> (`Glob, l, pattern)
-    | [ _; mode; _; _ ] ->
-      failf "bad search mode \"%s\": must be -exact or -glob" mode
-    | _ -> raise Usage
-  in
-  let matches e =
-    match mode with
-    | `Exact -> e = pattern
-    | `Glob -> Glob.matches ~pattern e
-  in
-  let elements = parse_list_exn l in
-  let rec find i = function
-    | [] -> -1
-    | e :: rest -> if matches e then i else find (i + 1) rest
-  in
-  string_of_int (find 0 elements)
+  match switches lsearch_signature (List.tl words) with
+  | found, [ l; pattern ] ->
+    let exact = match found with (sw, _) :: _ -> sw = "-exact" | [] -> false in
+    string_of_int (search_list ~exact pattern 0 (parse_list_exn l))
+  | _ -> raise Usage
+
+let lsort_signature =
+  signature "lsort" 1 ~max:1
+    ~switches:
+      [
+        Flag "-ascii";
+        Flag "-integer";
+        Flag "-real";
+        Flag "-increasing";
+        Flag "-decreasing";
+      ]
+    ~usage:"lsort ?-ascii|-integer|-real? ?-increasing|-decreasing? list"
+
+(* A sort key, or the error for a word that is not one. *)
+let key of_string what s =
+  match of_string (String.trim s) with
+  | Some v -> v
+  | None -> failf "expected %s but got \"%s\"" what s
+
+(* The switch of [kinds] given last ([switches] lists it first). *)
+let rec latest kinds = function
+  | [] -> ""
+  | (sw, _) :: rest -> if List.mem sw kinds then sw else latest kinds rest
 
 let cmd_lsort _t words =
-  let compare_by mode a b =
-    match mode with
-    | `Ascii -> String.compare a b
-    | `Integer ->
-      compare
-        (match int_of_string_opt (String.trim a) with
-        | Some i -> i
-        | None -> failf "expected integer but got \"%s\"" a)
-        (match int_of_string_opt (String.trim b) with
-        | Some i -> i
-        | None -> failf "expected integer but got \"%s\"" b)
-    | `Real ->
-      compare
-        (match float_of_string_opt (String.trim a) with
-        | Some f -> f
-        | None -> failf "expected floating-point number but got \"%s\"" a)
-        (match float_of_string_opt (String.trim b) with
-        | Some f -> f
-        | None -> failf "expected floating-point number but got \"%s\"" b)
-  in
-  let rec parse_opts mode direction = function
-    | [ l ] ->
-      let cmp a b =
-        let c = compare_by mode a b in
-        match direction with `Incr -> c | `Decr -> -c
-      in
-      Tcl_list.format (List.stable_sort cmp (parse_list_exn l))
-    | "-integer" :: rest -> parse_opts `Integer direction rest
-    | "-real" :: rest -> parse_opts `Real direction rest
-    | "-ascii" :: rest -> parse_opts `Ascii direction rest
-    | "-increasing" :: rest -> parse_opts mode `Incr rest
-    | "-decreasing" :: rest -> parse_opts mode `Decr rest
-    | opt :: _ :: _ ->
-      failf
-        "bad switch \"%s\": must be -ascii, -integer, -real, -increasing, or \
-         -decreasing"
-        opt
-    | [] -> raise Usage
-  in
-  parse_opts `Ascii `Incr (List.tl words)
+  match switches lsort_signature (List.tl words) with
+  | found, [ l ] ->
+    let cmp =
+      match latest [ "-ascii"; "-integer"; "-real" ] found with
+      | "-integer" ->
+        fun a b ->
+          compare (key int_of_string_opt "integer" a)
+            (key int_of_string_opt "integer" b)
+      | "-real" ->
+        fun a b ->
+          compare
+            (key float_of_string_opt "floating-point number" a)
+            (key float_of_string_opt "floating-point number" b)
+      | _ -> String.compare
+    in
+    let cmp =
+      if latest [ "-increasing"; "-decreasing" ] found = "-decreasing" then
+        fun a b -> cmp b a
+      else cmp
+    in
+    Tcl_list.format (List.stable_sort cmp (parse_list_exn l))
+  | _ -> raise Usage
 
 (* concat trims each argument and joins with single spaces, dropping empty
    arguments. *)
@@ -214,13 +214,8 @@ let install t =
        ~usage:"lreplace list first last ?element element ...?"
        ~checks:[ chk_index 2; chk_index 3 ])
     cmd_lreplace;
-  register_value t
-    (signature "lsearch" 2 ~max:3 ~usage:"lsearch ?-exact|-glob? list pattern")
-    cmd_lsearch;
-  register_value t
-    (signature "lsort" 1
-       ~usage:"lsort ?-ascii|-integer|-real? ?-increasing|-decreasing? list")
-    cmd_lsort;
+  register_value t lsearch_signature cmd_lsearch;
+  register_value t lsort_signature cmd_lsort;
   register_value t (signature "concat" 0 ~usage:"concat ?arg arg ...?")
     cmd_concat;
   register_value t

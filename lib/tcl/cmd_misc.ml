@@ -107,26 +107,28 @@ let cmd_history t = function
     | None -> failf "no event to redo")
   | _ -> raise Usage
 
+let array_signature =
+  signature "array" 2 ~max:3 ~usage:"array option arrayName ?arg ...?"
+    ~subs:
+      [
+        subsig "exists" 1 ~max:1;
+        subsig "names" 1 ~max:2;
+        subsig "size" 1 ~max:1;
+      ]
+
+let history_signature =
+  signature "history" 0 ~max:2 ~usage:"history ?option? ?arg?"
+    ~subs:
+      [
+        subsig "event" 0 ~max:1;
+        subsig "nextid" 0 ~max:0;
+        subsig "redo" 0 ~max:1;
+      ]
+
 let install t =
   register t
     (signature "case" 2
        ~usage:"case string ?in? patList body ?patList body ...?")
     cmd_case;
-  register t
-    (signature "array" 2 ~max:3 ~usage:"array option arrayName ?arg ...?"
-       ~subs:
-         [
-           subsig "exists" 1 ~max:1;
-           subsig "names" 1 ~max:2;
-           subsig "size" 1 ~max:1;
-         ])
-    cmd_array;
-  register t
-    (signature "history" 0 ~max:2 ~usage:"history ?option? ?arg?"
-       ~subs:
-         [
-           subsig "event" 0 ~max:1;
-           subsig "nextid" 0 ~max:0;
-           subsig "redo" 0 ~max:1;
-         ])
-    cmd_history
+  register t array_signature cmd_array;
+  register t history_signature cmd_history

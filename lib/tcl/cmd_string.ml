@@ -370,25 +370,26 @@ let cmd_scan t = function
       string_of_int !count)
   | _ -> raise Usage
 
+let string_signature =
+  signature "string" 2 ~usage:"string option arg ?arg ...?"
+    ~subs:
+      [
+        subsig "compare" 2 ~max:2;
+        subsig "first" 2 ~max:2;
+        subsig "index" 2 ~max:2;
+        subsig "last" 2 ~max:2;
+        subsig "length" 1 ~max:1;
+        subsig "match" 2 ~max:2;
+        subsig "range" 3 ~max:3;
+        subsig "tolower" 1 ~max:1;
+        subsig "toupper" 1 ~max:1;
+        subsig "trim" 1 ~max:2;
+        subsig "trimleft" 1 ~max:2;
+        subsig "trimright" 1 ~max:2;
+      ]
+
 let install t =
-  register_value t
-    (signature "string" 2 ~usage:"string option arg ?arg ...?"
-       ~subs:
-         [
-           subsig "compare" 2 ~max:2;
-           subsig "first" 2 ~max:2;
-           subsig "index" 2 ~max:2;
-           subsig "last" 2 ~max:2;
-           subsig "length" 1 ~max:1;
-           subsig "match" 2 ~max:2;
-           subsig "range" 3 ~max:3;
-           subsig "tolower" 1 ~max:1;
-           subsig "toupper" 1 ~max:1;
-           subsig "trim" 1 ~max:2;
-           subsig "trimleft" 1 ~max:2;
-           subsig "trimright" 1 ~max:2;
-         ])
-    cmd_string;
+  register_value t string_signature cmd_string;
   register_value t
     (signature "format" 1 ~usage:"format formatString ?arg arg ...?")
     cmd_format;

@@ -68,20 +68,19 @@ let fresh_stats () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Command signatures.
-
-   Every built-in command is registered with the shape of call it
-   accepts: arity bounds, a usage string, a subcommand table, [-option]
-   switches, script argument positions, literal validators, and — for
-   widget-creating commands — the class's option and subcommand tables.
-   It is the command's only declaration of that shape: a body rejects a
-   call by raising [Usage], and [run_builtin] renders the message with
+(* Command signatures (see interp.mli): a command's only declaration of
+   the shape of call it accepts.  A body takes its switches with
+   [switches] and raises [Usage]; [run_builtin] renders the message with
    the classification ([misuse]) the static checker ([Lint]) applies. *)
+
+type switch = Flag of string | Value of string
 
 type sub_sig = {
   sub_name : string;
-  sub_min : int;  (* arguments after "cmd subcommand" *)
+  sub_min : int;  (* arguments after "cmd subcommand" and its switches *)
   sub_max : int;  (* -1 = unbounded *)
+  sub_switches : switch list;
+  sub_subs : sub_sig list;  (* a nested table naming the next argument *)
 }
 
 type widget_sig = {
@@ -98,34 +97,67 @@ type arg_check = {
 type signature = {
   sig_name : string;
   sig_usage : string;  (* body of the "wrong # args: should be" message *)
-  sig_min : int;  (* arguments after the command name *)
+  sig_min : int;  (* arguments after the command name and its switches *)
   sig_max : int;  (* -1 = unbounded *)
+  sig_switches : switch list;
   sig_subs : sub_sig list;
   sig_open_subs : bool;
       (* an unmatched first argument is legal (e.g. [send appName ...]):
          the analyzer only warns on near-miss subcommand spellings *)
-  sig_options : string list;  (* leading -switches the command accepts *)
   sig_scripts : int list;  (* 1-based indices of script arguments *)
   sig_checks : arg_check list;
   sig_widget : widget_sig option;  (* set for widget-creating commands *)
 }
 
-let subsig ?(max = -1) name min = { sub_name = name; sub_min = min; sub_max = max }
+let subsig ?(max = -1) ?(switches = []) ?(subs = []) name min =
+  { sub_name = name; sub_min = min; sub_max = max; sub_switches = switches;
+    sub_subs = subs }
 
-let signature ?(max = -1) ?(subs = []) ?(open_subs = false) ?(options = [])
+let signature ?(max = -1) ?(switches = []) ?(subs = []) ?(open_subs = false)
     ?(scripts = []) ?(checks = []) ?widget ~usage name min =
   {
     sig_name = name;
     sig_usage = usage;
     sig_min = min;
     sig_max = max;
+    sig_switches = switches;
     sig_subs = subs;
     sig_open_subs = open_subs;
-    sig_options = options;
     sig_scripts = scripts;
     sig_checks = checks;
     sig_widget = widget;
   }
+
+(* Leading switches: a word is one while it starts with "-" and at least
+   [min] words follow it; words from index [known] on are unknown. *)
+exception Undeclared_switch of int  (* index of a word no switch names *)
+exception Missing_value  (* a value switch is the last word *)
+exception Not_known  (* a word not known yet stands where a switch may *)
+
+let rec split_switches switches min known i found = function
+  | w :: rest
+    when switches != []
+         && List.compare_length_with rest min >= 0
+         && (i >= known || (w <> "" && w.[0] = '-')) -> (
+    if i >= known then raise Not_known;
+    match List.find_opt (fun (Flag n | Value n) -> n = w) switches with
+    | None -> raise (Undeclared_switch i)
+    | Some (Flag "--") -> (found, rest)
+    | Some (Flag f) ->
+      split_switches switches min known (i + 1) ((f, "") :: found) rest
+    | Some (Value v) -> (
+      match rest with
+      | x :: rest ->
+        split_switches switches min known (i + 2) ((v, x) :: found) rest
+      | [] -> raise Missing_value))
+  | words -> (found, words)
+
+let take_switches switches min args =
+  try split_switches switches min max_int 0 [] args
+  with Undeclared_switch _ | Missing_value -> raise Usage
+
+let switches s args = take_switches s.sig_switches s.sig_min args
+let sub_switches x args = take_switches x.sub_switches x.sub_min args
 
 (* Render alternatives Tcl-style: "a", "a or b", "a, b, or c". *)
 let alternatives names =
@@ -141,62 +173,82 @@ let alternatives names =
     in
     go names
 
-(* How a call of [n] arguments misses a shape.  [first] is the first
-   argument when it is known (lint passes only literals). *)
+(* How a call misses its shape.  A path names the subcommand words that
+   lead to the level missed ([] for the command itself). *)
+type bad_word = {
+  path : string list;
+  arg : int;  (* 0-based index among the call's arguments *)
+  word : string;
+  names : string list;  (* what the level accepts there *)
+}
+
 type misuse =
-  | Count  (* outside the command's own arity bounds *)
-  | Unknown_sub of string  (* first argument outside the table *)
-  | Sub_count of string  (* a known subcommand, too few or many arguments *)
+  | Count of string list  (* too few or too many arguments at this level *)
+  | Unknown_sub of bad_word  (* outside the level's subcommand table *)
+  | Unknown_switch of bad_word  (* a switch the level does not declare *)
 
 let outside lo hi n = n < lo || (hi >= 0 && n > hi)
-
-let sub_misuse subs n sub =
-  match List.find_opt (fun x -> x.sub_name = sub) subs with
-  | None -> Some (Unknown_sub sub)
-  | Some x when outside x.sub_min x.sub_max (n - 1) -> Some (Sub_count sub)
-  | Some _ -> None
-
-(* A window path, a switch or an empty word is never read as a
-   subcommand: commands such as [pack] and [grab] take one there. *)
-let misuse s n first =
-  match first with
-  | _ when outside s.sig_min s.sig_max n -> Some Count
-  | Some w when s.sig_subs <> [] && w <> "" && w.[0] <> '.' && w.[0] <> '-' ->
-    sub_misuse s.sig_subs n w
-  | _ -> None
 
 let sub_names subs =
   List.sort String.compare (List.map (fun x -> x.sub_name) subs)
 
-let usage_message s = function
-  | Unknown_sub sub when not s.sig_open_subs ->
-    Printf.sprintf "bad option \"%s\": should be %s" sub
-      (alternatives (sub_names s.sig_subs))
-  | _ -> Printf.sprintf "wrong # args: should be \"%s\"" s.sig_usage
+(* Level [x] of a call, on its arguments from index [at]: the switches,
+   then the count, then (when no switch was taken) the table.  At a
+   command's own level ([top]) a window path, a switch or an empty word
+   is never read as a subcommand: [pack] and [grab] take one there. *)
+let rec level_misuse ~known ~top path x at args =
+  match split_switches x.sub_switches x.sub_min (known - at) 0 [] args with
+  | exception Not_known -> None
+  | exception Missing_value -> Some (Count path)
+  | exception Undeclared_switch i ->
+    let names = List.map (fun (Flag n | Value n) -> n) x.sub_switches in
+    Some (Unknown_switch { path; arg = at + i; word = List.nth args i; names })
+  | _, rest -> (
+    match rest with
+    | _ when outside x.sub_min x.sub_max (List.length rest) -> Some (Count path)
+    | w :: tail
+      when x.sub_subs != [] && rest == args && at < known
+           && not (top && (w = "" || w.[0] = '.' || w.[0] = '-')) -> (
+      match List.find_opt (fun y -> y.sub_name = w) x.sub_subs with
+      | None ->
+        let names = sub_names x.sub_subs in
+        Some (Unknown_sub { path; arg = at; word = w; names })
+      | Some y -> level_misuse ~known ~top:false (path @ [ w ]) y (at + 1) tail)
+    | _ -> None)
+
+let misuse ?(known = max_int) s args =
+  let switches = s.sig_switches and subs = s.sig_subs in
+  let x = subsig s.sig_name s.sig_min ~max:s.sig_max ~switches ~subs in
+  level_misuse ~known ~top:true [] x 0 args
+
+let usage_message s m =
+  match m with
+  | Unknown_sub { path = []; _ } when s.sig_open_subs ->
+    Printf.sprintf "wrong # args: should be \"%s\"" s.sig_usage
+  | Unknown_sub b | Unknown_switch b ->
+    Printf.sprintf "bad option \"%s\": should be %s" b.word
+      (alternatives b.names)
+  | Count _ -> Printf.sprintf "wrong # args: should be \"%s\"" s.sig_usage
 
 (* A widget command answers [cget] and [configure] ahead of its class's
-   table, and words its errors after the widget path. *)
-let widget_subs subs = subsig "cget" 1 ~max:1 :: subsig "configure" 0 :: subs
-
-let widget_misuse subs n first =
-  if n = 0 then Some Count
-  else Option.bind first (sub_misuse (widget_subs subs) n)
+   table, reads any first word as a subcommand, and words its errors
+   after the widget path. *)
+let widget_misuse ?(known = max_int) subs args =
+  let table = subsig "cget" 1 ~max:1 :: subsig "configure" 0 :: subs in
+  level_misuse ~known ~top:false [] (subsig "" 1 ~subs:table) 0 args
 
 let widget_message path = function
-  | Count ->
+  | Count [] ->
     Printf.sprintf "wrong # args: should be \"%s option ?arg arg ...?\"" path
-  | Sub_count "cget" ->
+  | Count [ "cget" ] ->
     Printf.sprintf "wrong # args: should be \"%s cget option\"" path
-  | Sub_count sub -> Printf.sprintf "wrong # args for \"%s %s\"" path sub
-  | Unknown_sub sub -> Printf.sprintf "bad option \"%s\" for %s" sub path
-
-(* A shape that looks fine (the body rejected a combination the table
-   cannot express) gets a plain [wrong # args]. *)
-let usage_error s words =
-  let args = List.tl words in
-  usage_message s
-    (Option.value ~default:Count
-       (misuse s (List.length args) (List.nth_opt args 0)))
+  | Count subs ->
+    Printf.sprintf "wrong # args for \"%s %s\"" path (String.concat " " subs)
+  | Unknown_sub { path = []; word; _ } ->
+    Printf.sprintf "bad option \"%s\" for %s" word path
+  | Unknown_sub b | Unknown_switch b ->
+    Printf.sprintf "bad option \"%s\" for \"%s %s\": should be %s" b.word path
+      (String.concat " " b.path) (alternatives b.names)
 
 type lint_stats = {
   mutable lint_runs : int;
@@ -1394,7 +1446,11 @@ and invoke t words =
 and run_builtin t cmd s words =
   try cmd t words with
   | Tcl_failure msg -> (Tcl_error, msg)
-  | Usage -> (Tcl_error, usage_error s words)
+  | Usage ->
+    (* A shape that looks fine (the body rejected a combination the
+       table cannot express) gets a plain [wrong # args]. *)
+    let m = Option.value ~default:(Count []) (misuse s (List.tl words)) in
+    (Tcl_error, usage_message s m)
   | Expr.Error msg -> (Tcl_error, msg)
   | e -> (
     match translate_exn e with

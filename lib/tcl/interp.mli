@@ -274,19 +274,26 @@ val link_var : t -> target_level:int -> target:string -> local:string -> unit
 (** {1 Command signatures}
 
     Every built-in command is registered with the shape of call it
-    accepts: arity bounds, its usage string, a subcommand table,
-    recognized [-option] switches, which argument positions hold
-    scripts, per-argument literal validators, and — for widget-creating
-    commands — the widget class's option and subcommand tables.  The
-    signature is the command's only declaration of that shape.  Dispatch
-    never consults it: it is read on the failure path, when a body
-    raises {!Usage}, and by the static checker {!Lint}, and both render
-    the same message from it. *)
+    accepts: arity bounds, its usage string, leading [-switch] words, a
+    subcommand table (an entry may have switches and a table of its
+    own), which argument positions hold scripts, per-argument literal
+    validators, and — for widget-creating commands — the widget class's
+    option and subcommand tables: the command's only declaration of that
+    shape.  Dispatch never consults it.  A body takes its switches with
+    {!switches} and raises {!Usage} for a call it rejects; the message
+    is then rendered from the classification ({!misuse}) that the static
+    checker {!Lint} applies to literal words. *)
+
+type switch =
+  | Flag of string  (** e.g. [Flag "-nocase"]; [Flag "--"] ends the switches *)
+  | Value of string  (** takes the next word as its value, e.g. ["-glob"] *)
 
 type sub_sig = {
   sub_name : string;
-  sub_min : int;  (** arguments after "cmd subcommand" *)
+  sub_min : int;  (** arguments after "cmd subcommand" and its switches *)
   sub_max : int;  (** -1 = unbounded *)
+  sub_switches : switch list;
+  sub_subs : sub_sig list;  (** a nested table naming the next argument *)
 }
 
 type widget_sig = {
@@ -303,26 +310,28 @@ type arg_check = {
 type signature = {
   sig_name : string;
   sig_usage : string;
-  sig_min : int;  (** arguments after the command name *)
+  sig_min : int;  (** arguments after the command name and its switches *)
   sig_max : int;  (** -1 = unbounded *)
+  sig_switches : switch list;
   sig_subs : sub_sig list;
   sig_open_subs : bool;
       (** an unmatched first argument is legal (e.g. [send appName ...]);
           the analyzer only warns on near-miss subcommand spellings *)
-  sig_options : string list;
   sig_scripts : int list;  (** 1-based indices of script arguments *)
   sig_checks : arg_check list;
   sig_widget : widget_sig option;
 }
 
-val subsig : ?max:int -> string -> int -> sub_sig
+val subsig :
+  ?max:int -> ?switches:switch list -> ?subs:sub_sig list -> string -> int ->
+  sub_sig
 (** [subsig name min] — [max] defaults to unbounded (-1). *)
 
 val signature :
   ?max:int ->
+  ?switches:switch list ->
   ?subs:sub_sig list ->
   ?open_subs:bool ->
-  ?options:string list ->
   ?scripts:int list ->
   ?checks:arg_check list ->
   ?widget:widget_sig ->
@@ -332,6 +341,18 @@ val signature :
   signature
 (** [signature ~usage name min] builds a signature record;
     [max] defaults to unbounded (-1). *)
+
+val switches : signature -> string list -> (string * string) list * string list
+(** [switches s args] splits a call's arguments into its leading
+    switches, each with its value ([""] for a flag), the last given
+    first, and the words after them.  A word is a switch while it starts
+    with ["-"] and at least [sig_min] words follow it, so [lsort -1]
+    sorts the list ["-1"].  Raises {!Usage} for an undeclared switch or a
+    missing value. *)
+
+val sub_switches :
+  sub_sig -> string list -> (string * string) list * string list
+(** The same for the words after a subcommand. *)
 
 (** {1 Commands} *)
 
@@ -366,30 +387,36 @@ val signature_of : t -> string -> signature option
     One classification of a call's shape serves the runtime, which
     renders a body's {!Usage} with it, and {!Lint}. *)
 
-type misuse =
-  | Count  (** outside the command's own arity bounds *)
-  | Unknown_sub of string  (** first argument outside the table *)
-  | Sub_count of string  (** a known subcommand, too few or many arguments *)
+type bad_word = {
+  path : string list;  (** subcommand words leading to the level *)
+  arg : int;  (** 0-based index among the call's arguments *)
+  word : string;
+  names : string list;  (** what the level accepts there *)
+}
 
-val misuse : signature -> int -> string option -> misuse option
-(** [misuse s n first]: how [n] arguments, the first [first] if known,
-    miss [s].  A first word that is empty or starts with ["."] or ["-"]
-    is never read as a subcommand. *)
+type misuse =
+  | Count of string list  (** too few or many arguments at this path *)
+  | Unknown_sub of bad_word  (** outside the level's subcommand table *)
+  | Unknown_switch of bad_word  (** a switch the level does not declare *)
+
+val misuse : ?known:int -> signature -> string list -> misuse option
+(** [misuse s args]: how a call's arguments miss [s], level by level:
+    switches, then count, then (if no switch was taken) the table.  At
+    the command's own level a word that is empty or starts with ["."] or
+    ["-"] is never a subcommand.  Arguments from index [known] on (lint's
+    dynamic words) count, but no verdict reads one. *)
 
 val usage_message : signature -> misuse -> string
-(** ["bad option \"x\": should be a, b, or c"] for an unknown
-    subcommand of a closed table, else ["wrong # args: should be ..."]. *)
+(** ["bad option \"x\": should be a, b, or c"], or for a count or an
+    open table's word ["wrong # args: should be ..."]. *)
 
-val sub_names : sub_sig list -> string list
-val widget_subs : sub_sig list -> sub_sig list
-(** A class's table with the [cget] and [configure] every widget has. *)
+val widget_misuse : ?known:int -> sub_sig list -> string list -> misuse option
+(** The same for a widget command: its class's table with [cget] and
+    [configure], any first word read as a subcommand. *)
 
-val widget_misuse : sub_sig list -> int -> string option -> misuse option
 val widget_message : string -> misuse -> string
-(** [widget_message path m], e.g. ["bad option \"x\" for .w"]. *)
-
-val alternatives : string list -> string
-(** Render a list Tcl-style: ["a"], ["a or b"], ["a, b, or c"]. *)
+(** E.g. ["bad option \"x\" for .w"], ["bad option \"x\" for \".l
+    select\": should be ..."]. *)
 
 (** {1 Lint counters}
 

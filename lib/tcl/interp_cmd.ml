@@ -114,20 +114,15 @@ let auto_name master =
   in
   try_n 0
 
+let create_sub = subsig "create" 0 ~max:1 ~switches:[ Flag "-safe"; Flag "--" ]
+
 let cmd_create ~sub_interp t args =
-  let safe, args =
-    match args with
-    | "-safe" :: rest -> (true, rest)
-    | _ -> (false, args)
-  in
-  let args = match args with "--" :: rest -> rest | _ -> args in
+  let found, rest = sub_switches create_sub args in
   let path =
-    match args with
-    | [] -> auto_name t
-    | [ p ] -> p
-    | word :: _ -> failf "bad option \"%s\": should be -safe or --" word
+    match rest with [] -> auto_name t | [ p ] -> p | _ -> raise Usage
   in
   let parent, leaf = resolve_parent t path in
+  let safe = List.mem_assoc "-safe" found in
   match create_slave ~sub_interp ~master:parent ~safe leaf with
   | Stdlib.Ok _ -> (Tcl_ok, path)
   | Stdlib.Error msg -> (Tcl_error, msg)
@@ -219,10 +214,11 @@ let cmd_limit t args =
 (* ------------------------------------------------------------------ *)
 (* The command *)
 
+let cancel_sub = subsig "cancel" 0 ~max:1 ~switches:[ Flag "-unwind" ]
+
 let cmd_interp ~sub_interp t words =
   match words with
-  | _ :: "create" :: args when List.length args <= 3 ->
-    cmd_create ~sub_interp t args
+  | _ :: "create" :: args -> cmd_create ~sub_interp t args
   | [ _; "delete" ] -> (Tcl_ok, "")
   | _ :: "delete" :: paths ->
     (try
@@ -282,42 +278,34 @@ let cmd_interp ~sub_interp t words =
       set_recursion_limit s limit;
       (Tcl_ok, string_of_int limit)
     | None -> failf "expected integer but got \"%s\"" n)
-  | _ :: "cancel" :: args when List.length args <= 2 -> (
-    let unwind, args =
-      match args with
-      | "-unwind" :: rest -> (true, rest)
-      | _ -> (false, args)
-    in
-    match args with
-    | [] ->
-      cancel ~unwind t;
-      (Tcl_ok, "")
-    | [ path ] ->
-      cancel ~unwind (resolve t path);
-      (Tcl_ok, "")
-    | word :: _ -> failf "bad option \"%s\": should be -unwind" word)
+  | _ :: "cancel" :: args ->
+    let found, rest = sub_switches cancel_sub args in
+    let unwind = List.mem_assoc "-unwind" found in
+    cancel ~unwind
+      (match rest with [] -> t | [ path ] -> resolve t path | _ -> raise Usage);
+    (Tcl_ok, "")
   | _ -> raise Usage
 
-let install ~sub_interp t =
-  register t
-    (signature "interp" 1 ~options:[ "-safe"; "-unwind" ]
-       ~subs:
-         [
-           subsig "create" 0 ~max:3;
-           subsig "delete" 0;
-           subsig "eval" 2;
-           subsig "exists" 1 ~max:1;
-           subsig "slaves" 0 ~max:1;
-           subsig "alias" 2;
-           subsig "aliases" 0 ~max:1;
-           subsig "hide" 2 ~max:2;
-           subsig "expose" 2 ~max:3;
-           subsig "hidden" 1 ~max:1;
-           subsig "invokehidden" 2;
-           subsig "issafe" 0 ~max:1;
-           subsig "limit" 2 ~max:6;
-           subsig "recursionlimit" 0 ~max:2;
-           subsig "cancel" 0 ~max:2;
-         ]
-       ~usage:"interp option ?arg arg ...?")
-    (cmd_interp ~sub_interp)
+let interp_signature =
+  signature "interp" 1
+    ~subs:
+      [
+        create_sub;
+        subsig "delete" 0;
+        subsig "eval" 2;
+        subsig "exists" 1 ~max:1;
+        subsig "slaves" 0 ~max:1;
+        subsig "alias" 2;
+        subsig "aliases" 0 ~max:1;
+        subsig "hide" 2 ~max:2;
+        subsig "expose" 2 ~max:3;
+        subsig "hidden" 1 ~max:1;
+        subsig "invokehidden" 2;
+        subsig "issafe" 0 ~max:1;
+        subsig "limit" 2 ~max:6;
+        subsig "recursionlimit" 0 ~max:2;
+        cancel_sub;
+      ]
+    ~usage:"interp option ?arg arg ...?"
+
+let install ~sub_interp t = register t interp_signature (cmd_interp ~sub_interp)

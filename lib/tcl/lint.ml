@@ -96,7 +96,7 @@ let levenshtein a b =
   prev.(lb)
 
 (* The closest candidate within edit distance 2 — far enough to catch a
-   typo, near enough not to suggest nonsense. *)
+   typo, near enough not to suggest nonsense; never the "--" switch. *)
 let suggest token candidates =
   let best =
     List.fold_left
@@ -104,7 +104,7 @@ let suggest token candidates =
         let d = levenshtein token c in
         match acc with
         | Some (_, bd) when bd <= d -> acc
-        | _ when d <= 2 && d < String.length c -> Some (c, d)
+        | _ when d <= 2 && d < String.length c && c <> "--" -> Some (c, d)
         | _ -> acc)
       None candidates
   in
@@ -227,13 +227,6 @@ let lit_arg (cmd : Compile.command) i =
   | Some (Compile.W_lit s) -> Some s
   | _ -> None
 
-(* A literal argument the shape checks can read: a word with a [%] is a
-   binding substitution, filled in before the command runs. *)
-let literal_word cmd i =
-  match lit_arg cmd i with
-  | Some w when not (String.contains w '%') -> Some w
-  | _ -> None
-
 let word_off (cmd : Compile.command) i =
   match List.nth_opt cmd.wpos i with Some p -> p | None -> cmd.pos
 
@@ -253,6 +246,32 @@ let script_arg usrc (cmd : Compile.command) i =
   | _ -> None
 
 let nargs (cmd : Compile.command) = List.length cmd.words - 1
+
+(* A call's arguments as Interp's shape classification reads them, with
+   how many lead before the first word lint cannot read (whose text
+   here, "", is never looked at).  A word with a [%] is a binding
+   substitution, filled in before the command runs. *)
+let call_words (cmd : Compile.command) =
+  let known = ref max_int in
+  let words =
+    List.mapi
+      (fun i w ->
+        match w with
+        | Compile.W_lit s when not (String.contains s '%') -> s
+        | _ ->
+          known := min !known i;
+          "")
+      (List.tl cmd.words)
+  in
+  (words, min !known (List.length words))
+
+(* The 1-based index of [regexp]'s first match variable, two words past
+   its switches; an unreadable word ends them, so this errs early. *)
+let regexp_first_var cmd =
+  let words, _ = call_words cmd in
+  match Interp.switches Cmd_regexp.regexp_signature words with
+  | _, rest -> List.length words - List.length rest + 3
+  | exception Interp.Usage -> 3
 
 (* ------------------------------------------------------------------ *)
 (* Pre-pass: collect proc definitions (and literal bodies), widget
@@ -445,8 +464,12 @@ let rec writes_of_prog ctx depth tbl all (prog : Compile.program) =
             go 1
           | "catch" -> if n >= 2 then add 2
           | "gets" -> if n >= 2 then add 2
-          | "scan" | "regexp" ->
+          | "scan" ->
             for i = 3 to n do
+              add i
+            done
+          | "regexp" ->
+            for i = regexp_first_var cmd to n do
               add i
             done
           | "regsub" -> if n >= 4 then add n
@@ -898,61 +921,35 @@ and apply_upvar_site ctx origin wc cmd name =
 
 and apply_signature ctx usrc origin wc cmd name (s : Interp.signature) : wres
     =
-  let n = nargs cmd in
   let off = origin + cmd.pos in
   (* The runtime renders a rejected call with the same classification.
      An open table ([sig_open_subs]) means an unmatched word is legal —
      [send appName ...] — so only near-misses are flagged, softly. *)
-  match Interp.misuse s n (literal_word cmd 1) with
-  | Some Interp.Count ->
+  let words, known = call_words cmd in
+  match Interp.misuse ~known s words with
+  | Some (Interp.Count []) ->
     report ctx off Error ~pass:"arity" "%s"
-      (Interp.usage_message s Interp.Count);
+      (Interp.usage_message s (Interp.Count []));
     nores
   | m ->
     (match m with
-    | Some (Interp.Unknown_sub sub as u) ->
-      let hint = suggest sub (Interp.sub_names s.Interp.sig_subs) in
-      if s.Interp.sig_open_subs then begin
-        if hint <> "" then
-          report ctx (origin + word_off cmd 1) Warning ~pass:"subcommand"
-            "\"%s\" is not a %s subcommand%s" sub name hint
-      end
-      else
-        report ctx (origin + word_off cmd 1) Error ~pass:"subcommand" "%s%s"
-          (Interp.usage_message s u) hint
-    | Some (Interp.Sub_count _ as c) ->
+    | Some (Interp.Unknown_sub { path = []; word; names; _ })
+      when s.Interp.sig_open_subs ->
+      let hint = suggest word names in
+      if hint <> "" then
+        report ctx (origin + word_off cmd 1) Warning ~pass:"subcommand"
+          "\"%s\" is not a %s subcommand%s" word name hint
+    | Some ((Interp.Unknown_sub b | Interp.Unknown_switch b) as u) ->
+      let pass =
+        match u with Interp.Unknown_switch _ -> "options" | _ -> "subcommand"
+      in
+      report ctx (origin + word_off cmd (b.Interp.arg + 1)) Error ~pass "%s%s"
+        (Interp.usage_message s u) (suggest b.Interp.word b.Interp.names)
+    | Some (Interp.Count _ as c) ->
       report ctx off
         (if s.Interp.sig_open_subs then Warning else Error)
         ~pass:"arity" "%s" (Interp.usage_message s c)
-    | _ -> ());
-    (* Leading -option switches: only literal words, only up to the
-       first non-switch argument or a "--" terminator, and only when the
-       signature declares an option set (value arguments may legally
-       start with a dash, so commands without a declared set are never
-       checked). *)
-    (match s.Interp.sig_options with
-    | [] -> ()
-    | options ->
-      let start =
-        match lit_arg cmd 1 with
-        | Some w when List.mem w (Interp.sub_names s.Interp.sig_subs) -> 2
-        | _ -> 1
-      in
-      let sorted = List.sort String.compare options in
-      let rec scan i =
-        if i <= n then
-          match lit_arg cmd i with
-          | Some w
-            when starts_with "-" w && w <> "--"
-                 && not (String.contains w '%') ->
-            if not (List.mem w options) then
-              report ctx (origin + word_off cmd i) Error ~pass:"options"
-                "bad option \"%s\": should be %s%s" w
-                (Interp.alternatives sorted) (suggest w sorted)
-            else scan (i + 1)
-          | _ -> ()
-      in
-      scan start);
+    | None -> ());
     (* Per-argument literal validators (e.g. bind event patterns). *)
     List.iter
       (fun { Interp.chk_arg; chk } ->
@@ -1333,13 +1330,14 @@ and walk_widget_call ctx origin cmd path =
     (match class_of with
     | None -> () (* live widget of unknown class: nothing safe to say *)
     | Some ws -> (
-      let n = nargs cmd in
-      match Interp.widget_misuse ws.Interp.ws_subs n (literal_word cmd 1) with
-      | Some (Interp.Unknown_sub sub as m) ->
-        let subs = Interp.widget_subs ws.Interp.ws_subs in
-        report ctx (origin + word_off cmd 1) Error ~pass:"widget" "%s%s"
+      let words, known = call_words cmd in
+      match Interp.widget_misuse ~known ws.Interp.ws_subs words with
+      | Some ((Interp.Unknown_sub b | Interp.Unknown_switch b) as m) ->
+        report ctx
+          (origin + word_off cmd (b.Interp.arg + 1))
+          Error ~pass:"widget" "%s%s"
           (Interp.widget_message path m)
-          (suggest sub (List.map (fun x -> x.Interp.sub_name) subs))
+          (suggest b.Interp.word b.Interp.names)
       | Some m ->
         report ctx off Error ~pass:"widget" "%s" (Interp.widget_message path m)
       | None -> (
@@ -1461,9 +1459,7 @@ and apply_effects ctx usrc origin wc cmd name =
       clear_arg 2
     end
   | "regexp" ->
-    (* regexp ?flags? exp string ?matchVar subVar ...? — without flag
-       parsing, defining every trailing literal is the safe direction. *)
-    for i = 3 to n do
+    for i = regexp_first_var cmd to n do
       define_arg i;
       clear_arg i
     done

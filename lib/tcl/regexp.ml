@@ -15,7 +15,10 @@ type node =
 
 and alternatives = node list list
 
-type t = { alts : alternatives; group_count : int }
+(* [nocase]: the pattern was lowercased, and so is each subject before
+   it is matched; ASCII folding keeps every byte offset, so a match's
+   offsets index the original subject too. *)
+type t = { alts : alternatives; group_count : int; nocase : bool }
 
 exception Parse_error of string
 
@@ -153,13 +156,14 @@ and parse_atom p =
     advance p;
     Char c
 
-let compile pattern =
+let compile ~nocase pattern =
+  let pattern = if nocase then String.lowercase_ascii pattern else pattern in
   let p = { src = pattern; pos = 0; groups = 0 } in
   match parse_alternatives p ~in_group:false with
   | alts ->
     if p.pos < String.length pattern then
       Error "unmatched ()" (* a stray ')' is the only way to stop early *)
-    else Ok { alts; group_count = p.groups }
+    else Ok { alts; group_count = p.groups; nocase }
   | exception Parse_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
@@ -170,6 +174,7 @@ let class_matches ~negated ranges c =
   inside <> negated
 
 let find re s =
+  let s = if re.nocase then String.lowercase_ascii s else s in
   let n = String.length s in
   let caps = Array.make (re.group_count + 1) (-1, -1) in
   let rec match_alts alts pos k =

@@ -9,9 +9,11 @@
 
 type t
 
-val compile : string -> (t, string) result
+val compile : nocase:bool -> string -> (t, string) result
 (** Compile a pattern; errors mirror Tcl's (unmatched parenthesis, bad
-    bracket expression, dangling repetition). *)
+    bracket expression, dangling repetition).  With [nocase], pattern
+    and subjects are matched in lower case; the offsets {!find} returns
+    and the text {!replace} copies are the original subject's. *)
 
 val find : t -> string -> (int * int) array option
 (** [find re s] searches for the leftmost match. On success returns an

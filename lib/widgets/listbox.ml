@@ -261,7 +261,13 @@ let subs =
       subsig "view" 0 ~max:1;
       subsig "yview" 0 ~max:1;
       subsig "curselection" 0 ~max:0;
-      subsig "select" 1 ~max:2;
+      subsig "select" 1 ~max:2
+        ~subs:
+          [
+            subsig "from" 1 ~max:1;
+            subsig "to" 1 ~max:1;
+            subsig "clear" 0 ~max:0;
+          ];
     ]
 
 let make_class () =

@@ -212,7 +212,7 @@ let subcommands w words =
 let subs =
   Tcl.Interp.
     [
-      subsig "add" 1;
+      subsig "add" 1 ~subs:[ subsig "command" 0; subsig "separator" 0 ~max:0 ];
       subsig "delete" 1 ~max:1;
       subsig "invoke" 1 ~max:1;
       subsig "post" 2 ~max:2;

@@ -378,10 +378,23 @@ let subs =
       subsig "delete" 1 ~max:2;
       subsig "get" 1 ~max:2;
       subsig "index" 1 ~max:1;
-      subsig "mark" 1 ~max:3;
+      subsig "mark" 1 ~max:3
+        ~subs:
+          [
+            subsig "set" 2 ~max:2
+              ~subs:[ subsig "insert" 1 ~max:1; subsig "cursor" 1 ~max:1 ];
+            subsig "insert" 0 ~max:0;
+            subsig "cursor" 0 ~max:0;
+          ];
       subsig "view" 0 ~max:1;
       subsig "yview" 0 ~max:1;
-      subsig "tag" 2 ~max:4;
+      subsig "tag" 2 ~max:4
+        ~subs:
+          [
+            subsig "add" 3 ~max:3 ~subs:[ subsig "sel" 2 ~max:2 ];
+            subsig "remove" 1 ~max:1 ~subs:[ subsig "sel" 0 ~max:0 ];
+            subsig "ranges" 1 ~max:1 ~subs:[ subsig "sel" 0 ~max:0 ];
+          ];
       subsig "lines" 0 ~max:0;
     ]
 

@@ -68,6 +68,12 @@ let defect_fixtures =
     ( "use before set in a proc",
       "proc p {} {\n  puts $never\n}",
       "\"never\" may be used before being set in procedure \"p\"" );
+    ( "regexp's string is not a match variable",
+      "proc p {} {regexp x y m; return $y}",
+      "\"y\" may be used before being set in procedure \"p\"" );
+    ( "regexp's switches are not match variables",
+      "proc p {} {regexp -nocase x y m; return $y}",
+      "\"y\" may be used before being set in procedure \"p\"" );
     ( "dead code after return",
       "proc p {} {\n  return 1\n  puts x\n}",
       "unreachable command after \"return\"" );
@@ -208,6 +214,7 @@ let clean_corpus =
     "proc varargs {a args} {return $a}\nvarargs 1 2 3 4";
     "interp create -safe mini\ninterp eval mini {set x 1}\n\
      interp delete mini";
+    "proc p {s} {\n  regexp -nocase -indices {(a)} $s m g\n  return $g\n}";
     "interp create worker\nproc respond {q} {return yes}\n\
      interp alias worker ask {} respond\n\
      interp limit worker commands -value 1000\n\
@@ -323,17 +330,22 @@ let non_execution_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Generated: lint's arity and subcommand verdicts hold at runtime.
+(* Generated: lint's arity, subcommand and switch verdicts hold at
+   runtime.
 
-   Every registered signature, every subcommand of a closed table and
-   every widget class's subcommands (with cget and configure) is called
-   with 0 to max+2 arguments of "1" (min+2 when unbounded), each call in
-   a fresh application.  A count out of bounds must draw a shape error
-   from lint (arity, subcommand or widget pass), and where lint reports
-   one the runtime must fail with the same text, byte for byte, less
-   lint's "did you mean" hint; where lint is silent, the runtime must
-   not say "wrong # args".  A "1" is never a subcommand
-   name, so every call with a first argument against a closed table
+   Every registered signature, every subcommand of a closed table (and
+   of its nested tables) and every widget class's subcommands (with cget
+   and configure) is called with 0 to max+2 arguments of "1" (min+2 when
+   unbounded), each call in a fresh application.  Every level that
+   declares switches is also called with an undeclared "-bogus" switch,
+   and with each value-taking switch followed by only the level's
+   minimum count of words, so that taking its value leaves the level
+   short.  A count out of bounds and every switch call must draw a shape
+   error from lint (arity, subcommand, widget or options pass), and
+   where lint reports one the runtime must fail with the same text, byte
+   for byte, less lint's "did you mean" hint; where lint is silent, the
+   runtime must not say "wrong # args".  A "1" is never a subcommand or
+   a switch, so every call with a first argument against a closed table
    checks the "bad option" text too. *)
 
 (* Shapes whose calls within bounds are not run: what those calls do
@@ -348,80 +360,65 @@ let shape_exclusions =
     ("exec", "runs a process");
     ("cd", "changes the working directory");
     ("open", "creates files");
-    ("Listbox select", "a second option word (from, to, clear) picks the form");
-    ("Menu add", "the entry type (command, separator) picks the form");
-    ("Text mark", "a second option word (set, insert) picks the form");
-    ("Text tag", "a second option word (add, remove, ranges) picks the form");
   ]
 
 type shape_call = {
   sc_key : string;  (* the shape, e.g. "info exists" or "Button invoke" *)
   sc_setup : string;  (* creates the widget for a widget call *)
   sc_words : string list;
-  sc_in_bounds : bool;
+  sc_in_bounds : bool;  (* false: lint must report a shape error *)
 }
 
 let shape_calls app =
   let interp = app.Tk.Core.interp in
-  let counts lo hi = List.init ((if hi < 0 then lo else hi) + 3) Fun.id in
   let ones k = List.init k (fun _ -> "1") in
-  let inside lo hi k = k >= lo && (hi < 0 || k <= hi) in
-  let table ~key ~setup ~head subs =
-    List.concat_map
-      (fun (sub, lo, hi) ->
-        List.map
-          (fun k ->
-            {
-              sc_key = key ^ " " ^ sub;
-              sc_setup = setup;
-              sc_words = head @ (sub :: ones k);
-              sc_in_bounds = inside lo hi k;
-            })
-          (counts lo hi))
-      subs
+  let call ~key ~setup words sc_in_bounds =
+    { sc_key = key; sc_setup = setup; sc_words = words; sc_in_bounds }
   in
-  let sub_rows subs =
-    List.map
-      (fun x -> Tcl.Interp.(x.sub_name, x.sub_min, x.sub_max))
-      subs
+  (* One level: its counts, its switches, then (unless [open_table]) each
+     entry of its table as a level of its own. *)
+  let rec level ~key ~setup ~head ?(open_table = false) (x : Tcl.Interp.sub_sig)
+      =
+    let lo = x.sub_min and hi = x.sub_max in
+    List.init
+      ((if hi < 0 then lo else hi) + 3)
+      (fun k ->
+        call ~key ~setup (head @ ones k) (k >= lo && (hi < 0 || k <= hi)))
+    @ (if x.sub_switches = [] then []
+       else
+         call ~key ~setup (head @ ("-bogus" :: ones lo)) false
+         :: List.filter_map
+              (function
+                | Tcl.Interp.Value v ->
+                  Some (call ~key ~setup (head @ (v :: ones lo)) false)
+                | Tcl.Interp.Flag _ -> None)
+              x.sub_switches)
+    @
+    if open_table then []
+    else
+      List.concat_map
+        (fun (y : Tcl.Interp.sub_sig) ->
+          level ~key:(key ^ " " ^ y.sub_name) ~setup
+            ~head:(head @ [ y.sub_name ]) y)
+        x.sub_subs
   in
   List.concat_map
     (fun name ->
       match Tcl.Interp.signature_of interp name with
       | Some s when name.[0] <> '.' ->
-        let lo = s.Tcl.Interp.sig_min and hi = s.Tcl.Interp.sig_max in
-        List.map
-          (fun k ->
-            {
-              sc_key = name;
-              sc_setup = "";
-              sc_words = name :: ones k;
-              sc_in_bounds = inside lo hi k;
-            })
-          (counts lo hi)
-        @ (if s.Tcl.Interp.sig_open_subs then []
-           else
-             table ~key:name ~setup:"" ~head:[ name ]
-               (sub_rows s.Tcl.Interp.sig_subs))
+        level ~key:name ~setup:"" ~head:[ name ]
+          ~open_table:s.Tcl.Interp.sig_open_subs
+          (Tcl.Interp.subsig name s.sig_min ~max:s.sig_max
+             ~switches:s.sig_switches ~subs:s.sig_subs)
         @ (match s.Tcl.Interp.sig_widget with
-        | None -> []
-        | Some ws ->
-          let setup = name ^ " .w" and cls = ws.Tcl.Interp.ws_class in
-          {
-            sc_key = cls;
-            sc_setup = setup;
-            sc_words = [ ".w" ];
-            sc_in_bounds = false;
-          }
-          :: {
-               sc_key = cls;
-               sc_setup = setup;
-               sc_words = [ ".w"; "1" ];
-               sc_in_bounds = false;
-             }
-          :: table ~key:cls ~setup ~head:[ ".w" ]
-               ((("cget", 1, 1) :: ("configure", 0, -1) :: [])
-               @ sub_rows ws.Tcl.Interp.ws_subs))
+          | None -> []
+          | Some ws ->
+            level ~key:ws.ws_class ~setup:(name ^ " .w") ~head:[ ".w" ]
+              (Tcl.Interp.subsig "" 1
+                 ~subs:
+                   (Tcl.Interp.subsig "cget" 1 ~max:1
+                   :: Tcl.Interp.subsig "configure" 0
+                   :: ws.ws_subs)))
       | _ -> [])
     (Tcl.Interp.command_names interp)
 
@@ -451,17 +448,31 @@ let lint_matches_runtime () =
         let call = String.concat " " c.sc_words in
         let src = if c.sc_setup = "" then call else c.sc_setup ^ "\n" ^ call in
         let line = if c.sc_setup = "" then 1 else 2 in
-        (* The call's own diagnostics sit on its first or second word;
-           a script argument's are further along. *)
-        let own col =
-          col = 1 || col = String.length (List.hd c.sc_words) + 2
+        (* A shape error sits at the start of one of the call's words
+           other than its script arguments, whose diagnostics are their
+           own. *)
+        let scripts =
+          match
+            Tcl.Interp.signature_of probe.Tk.Core.interp (List.hd c.sc_words)
+          with
+          | Some s -> s.Tcl.Interp.sig_scripts
+          | None -> []
         in
+        let rec starts i col = function
+          | [] -> []
+          | w :: rest ->
+            (if List.mem i scripts then [] else [ col ])
+            @ starts (i + 1) (col + String.length w + 1) rest
+        in
+        let starts = starts 0 1 c.sc_words in
         let predicted =
           List.filter
             (fun d ->
-              d.Tcl.Lint.line = line && own d.Tcl.Lint.col
+              d.Tcl.Lint.line = line
+              && List.mem d.Tcl.Lint.col starts
               && d.Tcl.Lint.severity = Tcl.Lint.Error
-              && List.mem d.Tcl.Lint.pass [ "arity"; "subcommand"; "widget" ])
+              && List.mem d.Tcl.Lint.pass
+                   [ "arity"; "subcommand"; "widget"; "options" ])
             (lint probe src)
         in
         let _, app = fresh_app () in
@@ -480,7 +491,7 @@ let lint_matches_runtime () =
           if not (status = Tcl.Interp.Tcl_error && msg = expected) then
             fail "lint %S, runtime %S" expected msg
         | [] when not c.sc_in_bounds ->
-          fail "count out of bounds, lint silent, runtime %S" msg
+          fail "lint silent on a misshapen call, runtime %S" msg
         | [] ->
           if status = Tcl.Interp.Tcl_error && starts_with "wrong # args" msg
           then
@@ -540,6 +551,27 @@ let shared_message_tests =
         | found ->
           Alcotest.failf "expected one diagnostic, got: %s"
             (String.concat " | " found) );
+    ( "switch and nested-table errors match the runtime word for word",
+      fun () ->
+        List.iter
+          (fun (setup, call) ->
+            let _, app = fresh_app () in
+            ignore (run app setup);
+            let runtime = run_err app call in
+            match messages (lint app (setup ^ "\n" ^ call)) with
+            | [ linted ] -> check_string call runtime linted
+            | found ->
+              Alcotest.failf "%s: expected one diagnostic, got: %s" call
+                (String.concat " | " found))
+          [
+            ("", "send -foo a b");
+            ("", "interp create -x");
+            ("", "lsort -foo {3 1 2}");
+            ("", "lsearch -regexp {a b} a");
+            ("", "regsub -foo a b c d");
+            ("listbox .l", ".l select bogus 1");
+            ("menu .m", ".m add bogus");
+          ] );
     ( "every signature's arity and subcommand errors match the runtime",
       lint_matches_runtime );
   ]

@@ -705,6 +705,56 @@ let regexp_tests =
        Alcotest.(check string) "unchanged" "abc" (run tcl "set out"));
     ("regsub nocase preserves original case elsewhere",
      check_eval "regsub -nocase ABC {xxAbCyy} Z out; set out" "xxZyy");
+    ("regsub -nocase matches folded text and copies the original",
+     fun () ->
+       (* pattern subject template: count and result with -all -nocase,
+          then with -nocase alone *)
+       List.iter
+         (fun (args, all, first) ->
+           let sub flags =
+             run_fresh
+               (Printf.sprintf "list [regsub %s %s out] $out" flags args)
+           in
+           Alcotest.(check string) ("-all -nocase " ^ args) all
+             (sub "-all -nocase");
+           Alcotest.(check string) ("-nocase " ^ args) first (sub "-nocase"))
+         [
+           ("a* BaAb -", "4 -B--b-", "1 -BaAb");
+           ("(b)(A) xBaBAy {<\\2\\1&>}", "2 x<aBBa><ABBA>y", "1 x<aBBa>BAy");
+           ("x XxX {[&]}", "3 {[X][x][X]}", "1 {[X]xX}");
+           ("{} Ab .", "3 .A.b.", "1 .Ab");
+         ]);
+    ("-- ends regexp's switches", check_eval "regexp -- -x -x" "1");
+    ("a word that only starts with a dash stays a value",
+     fun () ->
+       List.iter
+         (fun (script, expected) ->
+           Alcotest.(check string) script expected (run_fresh script))
+         [
+           ("regexp -x -x", "1");
+           ("lsearch -1 x", "-1");
+           ("lsort -1", "-1");
+           ("glob -nocomplain -- -nomatch*", "");
+         ]);
+    ("an undeclared switch is named from the declaration",
+     fun () ->
+       List.iter
+         (fun (script, expected) ->
+           Alcotest.(check string) script expected
+             (expect_error (new_interp ()) script))
+         [
+           ("lsort -foo {3 1 2}",
+            "bad option \"-foo\": should be -ascii, -integer, -real, \
+             -increasing, or -decreasing");
+           ("lsearch -regexp {a b} a",
+            "bad option \"-regexp\": should be -exact or -glob");
+           ("regsub -foo a b c d",
+            "bad option \"-foo\": should be -all, -nocase, or --");
+           ("regexp -all a a",
+            "bad option \"-all\": should be -nocase, -indices, or --");
+           ("interp create -x", "bad option \"-x\": should be -safe or --");
+           ("interp cancel -x", "bad option \"-x\": should be -unwind");
+         ]);
     ("case command matches glob patterns",
      check_eval "case abc in {a*} {set r first} {b*} {set r second}; set r" "first");
     ("case default",
@@ -734,7 +784,7 @@ let regexp_literal_prop =
         let rec go i = i + np <= ns && (String.sub s i np = pattern || go (i + 1)) in
         go 0
       in
-      match Tcl.Regexp.compile pattern with
+      match Tcl.Regexp.compile ~nocase:false pattern with
       | Ok re -> Tcl.Regexp.matches re s = naive
       | Error _ -> false)
 
@@ -742,7 +792,7 @@ let regexp_star_prop =
   QCheck.Test.make ~name:"c* matches everywhere" ~count:200
     QCheck.(string_gen_of_size (Gen.int_bound 10) (Gen.char_range 'a' 'b'))
     (fun s ->
-      match Tcl.Regexp.compile "a*" with
+      match Tcl.Regexp.compile ~nocase:false "a*" with
       | Ok re -> Tcl.Regexp.matches re s
       | Error _ -> false)
 
@@ -751,7 +801,7 @@ let regsub_identity_prop =
     QCheck.(string_gen_of_size (Gen.int_bound 12) (Gen.char_range 'a' 'c'))
     (fun s ->
       QCheck.assume (String.length s > 0);
-      match Tcl.Regexp.compile "[a-c]" with
+      match Tcl.Regexp.compile ~nocase:false "[a-c]" with
       | Ok re ->
         let out, _ = Tcl.Regexp.replace re s ~template:"&" ~all:true in
         out = s
