@@ -1269,7 +1269,7 @@ let emit_json ~path ~smoke =
     J_obj
       [
         ("benchmark", J_string "tk-repro");
-        ("pr", J_int 28);
+        ("pr", J_int 29);
         ("mode", J_string (if smoke then "smoke" else "full"));
         ( "table2",
           J_obj

@@ -606,8 +606,16 @@ let set_var t name value =
         | Some cell -> Tval.set_string cell value
         | None -> frame.lcells.(i) <- Some (Tval.of_string value))))
 
+(* Unsetting a link unsets the variable it names and keeps the link, as
+   Tcl's upvar and global do: a later write through it sets that
+   variable again. *)
 let unset_var t name =
   let frame = current_frame t in
+  let frame, name =
+    match Hashtbl.find_opt frame.vars name with
+    | Some (Link (f, n)) -> resolve f n
+    | _ -> (frame, name)
+  in
   match split_array_name name with
   | Some (base, idx) -> (
     let frame, base = resolve frame base in
@@ -616,44 +624,10 @@ let unset_var t name =
       Hashtbl.remove h idx;
       true
     | _ -> false)
-  | None when (match Hashtbl.find_opt frame.vars name with
-              | Some (Link _) -> (
-                match resolve frame name with
-                | _, resolved -> split_array_name resolved <> None)
-              | _ -> false) ->
-    (* A link to an array element: unset the element, drop the link. *)
-    let tframe, target = resolve frame name in
-    Hashtbl.remove frame.vars name;
-    bump_fgen frame;
-    (match split_array_name target with
-    | Some (base, idx) -> (
-      let bframe, base = resolve tframe base in
-      match Hashtbl.find_opt bframe.vars base with
-      | Some (Array_var h) -> Hashtbl.remove h idx
-      | _ -> ())
-    | None -> ());
-    true
   | None ->
-    (* Remove the link itself if the local name is a link; otherwise remove
-       the resolved variable. *)
     if Hashtbl.mem frame.vars name then begin
-      (match Hashtbl.find_opt frame.vars name with
-      | Some (Link (f, n)) ->
-        Hashtbl.remove frame.vars name;
-        bump_fgen frame;
-        let f, n = resolve f n in
-        if Hashtbl.mem f.vars n then begin
-          Hashtbl.remove f.vars n;
-          bump_fgen f
-        end
-        else (
-          match local_slot f n with
-          | i when i >= 0 -> f.lcells.(i) <- None
-          | _ -> ())
-      | Some _ ->
-        Hashtbl.remove frame.vars name;
-        bump_fgen frame
-      | None -> ());
+      Hashtbl.remove frame.vars name;
+      bump_fgen frame;
       true
     end
     else (

@@ -14,10 +14,11 @@
    - "arity": against the registry's usage strings, so lint prints
      exactly the "wrong # args: should be ..." message the runtime
      would, and against script-defined proc formals;
-   - "dataflow": per-proc def/use (honoring global/upvar/foreach/catch
-     writes) flagging variables that may be read before being set —
-     including interprocedurally, through literal-upvar summaries of
-     called procedures;
+   - "dataflow": per-proc def/use flagging variables that may be read
+     before being set — including interprocedurally, through
+     literal-upvar summaries of called procedures.  One table
+     ([effect]) says which variables each call sets, reads first or
+     links; the def/use pass, loop havoc and the summaries all read it;
    - "deadcode": code after an unconditional return/break/continue/
      error/exit, after a constant-true [while]/[for], and skipped
      constant-false branches;
@@ -274,12 +275,58 @@ let regexp_first_var cmd =
   | exception Interp.Usage -> 3
 
 (* ------------------------------------------------------------------ *)
+(* The passes that need no control flow (the pre-pass, loop havoc and
+   upvar summaries) see a program through one visitor.  It reaches every
+   command: in [...] substitutions and in every literal word that looks
+   like a script, data braces included, down to [max_depth] levels.
+   What data braces add to the pre-pass and to loop havoc only
+   suppresses diagnostics. *)
+
+let max_depth = 20
+
+let scripty s =
+  String.contains s '\n' || String.contains s ';' || String.contains s '['
+  || String.contains s ' '
+
+(* [cmd ~soft c] sees each command, [soft] inside a [catch], and returns
+   false to skip the command's words; [var ~soft name] sees each
+   [$name] read.  Returns false when the program nests deeper than
+   [max_depth] and was cut there. *)
+let visit ?(var = fun ~soft:_ _ -> ()) cmd prog =
+  let whole = ref true in
+  let rec program depth soft prog =
+    if depth > max_depth then whole := false
+    else List.iter (command depth soft) prog
+  and command depth soft (c : Compile.command) =
+    if cmd ~soft c then
+      let soft =
+        match c.words with Compile.W_lit "catch" :: _ -> true | _ -> soft
+      in
+      List.iter
+        (function
+          | Compile.W_lit s ->
+            if scripty s then program (depth + 1) soft (Compile.compile s)
+          | Compile.W_parts ps | Compile.W_fail (ps, _) -> parts depth soft ps)
+        c.words
+  and parts depth soft ps =
+    List.iter
+      (function
+        | Compile.Lit _ -> ()
+        | Compile.Var v -> var ~soft v
+        | Compile.Var_idx (v, idx) ->
+          var ~soft v;
+          parts depth soft idx
+        | Compile.Cmd prog -> program (depth + 1) soft prog)
+      ps
+  in
+  program 0 false prog;
+  !whole
+
+(* ------------------------------------------------------------------ *)
 (* Pre-pass: collect proc definitions (and literal bodies), widget
-   creations, rename and alias targets anywhere in the program (any
-   nesting), so pass 1 can suppress unknown-command reports for names
-   the script itself provides.  The pre-pass descends into *every*
-   braced word — over-collecting from data braces only ever suppresses
-   diagnostics, never invents them. *)
+   creations, rename and alias targets anywhere in the program, so pass
+   1 can suppress unknown-command reports for names the script itself
+   provides. *)
 
 let record_proc ctx name formals =
   let info =
@@ -308,59 +355,40 @@ let record_proc ctx name formals =
   | Some (Some _) -> if info <> None then Hashtbl.replace ctx.procs name info
   | _ -> Hashtbl.replace ctx.procs name info
 
-let rec prepass ctx depth (prog : Compile.program) =
-  if depth > 20 then ()
-  else
-    List.iter
-      (fun (cmd : Compile.command) ->
-        (match cmd.words with
-        | Compile.W_lit "proc" :: Compile.W_lit name :: Compile.W_lit formals
-          :: rest ->
-          record_proc ctx name formals;
-          (match rest with
-          | [ Compile.W_lit body ] ->
-            if not (Hashtbl.mem ctx.bodies name) then
-              Hashtbl.add ctx.bodies name body
-          | _ -> ())
-        | Compile.W_lit "rename" :: _ :: Compile.W_lit newname :: _ ->
-          Hashtbl.replace ctx.extra newname ()
-        | Compile.W_lit "interp" :: Compile.W_lit "alias" :: _path
-          :: Compile.W_lit src :: rest
-          when src <> "" ->
-          Hashtbl.replace ctx.extra src ();
-          (match rest with
-          | _tpath :: Compile.W_lit target :: _
-            when List.mem target Interp_cmd.unsafe_commands ->
-            Hashtbl.replace ctx.aliases_cap src target
-          | _ -> ())
-        | Compile.W_lit creator :: Compile.W_lit path :: _
-          when starts_with "." path -> (
-          match Interp.signature_of ctx.interp creator with
-          | Some { Interp.sig_widget = Some ws; _ } ->
-            if not (Hashtbl.mem ctx.created path) then
-              Hashtbl.replace ctx.created path (Some ws)
-          | _ -> ())
-        | _ -> ());
-        List.iter
-          (fun w ->
-            match w with
-            | Compile.W_lit s ->
-              if String.contains s '\n' || String.contains s ';'
-                 || String.contains s '[' || String.contains s ' '
-              then prepass ctx (depth + 1) (Compile.compile s)
-            | Compile.W_parts parts | Compile.W_fail (parts, _) ->
-              prepass_parts ctx depth parts)
-          cmd.words)
-      prog
-
-and prepass_parts ctx depth parts =
-  List.iter
-    (fun p ->
-      match p with
-      | Compile.Lit _ | Compile.Var _ -> ()
-      | Compile.Var_idx (_, idx) -> prepass_parts ctx depth idx
-      | Compile.Cmd prog -> prepass ctx (depth + 1) prog)
-    parts
+let prepass ctx prog =
+  ignore
+    (visit
+       (fun ~soft:_ (cmd : Compile.command) ->
+         (match cmd.words with
+         | Compile.W_lit "proc" :: Compile.W_lit name :: Compile.W_lit formals
+           :: rest ->
+           record_proc ctx name formals;
+           (match rest with
+           | [ Compile.W_lit body ] ->
+             if not (Hashtbl.mem ctx.bodies name) then
+               Hashtbl.add ctx.bodies name body
+           | _ -> ())
+         | Compile.W_lit "rename" :: _ :: Compile.W_lit newname :: _ ->
+           Hashtbl.replace ctx.extra newname ()
+         | Compile.W_lit "interp" :: Compile.W_lit "alias" :: _path
+           :: Compile.W_lit src :: rest
+           when src <> "" ->
+           Hashtbl.replace ctx.extra src ();
+           (match rest with
+           | _tpath :: Compile.W_lit target :: _
+             when List.mem target Interp_cmd.unsafe_commands ->
+             Hashtbl.replace ctx.aliases_cap src target
+           | _ -> ())
+         | Compile.W_lit creator :: Compile.W_lit path :: _
+           when starts_with "." path -> (
+           match Interp.signature_of ctx.interp creator with
+           | Some { Interp.sig_widget = Some ws; _ } ->
+             if not (Hashtbl.mem ctx.created path) then
+               Hashtbl.replace ctx.created path (Some ws)
+           | _ -> ())
+         | _ -> ());
+         true)
+       prog)
 
 (* ------------------------------------------------------------------ *)
 (* Dataflow primitives *)
@@ -421,89 +449,87 @@ let command_candidates ctx =
 let uncheckable_name name =
   name = "" || String.contains name '%' || name.[0] = '$'
 
-let scripty s =
-  String.contains s '\n' || String.contains s ';' || String.contains s '['
-  || String.contains s ' '
+(* ------------------------------------------------------------------ *)
+(* What a call does to the variables its words name: the one table the
+   def/use pass, loop havoc and upvar summaries read.  Each list holds
+   word indices. *)
+
+type effect = {
+  sets : int list;  (* variables the call may set *)
+  reads : int list;  (* variables it reads first: unset is an error *)
+  links : int list;  (* local names it links to other variables *)
+  any : bool;
+      (* it may touch any variable: the event loop runs handlers,
+         [uplevel] and [eval] run unseen scripts, and a script-defined
+         proc may upvar into its caller *)
+}
+
+let no_effect = { sets = []; reads = []; links = []; any = false }
+let any_effect = { no_effect with any = true }
+
+let words_from i n = List.init (max 0 (n - i + 1)) (fun k -> i + k)
+
+(* upvar ?level? otherVar localVar ...: the runtime takes a level only
+   when pairs follow it, so a call with an odd number of arguments has
+   one.  The index of the first otherVar. *)
+let upvar_first_other cmd = if nargs cmd mod 2 = 1 then 2 else 1
+
+let effect ctx (cmd : Compile.command) =
+  let n = nargs cmd in
+  let sets l = { no_effect with sets = l } in
+  match lit_arg cmd 0 with
+  | None -> any_effect (* a dynamic command name *)
+  | Some name when name <> "" && name.[0] = '$' -> any_effect
+  | Some name when uncheckable_name name || starts_with "." name -> no_effect
+  | Some "set" when n >= 2 -> sets [ 1 ]
+  | Some "set" -> { no_effect with reads = [ 1 ] }
+  | Some ("append" | "lappend") -> sets [ 1 ]
+  | Some "incr" -> { no_effect with sets = [ 1 ]; reads = [ 1 ] }
+  | Some "unset" ->
+    let all = words_from 1 n in
+    { no_effect with sets = all; reads = all }
+  | Some "global" -> { no_effect with links = words_from 1 n }
+  | Some "upvar" ->
+    let first = upvar_first_other cmd in
+    {
+      no_effect with
+      links = List.init ((n - first + 1) / 2) (fun k -> first + 1 + (2 * k));
+    }
+  | Some "foreach" when n = 3 -> sets [ 1 ]
+  | Some ("catch" | "gets") when n = 2 -> sets [ 2 ]
+  | Some "scan" -> sets (words_from 3 n)
+  | Some "regexp" -> sets (words_from (regexp_first_var cmd) n)
+  | Some "regsub" when n >= 4 -> sets [ n ]
+  | Some ("update" | "tkwait" | "uplevel" | "eval") -> any_effect
+  | Some name ->
+    (* An unknown command is a runtime error unless an [unknown]
+       handler exists, so only then may it touch anything. *)
+    if
+      Hashtbl.mem ctx.procs name
+      || (ctx.suppress_unknown && not (known_command ctx name))
+    then any_effect
+    else no_effect
 
 (* Over-approximate the set of variables a script may write, for
    havocking the kind table around loop bodies and deferred scripts.
-   [all] covers upvar/uplevel, event-loop reentry ([vwait]/[update]) and
-   calls into script-defined procs (which may upvar into us).  Unknown
-   commands are runtime errors unless an [unknown] handler exists, so
-   they only havoc everything in that case.  Over-adding names from
-   data braces is harmless — a havoc only loses precision. *)
-let rec writes_of_prog ctx depth tbl all (prog : Compile.program) =
-  if depth > 10 then all := true
-  else
-    List.iter
-      (fun (cmd : Compile.command) ->
-        let n = nargs cmd in
-        let add i =
-          match lit_arg cmd i with
-          | Some v -> Hashtbl.replace tbl (var_base v) ()
-          | None -> all := true
-        in
-        (match lit_arg cmd 0 with
-        | None -> all := true
-        | Some name when name <> "" && name.[0] = '$' -> all := true
-        | Some name when uncheckable_name name || starts_with "." name -> ()
-        | Some name -> (
-          match name with
-          | "set" | "append" | "lappend" | "incr" -> add 1
-          | "unset" | "global" | "variable" ->
-            for i = 1 to n do
-              add i
-            done
-          | "foreach" ->
-            let rec go i =
-              if i + 1 <= n then begin
-                add i;
-                go (i + 2)
-              end
-            in
-            go 1
-          | "catch" -> if n >= 2 then add 2
-          | "gets" -> if n >= 2 then add 2
-          | "scan" ->
-            for i = 3 to n do
-              add i
-            done
-          | "regexp" ->
-            for i = regexp_first_var cmd to n do
-              add i
-            done
-          | "regsub" -> if n >= 4 then add n
-          | "array" -> if n >= 2 then add 2
-          | "vwait" | "update" | "tkwait" | "upvar" | "uplevel" | "eval" ->
-            all := true
-          | _ ->
-            if Hashtbl.mem ctx.procs name then all := true
-            else if ctx.suppress_unknown && not (known_command ctx name) then
-              all := true));
-        List.iter
-          (fun w ->
-            match w with
-            | Compile.W_lit s ->
-              if scripty s then
-                writes_of_prog ctx (depth + 1) tbl all (Compile.compile s)
-            | Compile.W_parts parts | Compile.W_fail (parts, _) ->
-              writes_of_parts ctx depth tbl all parts)
-          cmd.words)
-      prog
-
-and writes_of_parts ctx depth tbl all parts =
-  List.iter
-    (fun p ->
-      match p with
-      | Compile.Lit _ | Compile.Var _ -> ()
-      | Compile.Var_idx (_, idx) -> writes_of_parts ctx depth tbl all idx
-      | Compile.Cmd prog -> writes_of_prog ctx (depth + 1) tbl all prog)
-    parts
-
+   A havoc only loses precision. *)
 let writes_of ctx prog =
   let tbl = Hashtbl.create 8 and all = ref false in
-  writes_of_prog ctx 0 tbl all prog;
-  (tbl, !all)
+  let whole =
+    visit
+      (fun ~soft:_ cmd ->
+        let e = effect ctx cmd in
+        if e.any then all := true;
+        List.iter
+          (fun i ->
+            match lit_arg cmd i with
+            | Some v -> Hashtbl.replace tbl (var_base v) ()
+            | None -> all := true)
+          (e.sets @ e.links);
+        true)
+      prog
+  in
+  (tbl, !all || not whole)
 
 let merge_writes (t1, a1) (t2, a2) =
   Hashtbl.iter (fun k () -> Hashtbl.replace t1 k ()) t2;
@@ -569,91 +595,48 @@ let summary_of ctx name =
       | Some body, Some (Some info) ->
         let pairs = ref [] in
         let reads = Hashtbl.create 4 and writes = Hashtbl.create 4 in
-        let rec scan depth ~soft (prog : Compile.program) =
-          if depth > 10 then ()
-          else
-            List.iter
-              (fun (cmd : Compile.command) ->
-                if lit_arg cmd 0 <> Some "proc" then begin
-                  (match cmd.words with
-                  | Compile.W_lit "upvar" :: rest ->
-                    (* Only level-1 (explicit or implicit) links target
-                       the direct caller. *)
-                    let rest_ok =
-                      match rest with
-                      | Compile.W_lit lvl :: tl
-                        when lvl <> ""
-                             && (lvl.[0] = '#' || int_of_string_opt lvl <> None)
-                        ->
-                        if lvl = "1" then Some tl else None
-                      | tl -> Some tl
-                    in
-                    (match rest_ok with
-                    | None -> ()
-                    | Some rest ->
-                      let rec pairup = function
-                        | other :: Compile.W_lit local :: tl ->
-                          (match other with
-                          | Compile.W_lit o when o <> "" ->
-                            pairs := (Ulit o, local) :: !pairs
-                          | Compile.W_parts [ Compile.Var v ] -> (
-                            match index_of_formal info v with
-                            | Some j -> pairs := (Uformal j, local) :: !pairs
-                            | None -> ())
-                          | _ -> ());
-                          pairup tl
-                        | _ -> ()
-                      in
-                      pairup rest)
-                  | _ -> ());
-                  (match lit_arg cmd 0 with
-                  | Some ("set" | "append" | "lappend" | "foreach") -> (
-                    match lit_arg cmd 1 with
-                    | Some v -> Hashtbl.replace writes (var_base v) ()
-                    | None -> ())
-                  | Some "catch" when nargs cmd >= 2 -> (
-                    match lit_arg cmd 2 with
-                    | Some v -> Hashtbl.replace writes (var_base v) ()
-                    | None -> ())
-                  | Some "gets" when nargs cmd >= 2 -> (
-                    match lit_arg cmd 2 with
-                    | Some v -> Hashtbl.replace writes (var_base v) ()
-                    | None -> ())
-                  | Some "incr" -> (
-                    match lit_arg cmd 1 with
-                    | Some v ->
-                      if not soft then Hashtbl.replace reads (var_base v) ()
-                    | None -> ())
-                  | _ -> ());
-                  let soft' = soft || lit_arg cmd 0 = Some "catch" in
-                  let rec parts_reads ~soft parts =
-                    List.iter
-                      (fun p ->
-                        match p with
-                        | Compile.Lit _ -> ()
-                        | Compile.Var v ->
-                          if not soft then
-                            Hashtbl.replace reads (var_base v) ()
-                        | Compile.Var_idx (v, idx) ->
-                          if not soft then
-                            Hashtbl.replace reads (var_base v) ();
-                          parts_reads ~soft idx
-                        | Compile.Cmd prog -> scan (depth + 1) ~soft prog)
-                      parts
-                  in
-                  List.iter
-                    (fun w ->
-                      match w with
-                      | Compile.W_lit s ->
-                        if scripty s then
-                          scan (depth + 1) ~soft:soft' (Compile.compile s)
-                      | Compile.W_parts parts | Compile.W_fail (parts, _) ->
-                        parts_reads ~soft:soft' parts)
-                    cmd.words
-                end)
-              prog
+        let note tbl i cmd =
+          match lit_arg cmd i with
+          | Some v -> Hashtbl.replace tbl (var_base v) ()
+          | None -> ()
         in
-        scan 0 ~soft:false (Compile.compile body);
+        let summarize ~soft (cmd : Compile.command) =
+          let e = effect ctx cmd in
+          (* A variable the call reads first counts as read: the caller
+             must have set it. *)
+          if not soft then List.iter (fun i -> note reads i cmd) e.reads;
+          List.iter
+            (fun i -> if not (List.mem i e.reads) then note writes i cmd)
+            e.sets;
+          (* Only level-1 (explicit or implicit) links target the direct
+             caller. *)
+          match cmd.words with
+          | Compile.W_lit "upvar" :: level :: _
+            when upvar_first_other cmd = 1 || level = Compile.W_lit "1" ->
+            List.iter
+              (fun i ->
+                match (List.nth cmd.words (i - 1), lit_arg cmd i) with
+                | Compile.W_lit o, Some local when o <> "" ->
+                  pairs := (Ulit o, local) :: !pairs
+                | Compile.W_parts [ Compile.Var v ], Some local -> (
+                  match index_of_formal info v with
+                  | Some j -> pairs := (Uformal j, local) :: !pairs
+                  | None -> ())
+                | _ -> ())
+              e.links
+          | _ -> ()
+        in
+        ignore
+          (visit
+             ~var:(fun ~soft v ->
+               if not soft then Hashtbl.replace reads (var_base v) ())
+             (fun ~soft cmd ->
+               match cmd.words with
+               | Compile.W_lit "proc" :: _ -> false
+               | _ ->
+                 summarize ~soft cmd;
+                 true)
+             (Compile.compile body));
         List.filter_map
           (fun (target, local) ->
             let r = Hashtbl.mem reads local
@@ -736,15 +719,13 @@ and walk_command ctx usrc origin wc (cmd : Compile.command) : wres =
             Callgraph.add_call ctx.cg ~from:wc.node ~callee:name
               ~file:ctx.cur_file ~off ~cond:(wc.cond || wc.dead);
           capability ctx wc off name;
-          let r =
-            match Interp.signature_of ctx.interp name with
-            | Some s -> apply_signature ctx usrc origin wc cmd name s
-            | None ->
-              check_script_proc ctx origin wc cmd name;
-              nores
-          in
-          apply_effects ctx usrc origin wc cmd name;
-          r
+          (* Effects first: a loop variable is set before its body runs. *)
+          apply_effects ctx origin wc cmd name;
+          match Interp.signature_of ctx.interp name with
+          | Some s -> apply_signature ctx usrc origin wc cmd name s
+          | None ->
+            check_script_proc ctx origin wc cmd name;
+            nores
         end
   in
   match lit_arg cmd 0 with
@@ -820,43 +801,45 @@ and walk_parts ctx usrc origin wc off parts =
       | Compile.Cmd prog -> ignore (walk ctx usrc origin wc prog))
     parts
 
-(* Abstractly evaluate a literal condition or [expr] argument.  Reads
-   consult the kind table and feed the dataflow pass; bracketed
-   command substitutions are walked (conditionally — the runtime may
-   short-circuit past them).  Returns the constant truth of the
-   condition if proven; reports a guaranteed runtime failure unless
-   the context is soft or dead.  [effects] is set when an embedded
-   command script was walked (its writes have mutated the kind table,
-   so snapshot-restoring callers must re-havoc). *)
-and fold_condition ctx usrc origin ?(effects = ref false) wc cmd i =
-  ignore usrc;
+(* Abstractly evaluate expression text at [off], and read a verdict [f]
+   off its kind.  Reads consult the kind table and feed the dataflow
+   pass; bracketed command substitutions are walked (conditionally —
+   the runtime may short-circuit past them).  A guaranteed runtime
+   failure is reported unless the context is soft or dead.  [effects]
+   is set when an embedded command script was walked (its writes have
+   mutated the kind table, so snapshot-restoring callers must
+   re-havoc). *)
+and fold_expr ctx ?(effects = ref false) wc off text f =
+  match Expr.parse text with
+  | Error _ -> None
+  | Ok ast -> (
+    let hooks =
+      {
+        Absint.lookup = (fun u -> kind_get wc u);
+        note_use =
+          (fun ~soft u -> use ctx wc.scope ~soft:(wc.soft || soft) off u);
+        eval_cmd =
+          (fun ~soft s' ->
+            effects := true;
+            ignore
+              (walk ctx s' off
+                 { wc with soft = wc.soft || soft; cond = true }
+                 (Compile.compile s')));
+      }
+    in
+    match f (Absint.eval_ast hooks ast) with
+    | r -> r
+    | exception Absint.Guaranteed msg ->
+      if not (wc.soft || wc.dead) then
+        report ctx off Error ~pass:"absint" "%s" msg;
+      None)
+
+(* The constant truth of a literal condition word, if proven. *)
+and fold_condition ctx origin ?effects wc cmd i =
   match lit_arg cmd i with
   | None -> None
-  | Some s -> (
-    let off = origin + word_off cmd i in
-    match Expr.parse s with
-    | Error _ -> None
-    | Ok ast -> (
-      let hooks =
-        {
-          Absint.lookup = (fun u -> kind_get wc u);
-          note_use =
-            (fun ~soft u -> use ctx wc.scope ~soft:(wc.soft || soft) off u);
-          eval_cmd =
-            (fun ~soft s' ->
-              effects := true;
-              ignore
-                (walk ctx s' off
-                   { wc with soft = wc.soft || soft; cond = true }
-                   (Compile.compile s')));
-        }
-      in
-      match Absint.truthy (Absint.eval_ast hooks ast) with
-      | r -> r
-      | exception Absint.Guaranteed msg ->
-        if not (wc.soft || wc.dead) then
-          report ctx off Error ~pass:"absint" "%s" msg;
-        None))
+  | Some s ->
+    fold_expr ctx ?effects wc (origin + word_off cmd i) s Absint.truthy
 
 (* Arity of a proc defined by the script under analysis, reported with
    the interpreter's own messages; valid calls feed the upvar summary. *)
@@ -898,10 +881,8 @@ and apply_upvar_site ctx origin wc cmd name =
         ()
       | Some x -> (
         let base = var_base x in
-        if u.u_write then begin
-          define wc.scope base;
-          Hashtbl.remove wc.kinds base
-        end
+        (* The call emptied the kind table: a proc may touch anything. *)
+        if u.u_write then define wc.scope base
         else if u.u_read then
           match wc.scope with
           | Top -> ()
@@ -1066,7 +1047,7 @@ and walk_structure ctx usrc origin wc cmd name s : wres =
   | "while" -> (
     let w = writes_arg 2 in
     havoc wc w;
-    match fold_condition ctx usrc origin wc cmd 1 with
+    match fold_condition ctx origin wc cmd 1 with
     | Some false -> nores (* body never runs *)
     | Some true ->
       let r = warg { wc with cond = true } 2 in
@@ -1081,7 +1062,7 @@ and walk_structure ctx usrc origin wc cmd name s : wres =
     ignore (warg wc 1);
     let w = merge_writes (writes_arg 4) (writes_arg 3) in
     havoc wc w;
-    match fold_condition ctx usrc origin wc cmd 2 with
+    match fold_condition ctx origin wc cmd 2 with
     | Some false -> nores
     | Some true ->
       let r = warg { wc with cond = true } 4 in
@@ -1094,53 +1075,38 @@ and walk_structure ctx usrc origin wc cmd name s : wres =
       ignore (warg { wc with cond = true } 3);
       havoc wc w;
       { nores with esc = r.esc })
-  | "foreach" ->
-    (match lit_arg cmd 1 with Some v -> define wc.scope v | None -> ());
-    if n >= 3 && n mod 2 = 1 then begin
-      let w = writes_arg n in
-      havoc wc w;
-      (* Element kinds for the one-variable form: the loop variable is
-         always one of the literal list's elements, so it gets their
-         join — before the body (any iteration) and after it (the last
-         one), unless the body itself writes it. *)
-      let simple =
-        if n = 3 then
-          match (lit_arg cmd 1, lit_arg cmd 2) with
-          | Some v, Some lst
-            when v <> ""
-                 && (not (String.contains v ' '))
-                 && not (String.contains v '(') -> (
-            match Tcl_list.parse lst with
-            | Ok (_ :: _ as elems) ->
-              let jv =
-                List.fold_left
-                  (fun acc e -> Absint.join acc (Absint.Vconst e))
-                  Absint.Vbot elems
-              in
-              kind_set wc v jv;
-              Some (v, jv)
-            | _ ->
-              Hashtbl.remove wc.kinds v;
-              None)
-          | Some v, _ ->
-            Hashtbl.remove wc.kinds (var_base v);
-            None
-          | None, _ -> None
-        else begin
-          (match lit_arg cmd 1 with
-          | Some v -> Hashtbl.remove wc.kinds (var_base v)
-          | None -> ());
-          None
-        end
-      in
-      let r = warg { wc with cond = true } n in
-      havoc wc w;
-      (match simple with
-      | Some (v, jv) when not (writes_member w v) -> kind_set wc v jv
-      | _ -> ());
-      { nores with esc = r.esc }
-    end
-    else nores
+  | "foreach" when n = 3 ->
+    let w = writes_arg 3 in
+    havoc wc w;
+    (* Element kinds: the loop variable is always one of the literal
+       list's elements, so it gets their join — before the body (any
+       iteration) and after it (the last one), unless the body itself
+       writes it. *)
+    let simple =
+      match (lit_arg cmd 1, lit_arg cmd 2) with
+      | Some v, Some lst
+        when v <> ""
+             && (not (String.contains v ' '))
+             && not (String.contains v '(') -> (
+        match Tcl_list.parse lst with
+        | Ok (_ :: _ as elems) ->
+          let jv =
+            List.fold_left
+              (fun acc e -> Absint.join acc (Absint.Vconst e))
+              Absint.Vbot elems
+          in
+          kind_set wc v jv;
+          Some (v, jv)
+        | _ -> None)
+      | _ -> None
+    in
+    let r = warg { wc with cond = true } 3 in
+    havoc wc w;
+    (match simple with
+    | Some (v, jv) when not (writes_member w v) -> kind_set wc v jv
+    | _ -> ());
+    { nores with esc = r.esc }
+  | "foreach" -> nores
   | "catch" ->
     (* The body is often *expected* to fail (catch {unset x} is the
        idiom for "forget x if set"), so record its writes but keep its
@@ -1219,7 +1185,7 @@ and walk_if ctx usrc origin wc cmd arms els =
   let rec go = function
     | [] -> ( match els with Some bi -> warg wc bi | None -> nores)
     | (ci, bi) :: rest -> (
-      match fold_condition ctx usrc origin wc cmd ci with
+      match fold_condition ctx origin wc cmd ci with
       | Some true -> warg wc bi
       | Some false -> go rest
       | None -> unfolded ((ci, bi) :: rest))
@@ -1238,7 +1204,7 @@ and walk_if ctx usrc origin wc cmd arms els =
              false — fold them softly, for their reads and embedded
              scripts. *)
           ignore
-            (fold_condition ctx usrc origin ~effects { wc with soft = true }
+            (fold_condition ctx origin ~effects { wc with soft = true }
                cmd ci);
           restore ()
         end;
@@ -1346,183 +1312,95 @@ and walk_widget_call ctx origin cmd path =
           check_option_pairs ctx origin cmd ~start:2 ws.Interp.ws_options
         | _ -> ())))
 
-(* Variable def/use effects of the commands that touch variables, plus
-   their effect on the kind table and the constant-folding checks that
-   hang off it. *)
-and apply_effects ctx usrc origin wc cmd name =
+(* A call's effect on variables, from the one table, plus the kind
+   table's own rules and the constant-folding checks that hang off it.
+   The kind a call leaves in its variable is read before its effects
+   clear the table. *)
+and apply_effects ctx origin wc cmd name =
   let n = nargs cmd in
   let arg = lit_arg cmd in
   let off i = origin + word_off cmd i in
-  let define_arg i =
-    match arg i with Some v -> define wc.scope v | None -> ()
-  in
-  let use_arg i =
-    match arg i with
-    | Some v -> use ctx wc.scope ~soft:wc.soft (off i) v
-    | None -> ()
-  in
-  let clear_arg i =
-    match arg i with
-    | Some v -> Hashtbl.remove wc.kinds (var_base v)
-    | None -> ()
-  in
   let live = not (wc.soft || wc.dead) in
-  match name with
-  | "set" ->
-    if n >= 2 then begin
-      define_arg 1;
-      match arg 1 with
+  let result_kind =
+    match name with
+    | "set" when n >= 2 -> (
+      match List.nth_opt cmd.words 2 with
+      | Some (Compile.W_lit s) -> Some (Absint.Vconst s)
+      | Some (Compile.W_parts [ Compile.Var u ]) -> Some (kind_get wc u)
+      | Some (Compile.W_parts [ Compile.Cmd [ c ] ]) -> (
+        match expr_ast_of c with
+        | Some ast -> Some (Absint.eval_quiet (fun u -> kind_get wc u) ast)
+        | None -> None)
+      | _ -> None)
+    | "incr" ->
+      (match arg 1 with
+      | Some v -> (
+        match Hashtbl.find_opt wc.kinds (var_base v) with
+        | Some (Absint.Vconst c)
+          when int_of_string_opt (String.trim c) = None && live ->
+          report ctx (off 1) Error ~pass:"absint"
+            "expected integer but got \"%s\" (reading value of variable \"%s\" \
+             to increment)"
+            c v
+        | _ -> ())
+      | None -> ());
+      (match arg 2 with
+      | Some inc when int_of_string_opt (String.trim inc) = None && live ->
+        report ctx (off 2) Error ~pass:"absint"
+          "expected integer but got \"%s\" (reading increment)" inc
+      | _ -> ());
+      Some Absint.Vint
+    | "expr" ->
+      (* A fully literal [expr] folds like a condition: a raised failure
+         is guaranteed at run time, with the runtime's own message. *)
+      let rec lits i acc =
+        if i > n then Some (List.rev acc)
+        else
+          match arg i with
+          | Some s -> lits (i + 1) (s :: acc)
+          | None -> None
+      in
+      (match lits 1 [] with
+      | Some (_ :: _ as parts) ->
+        ignore
+          (fold_expr ctx wc (off 1) (String.concat " " parts) (fun _ -> None))
+      | _ -> ());
+      None
+    | "lindex" ->
+      (* A constant index beyond a constant list is legal but returns an
+         empty string — almost always a mistake worth a warning. *)
+      (match (arg 1, arg 2) with
+      | Some lst, Some idx when n = 2 -> (
+        match (Tcl_list.parse lst, int_of_string_opt (String.trim idx)) with
+        | Ok elems, Some i when (i < 0 || i >= List.length elems) && live ->
+          report ctx (off 2) Warning ~pass:"absint"
+            "constant index %d is out of range for this %d-element list \
+             (lindex returns an empty string)"
+            i (List.length elems)
+        | _ -> ())
+      | _ -> ());
+      None
+    | _ -> None
+  in
+  let e = effect ctx cmd in
+  if e.any then Hashtbl.reset wc.kinds;
+  List.iter
+    (fun i ->
+      match arg i with
+      | Some v -> use ctx wc.scope ~soft:wc.soft (off i) v
+      | None -> ())
+    e.reads;
+  List.iter
+    (fun i ->
+      match arg i with
       | Some v ->
-        let kv =
-          match List.nth_opt cmd.words 2 with
-          | Some (Compile.W_lit s) -> Absint.Vconst s
-          | Some (Compile.W_parts [ Compile.Var u ]) -> kind_get wc u
-          | Some (Compile.W_parts [ Compile.Cmd [ c ] ]) -> (
-            match expr_ast_of c with
-            | Some ast -> Absint.eval_quiet (fun u -> kind_get wc u) ast
-            | None -> Absint.Vtop)
-          | _ -> Absint.Vtop
-        in
-        if String.contains v '(' then Hashtbl.remove wc.kinds (var_base v)
-        else kind_set wc v kv
-      | None -> ()
-    end
-    else use_arg 1
-  | "incr" ->
-    (match arg 1 with
-    | Some v -> (
-      match Hashtbl.find_opt wc.kinds (var_base v) with
-      | Some (Absint.Vconst c)
-        when int_of_string_opt (String.trim c) = None && live ->
-        report ctx (off 1) Error ~pass:"absint"
-          "expected integer but got \"%s\" (reading value of variable \"%s\" \
-           to increment)"
-          c v
-      | _ -> ())
-    | None -> ());
-    (match arg 2 with
-    | Some inc when int_of_string_opt (String.trim inc) = None && live ->
-      report ctx (off 2) Error ~pass:"absint"
-        "expected integer but got \"%s\" (reading increment)" inc
-    | _ -> ());
-    use_arg 1;
-    define_arg 1;
-    (match arg 1 with
-    | Some v when not (String.contains v '(') -> kind_set wc v Absint.Vint
-    | Some v -> Hashtbl.remove wc.kinds (var_base v)
-    | None -> ())
-  | "append" | "lappend" ->
-    define_arg 1;
-    clear_arg 1
-  | "unset" ->
-    for i = 1 to n do
-      use_arg i;
-      define_arg i;
-      clear_arg i
-    done
-  | "global" | "variable" ->
-    (* Globals are defined elsewhere by definition. *)
-    for i = 1 to n do
-      define_arg i;
-      clear_arg i
-    done
-  | "upvar" ->
-    (* upvar ?level? otherVar localVar ... — locals become aliases. *)
-    let first_is_level =
-      match arg 1 with
-      | Some a ->
-        (a <> "" && (a.[0] = '#' || int_of_string_opt a <> None)) && n >= 3
-      | None -> false
-    in
-    let start = if first_is_level then 3 else 2 in
-    let i = ref start in
-    while !i <= n do
-      define_arg !i;
-      clear_arg !i;
-      i := !i + 2
-    done
-  | "foreach" ->
-    define_arg 1 (* kinds handled structurally in walk_structure *)
-  | "catch" ->
-    if n = 2 then begin
-      define_arg 2;
-      clear_arg 2
-    end
-  | "scan" ->
-    for i = 3 to n do
-      define_arg i;
-      clear_arg i
-    done
-  | "gets" ->
-    if n = 2 then begin
-      define_arg 2;
-      clear_arg 2
-    end
-  | "regexp" ->
-    for i = regexp_first_var cmd to n do
-      define_arg i;
-      clear_arg i
-    done
-  | "regsub" ->
-    if n >= 4 then begin
-      define_arg n;
-      clear_arg n
-    end
-  | "vwait" ->
-    define_arg 1;
-    (* the event loop runs arbitrary handlers meanwhile *)
-    Hashtbl.reset wc.kinds
-  | "update" -> Hashtbl.reset wc.kinds
-  | "expr" ->
-    (* A fully literal [expr] folds like a condition: a raised failure
-       is guaranteed at run time, with the runtime's own message. *)
-    let rec lits i acc =
-      if i > n then Some (List.rev acc)
-      else
-        match arg i with
-        | Some s -> lits (i + 1) (s :: acc)
-        | None -> None
-    in
-    if n >= 1 then begin
-      match lits 1 [] with
-      | Some parts -> (
-        match Expr.parse (String.concat " " parts) with
-        | Error _ -> ()
-        | Ok ast -> (
-          let hooks =
-            {
-              Absint.lookup = (fun u -> kind_get wc u);
-              note_use =
-                (fun ~soft u ->
-                  use ctx wc.scope ~soft:(wc.soft || soft) (off 1) u);
-              eval_cmd =
-                (fun ~soft s' ->
-                  ignore
-                    (walk ctx s' (off 1)
-                       { wc with soft = wc.soft || soft; cond = true }
-                       (Compile.compile s')));
-            }
-          in
-          match Absint.eval_ast hooks ast with
-          | _ -> ()
-          | exception Absint.Guaranteed msg ->
-            if live then report ctx (off 1) Error ~pass:"absint" "%s" msg))
-      | None -> ()
-    end
-  | "lindex" -> (
-    (* A constant index beyond a constant list is legal but returns an
-       empty string — almost always a mistake worth a warning. *)
-    match (arg 1, arg 2) with
-    | Some lst, Some idx when n = 2 -> (
-      match (Tcl_list.parse lst, int_of_string_opt (String.trim idx)) with
-      | Ok elems, Some i when (i < 0 || i >= List.length elems) && live ->
-        report ctx (off 2) Warning ~pass:"absint"
-          "constant index %d is out of range for this %d-element list \
-           (lindex returns an empty string)"
-          i (List.length elems)
-      | _ -> ())
-    | _ -> ())
-  | _ -> ignore usrc
+        define wc.scope v;
+        Hashtbl.remove wc.kinds (var_base v)
+      | None -> ())
+    (e.sets @ e.links);
+  match (result_kind, arg 1) with
+  | Some k, Some v -> kind_set wc v k
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program passes over the completed call graph *)
@@ -1614,7 +1492,7 @@ let analyze_program ?(safe = false) ?(whole = false) interp
   let compiled =
     List.map (fun (file, src) -> (file, src, Compile.compile src)) files
   in
-  List.iter (fun (_f, _s, prog) -> prepass ctx 0 prog) compiled;
+  List.iter (fun (_f, _s, prog) -> prepass ctx prog) compiled;
   ctx.suppress_unknown <-
     Hashtbl.mem ctx.procs "unknown" || Interp.command_exists interp "unknown";
   List.iter

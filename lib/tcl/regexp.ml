@@ -173,8 +173,10 @@ let class_matches ~negated ranges c =
   let inside = List.exists (fun (lo, hi) -> c >= lo && c <= hi) ranges in
   inside <> negated
 
-let find re s =
-  let s = if re.nocase then String.lowercase_ascii s else s in
+(* The leftmost match in [s], already folded for [nocase], that starts
+   at or after [from].  Positions index the whole subject, so [Bol]
+   tests its real start however late the scan begins. *)
+let search re s from =
   let n = String.length s in
   let caps = Array.make (re.group_count + 1) (-1, -1) in
   let rec match_alts alts pos k =
@@ -226,7 +228,11 @@ let find re s =
       | Some caps -> Some caps
       | None -> scan (start + 1)
   in
-  scan 0
+  scan from
+
+let fold_case re s = if re.nocase then String.lowercase_ascii s else s
+
+let find re s = search re (fold_case re s) 0
 
 let matches re s = find re s <> None
 
@@ -260,29 +266,25 @@ let expand_template template s caps =
   Buffer.contents buf
 
 let replace re s ~template ~all =
-  let buf = Buffer.create (String.length s + 16) in
+  let subject = fold_case re s and n = String.length s in
+  let buf = Buffer.create (n + 16) in
   let count = ref 0 in
-  let rec go offset =
-    if offset > String.length s then ()
-    else
-      let tail = String.sub s offset (String.length s - offset) in
-      match find re tail with
-      | None -> Buffer.add_string buf tail
+  (* [s] before [from] is copied already. *)
+  let rec go from =
+    if from <= n then
+      match search re subject from with
+      | None -> Buffer.add_substring buf s from (n - from)
       | Some caps ->
         let start, stop = caps.(0) in
-        Buffer.add_string buf (String.sub tail 0 start);
-        Buffer.add_string buf (expand_template template tail caps);
+        Buffer.add_substring buf s from (start - from);
+        Buffer.add_string buf (expand_template template s caps);
         incr count;
-        let next = offset + max stop (start + 1) in
         if all then begin
           (* An empty match still advances past the character. *)
-          if stop = start && start < String.length tail then
-            Buffer.add_char buf tail.[start];
-          go next
+          if stop = start && start < n then Buffer.add_char buf s.[start];
+          go (max stop (start + 1))
         end
-        else
-          Buffer.add_string buf
-            (String.sub tail stop (String.length tail - stop))
+        else Buffer.add_substring buf s stop (n - stop)
   in
   go 0;
   (Buffer.contents buf, !count)

@@ -26,5 +26,7 @@ val matches : t -> string -> bool
 val replace : t -> string -> template:string -> all:bool -> string * int
 (** [replace re s ~template ~all] implements [regsub]: replaces the first
     (or every, with [all]) match by [template], in which [&] and [\0]
-    denote the whole match and [\1]..[\9] the capture groups. Returns the
-    new string and the number of substitutions made. *)
+    denote the whole match and [\1]..[\9] the capture groups. Each
+    search after a match continues in the same subject, so [^] anchors
+    only at its start. Returns the new string and the number of
+    substitutions made. *)

@@ -219,6 +219,14 @@ let clean_corpus =
      interp alias worker ask {} respond\n\
      interp limit worker commands -value 1000\n\
      interp recursionlimit worker 500\ninterp cancel -unwind worker";
+    (* helpers that set a caller's variable through upvar *)
+    "proc w {n} {upvar 1 $n v; scan 5 %d v}; proc c {} {w a; return $a}";
+    "proc w {n} {upvar 1 $n v; regexp a a v}; proc c {} {w a; return $a}";
+    "proc w {n} {upvar 1 $n v; regsub a a b v}; proc c {} {w a; return $a}";
+    "proc w {n} {upvar 1 $n v; if {1} {regexp a a v}}; proc c {} {w a; return \
+     $a}";
+    "proc w {n} {upvar 1 $n v; catch {scan 5 %d v}}; proc c {} {w a; return \
+     $a}";
   ]
 
 let clean_tests =
@@ -503,6 +511,136 @@ let lint_matches_runtime () =
   | [] -> ()
   | found ->
     Alcotest.failf "%d of %d calls disagree:\n%s" (List.length found) !checked
+      (String.concat "\n" found)
+
+(* ------------------------------------------------------------------ *)
+(* Enumerated: lint's def/use holds against the runtime's writes.
+
+   Each form names n variables, which it sets (or may leave unset:
+   [regexp] without a match variable, [global] in a helper, whose link
+   replaces the upvar).  It is placed directly in a proc, in a helper
+   that reaches the caller's variables through [upvar 1], and under
+   [if {1}] and under [catch] in that helper; the proc then reads every
+   variable.  Each program runs in a fresh interpreter on both tiers.
+   Wherever [info exists] says the runtime set a variable, lint must not
+   report it "may be used before being set".  The global [v0] is set
+   first, so [global v0] links to a variable that exists. *)
+
+let write_forms =
+  let vars f vs = f (String.concat " " vs) in
+  [
+    ("set", 1, vars (Printf.sprintf "set %s 1"));
+    ("append", 1, vars (Printf.sprintf "append %s x"));
+    ("lappend", 1, vars (Printf.sprintf "lappend %s x"));
+    ("catch, failing body", 1, vars (Printf.sprintf "catch {error boom} %s"));
+    ("catch, succeeding body", 1, vars (Printf.sprintf "catch {expr 1} %s"));
+    ("scan, 1 conversion", 1, vars (Printf.sprintf "scan 5 %%d %s"));
+    ("scan, 2 conversions", 2, vars (Printf.sprintf "scan {5 6} {%%d %%d} %s"));
+    ( "scan, 3 conversions",
+      3,
+      vars (Printf.sprintf "scan {5 6 7} {%%d %%d %%d} %s") );
+    ("regexp, no match variable", 0, fun _ -> "regexp a a");
+    ("regexp, 1 match variable", 1, vars (Printf.sprintf "regexp a a %s"));
+    ("regexp, 2 match variables", 2, vars (Printf.sprintf "regexp (a) a %s"));
+    ( "regexp, 3 match variables",
+      3,
+      vars (Printf.sprintf "regexp (a)(b) ab %s") );
+    ("regexp -nocase", 1, vars (Printf.sprintf "regexp -nocase A a %s"));
+    ("regexp -indices", 1, vars (Printf.sprintf "regexp -indices a a %s"));
+    ("regexp --", 1, vars (Printf.sprintf "regexp -- -a -a %s"));
+    ("regsub", 1, vars (Printf.sprintf "regsub a a b %s"));
+    ("regsub -all", 1, vars (Printf.sprintf "regsub -all a aa b %s"));
+    ("foreach", 1, vars (Printf.sprintf "foreach %s {1 2} {}"));
+    ("global", 1, vars (Printf.sprintf "global %s"));
+  ]
+
+(* (placement, through a helper?, the form as placed) *)
+let write_placements =
+  [
+    ("directly in a proc", false, Fun.id);
+    ("in an upvar helper", true, Fun.id);
+    ("under if in an upvar helper", true, fun f -> "if {1} {" ^ f ^ "}");
+    ("under catch in an upvar helper", true, fun f -> "catch {" ^ f ^ "}");
+  ]
+
+(* The program with each variable read by [read]; the variables the
+   caller reads. *)
+let write_program ~helper ~place form n read =
+  let names p = List.init n (Printf.sprintf "%s%d" p) in
+  let locals = names "v" in
+  let list vs = String.concat " " ("list" :: List.map read vs) in
+  if not helper then
+    ( Printf.sprintf "set v0 1\nproc c {} {%s; %s}\nc" (place (form locals))
+        (list locals),
+      locals )
+  else
+    let callers = names "a" in
+    let upvar =
+      if n = 0 then ""
+      else
+        String.concat " "
+          ("upvar 1"
+          :: List.map2 (fun f l -> "$" ^ f ^ " " ^ l) (names "n") locals)
+        ^ "; "
+    in
+    ( Printf.sprintf "set v0 1\nproc w {%s} {%s%s}\nproc c {} {w %s; %s}\nc"
+        (String.concat " " (names "n"))
+        upvar
+        (place (form locals))
+        (String.concat " " callers) (list callers),
+      callers )
+
+let lint_agrees_with_runtime_writes () =
+  let failures = ref [] and checked = ref 0 in
+  List.iter
+    (fun (form_name, n, form) ->
+      List.iter
+        (fun (place_name, helper, place) ->
+          let what = form_name ^ ", " ^ place_name in
+          let lint_src, vars =
+            write_program ~helper ~place form n (fun v -> "$" ^ v)
+          in
+          let probe_src, _ =
+            write_program ~helper ~place form n (fun v ->
+                "[info exists " ^ v ^ "]")
+          in
+          let set_by ~compile =
+            let tcl = Tcl.Builtins.new_interp () in
+            Tcl.Interp.set_compile_enabled tcl compile;
+            match Tcl.Interp.eval tcl probe_src with
+            | Tcl.Interp.Tcl_ok, v -> String.split_on_char ' ' v
+            | _, msg ->
+              failures := (what ^ ": failed: " ^ msg) :: !failures;
+              List.map (fun _ -> "0") vars
+          in
+          let reference = set_by ~compile:false and vm = set_by ~compile:true in
+          if reference <> vm then
+            failures := (what ^ ": the tiers disagree") :: !failures;
+          let found =
+            messages (Tcl.Lint.analyze (Tcl.Builtins.new_interp ()) lint_src)
+          in
+          List.iteri
+            (fun i v ->
+              if List.nth reference i = "1" || List.nth vm i = "1" then begin
+                incr checked;
+                let needle =
+                  Printf.sprintf "\"%s\" may be used before being set" v
+                in
+                if List.exists (contains ~needle) found then
+                  failures :=
+                    Printf.sprintf "%s: lint says %s, the runtime set it" what
+                      needle
+                    :: !failures
+              end)
+            vars)
+        write_placements)
+    write_forms;
+  check_int "variables the runtime set" 93 !checked;
+  match List.rev !failures with
+  | [] -> ()
+  | found ->
+    Alcotest.failf "%d disagreements in %d variables set at run time:\n%s"
+      (List.length found) !checked
       (String.concat "\n" found)
 
 (* ------------------------------------------------------------------ *)
@@ -878,6 +1016,12 @@ let () =
       ("analysis scope", wrap scope_tests);
       ("safe and seed", wrap safe_non_execution_tests);
       ("shared messages", wrap shared_message_tests);
+      ( "runtime writes",
+        wrap
+          [
+            ( "no use-before-set warning for a variable the runtime set",
+              lint_agrees_with_runtime_writes );
+          ] );
       ("info complete", wrap info_complete_tests);
       ("metrics", wrap metrics_tests);
     ]

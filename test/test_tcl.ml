@@ -612,6 +612,20 @@ let edge_tests =
      check_eval
        "set a(k) 1; proc bump {name} {upvar $name v; incr v}; bump a(k); set a(k)"
        "2");
+    ("unset through a link keeps the link",
+     fun () ->
+       List.iter
+         (fun (script, expected) ->
+           Alcotest.(check string) script expected (run_fresh script))
+         [
+           ("proc w {} {global h; set h 1; unset h; set h 7}; w; set h", "7");
+           ("proc w {n} {upvar 1 $n v; set v 1; unset v; set v 2}; \
+             proc c {} {w a; set a}; c", "2");
+           ("proc w {n} {upvar 1 $n v; set v 1; unset v; set v 2}; \
+             proc c {} {w a(k); set a(k)}; c", "2");
+           ("proc w {} {upvar 1 nosuch v; list [catch {unset v} m] $m}; w",
+            "1 {can't unset \"v\": no such variable}");
+         ]);
     ("nested procs share globals via global",
      check_eval
        "set g 0; proc f {} {global g; incr g; g2}; proc g2 {} {global g; incr g}; f; set g"
@@ -723,6 +737,21 @@ let regexp_tests =
            ("(b)(A) xBaBAy {<\\2\\1&>}", "2 x<aBBa><ABBA>y", "1 x<aBBa>BAy");
            ("x XxX {[&]}", "3 {[X][x][X]}", "1 {[X]xX}");
            ("{} Ab .", "3 .A.b.", "1 .Ab");
+         ]);
+    ("regsub -all restarts within the one subject",
+     fun () ->
+       (* pattern subject template: count and result; [^] anchors only
+          at the subject's start, [$] only at its end *)
+       List.iter
+         (fun (args, expected) ->
+           Alcotest.(check string) args expected
+             (run_fresh (Printf.sprintf "list [regsub -all %s v] $v" args)))
+         [
+           ("{x*} abc -", "4 -a-b-c-");
+           ("{a$} aaa x", "1 aax");
+           ("^a aaa x", "1 xaa");
+           ("{^} ab x", "1 xab");
+           ("{^|b} abc -", "2 -a-c");
          ]);
     ("-- ends regexp's switches", check_eval "regexp -- -x -x" "1");
     ("a word that only starts with a dash stays a value",

@@ -101,6 +101,13 @@ let differential_scripts =
     "proc bump {v} {upvar $v x; incr x 10}; proc g {} {set y 1; bump y; \
      set y}; g";
     "set g 100; proc rd {} {global g; incr g; set g}; rd";
+    (* unset through a link keeps the link: the write after it lands in
+       the linked variable, scalar or array element *)
+    "proc w {} {global h; set h 1; unset h; set h 7}; w; info exists h";
+    "proc w {n} {upvar 1 $n v; set v 1; unset v; set v 2}; proc c {} {w a; \
+     info exists a}; c";
+    "proc w {n} {upvar 1 $n v; set v 1; unset v; set v 2}; proc c {} {w a(k); \
+     list [info exists a(k)] $a(k)}; c";
     "proc outer {} {set x 1; uplevel {set lifted 5}; set x}; outer; \
      set lifted";
     (* arrays force the hash path inside otherwise-slotted frames *)
